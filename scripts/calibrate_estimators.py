@@ -16,18 +16,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from semsnr.corpus import iter_corpus, reference_corpus_spec
-from semsnr.estimators import EstimatorConfig, estimate_all
+from semsnr.estimators import SINGLE_IMAGE_METHODS, EstimatorConfig, estimate_all
 
-SINGLE_METHODS = ("nn", "fol", "lsr", "nllsr", "asnn", "acldr", "chillsr")
 BENCH_CONFIG = EstimatorConfig(epsilon_policy="zero")
 
 
 def main() -> int:
-    errors = {m: [] for m in SINGLE_METHODS}
+    errors = {m: [] for m in SINGLE_IMAGE_METHODS}
     count = 0
     for image_id, _, _, gt, row in iter_corpus(reference_corpus_spec()):
-        results = estimate_all(gt.noisy, BENCH_CONFIG)
-        for method in SINGLE_METHODS:
+        results = estimate_all(gt.noisy, BENCH_CONFIG, methods=SINGLE_IMAGE_METHODS)
+        for method in SINGLE_IMAGE_METHODS:
             est = results[method]
             if est.status != "ok":
                 print(f"WARNING: {image_id} {method} -> {est.status}", file=sys.stderr)
@@ -42,7 +41,7 @@ def main() -> int:
     with open(out, "w", encoding="ascii") as fh:
         fh.write("# semsnr-csv v1\n")
         fh.write("method,n,median_abs_rel_error\n")
-        for method in SINGLE_METHODS:
+        for method in SINGLE_IMAGE_METHODS:
             median = float(np.median(errors[method]))
             fh.write(f"{method},{len(errors[method])},{median!r}\n")
             print(f"{method:>8}: median |rel err| = {median:.4f} over {len(errors[method])} images")

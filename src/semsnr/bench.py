@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import CSV_MAGIC, CorpusSpec, SceneSpec, load_corpus
 from .denoise import FilterSpec, apply_filter, parse_filter_spec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainError, EstimatorError, SingularFitError
 from .estimators import (
     ALL_METHODS,
     DEFAULT_CONFIG,
@@ -163,24 +163,28 @@ def corpus_spec_from_config(cfg: configparser.ConfigParser,
     return spec
 
 
+_ESTIMATE_INT_KEYS = {
+    "n_points", "lag_start", "nllsr_lag_start", "acldr_order", "chillsr_points", "smart_shift",
+}
+
+
 def estimator_config_from_config(cfg: configparser.ConfigParser) -> EstimatorConfig:
     if not cfg.has_section("estimate"):
         return DEFAULT_CONFIG
     section = cfg["estimate"]
+    unknown = set(section.keys()) - _ESTIMATE_INT_KEYS - {"epsilon_policy"}
+    if unknown:
+        raise ConfigError(f"unknown [estimate] keys: {sorted(unknown)}")
     kwargs = {}
-    for key, getter in (
-        ("n_points", section.getint),
-        ("lag_start", section.getint),
-        ("nllsr_lag_start", section.getint),
-        ("acldr_order", section.getint),
-        ("chillsr_points", section.getint),
-        ("smart_shift", section.getint),
-    ):
-        if key in section:
-            kwargs[key] = getter(key)
-    if "epsilon_policy" in section:
-        kwargs["epsilon_policy"] = section.get("epsilon_policy")
-    return replace(DEFAULT_CONFIG, **kwargs)
+    for key in section.keys():
+        try:
+            kwargs[key] = section.getint(key) if key in _ESTIMATE_INT_KEYS else section.get(key)
+        except ValueError as exc:
+            raise ConfigError(f"bad [estimate] value for {key}: {exc}") from exc
+    try:
+        return replace(DEFAULT_CONFIG, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"bad [estimate] value: {exc}") from exc
 
 
 def parse_methods(text: str) -> tuple[str, ...]:
@@ -196,10 +200,16 @@ def parse_methods(text: str) -> tuple[str, ...]:
 # --- estimation runs ----------------------------------------------------------
 
 
-def _estimate_one(image, methods, est_cfg) -> list[dict]:
+def _estimate_one(image, methods, est_cfg) -> tuple[list[dict], float]:
+    """One image's result rows and its shared time in ms.
+
+    The shared time is estimate_all's time outside every method's own
+    runtime_ms: the lag table and bookkeeping.
+    """
     t0 = time.perf_counter()
-    results = estimate_all(image.noisy, est_cfg)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0 / max(len(results), 1)
+    results = estimate_all(image.noisy, est_cfg, methods=methods)
+    total_ms = (time.perf_counter() - t0) * 1000.0
+    shared_ms = total_ms - sum(est.runtime_ms for est in results.values())
     oracle = image.truth["true_snr"]
     rows = []
     for method in methods:
@@ -219,11 +229,11 @@ def _estimate_one(image, methods, est_cfg) -> list[dict]:
                 "snr_db": est.snr_db if est.status in ("ok", "infinite") else None,
                 "predicted_nf_peak": est.predicted_nf_peak,
                 "rel_error": rel,
-                "runtime_ms": elapsed_ms,
+                "runtime_ms": est.runtime_ms,
                 "_diagnostics": est.diagnostics,
             }
         )
-    return rows
+    return rows, shared_ms
 
 
 def summarize_results(rows) -> list[dict]:
@@ -253,7 +263,8 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
     """Estimate every corpus image with every requested method.
 
     Returns (result rows, summary rows) and, when ``out_dir`` is given, writes
-    results.csv, summary.csv, and a diagnostics.jsonl sidecar.
+    results.csv, summary.csv, and a diagnostics.jsonl sidecar holding, per
+    image, one ``shared_ms`` line followed by one line per method.
     """
     images = load_corpus(corpus_dir)
     methods = tuple(methods)
@@ -265,7 +276,7 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
             per_image = list(pool.map(lambda im: _estimate_one(im, methods, est_cfg), images))
     else:
         per_image = [_estimate_one(im, methods, est_cfg) for im in images]
-    rows = [row for group in per_image for row in group]
+    rows = [row for group, _ in per_image for row in group]
     summary = summarize_results(rows)
     if out_dir is not None:
         out = Path(out_dir)
@@ -273,15 +284,17 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
         write_csv(out / "results.csv", RESULTS_FIELDS, rows)
         write_csv(out / "summary.csv", SUMMARY_FIELDS, summary)
         with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
-            for row in rows:
-                fh.write(json.dumps(
-                    {
-                        "image_id": row["image_id"],
-                        "method": row["method"],
-                        "status": row["status"],
-                        "diagnostics": _json_safe(row.get("_diagnostics", {})),
-                    }
-                ) + "\n")
+            for image, (group, shared_ms) in zip(images, per_image):
+                fh.write(json.dumps({"image_id": image.image_id, "shared_ms": shared_ms}) + "\n")
+                for row in group:
+                    fh.write(json.dumps(
+                        {
+                            "image_id": row["image_id"],
+                            "method": row["method"],
+                            "status": row["status"],
+                            "diagnostics": _json_safe(row.get("_diagnostics", {})),
+                        }
+                    ) + "\n")
     return rows, summary
 
 
@@ -389,10 +402,9 @@ def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> li
             }
         )
 
-    results = estimate_all(noisy, est_cfg)
-    for method in methods:
-        if method not in SINGLE_IMAGE_METHODS:
-            continue
+    single = [m for m in methods if m in SINGLE_IMAGE_METHODS]
+    results = estimate_all(noisy, est_cfg, methods=single)
+    for method in single:
         est = results[method]
         rows.append(
             {
@@ -502,5 +514,5 @@ def run_denoise(corpus_dir, spec: FilterSpec | str, out_dir=None,
 def _nn_or_none(img: Raster):
     try:
         return estimate_nn(img).snr_linear
-    except Exception:
+    except (EstimatorError, DomainError, SingularFitError):
         return None

@@ -13,7 +13,7 @@ signal energy as (noise-free peak - mean^2) and the noise energy as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,16 +37,35 @@ class AcfCurve:
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if lags.shape != values.shape or lags.ndim != 1:
             raise DomainError("lags and values must be 1-D arrays of equal length")
+        if not np.array_equal(lags, np.arange(lags.size)):
+            raise DomainError("lags must be exactly 0..K")
         lags.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
 
     def value(self, lag: int) -> float:
-        idx = np.nonzero(self.lags == lag)[0]
-        if idx.size == 0:
+        if not 0 <= lag < self.values.size:
             raise DomainError(f"lag {lag} not present in curve")
-        return float(self.values[idx[0]])
+        return float(self.values[lag])
+
+
+@dataclass(frozen=True)
+class LagTable:
+    """One image's x and y profiles, sharing its mean and r(0); lags may differ per axis."""
+
+    x: AcfCurve
+    y: AcfCurve
+
+    @property
+    def mean(self) -> float:
+        return self.x.mean
+
+    def xy(self, max_lag: int) -> AcfCurve:
+        """Average of the x and y profiles over lags 0..max_lag (halves tail variance)."""
+        n = max_lag + 1
+        return AcfCurve(lags=self.x.lags[:n], values=0.5 * (self.x.values[:n] + self.y.values[:n]),
+                        mean=self.x.mean, axis="xy")
 
 
 @dataclass(frozen=True)
@@ -57,19 +76,43 @@ class CcfResult:
     peak_value: float
     background: float
     fwhm: float
-    correlation: float
+    correlation: float = math.nan  # aligned correlation coefficient, set by cross_correlate
+    unit_offset_mean: float = math.nan  # mean of the four surface values one pixel from the peak
 
 
-def _acf_lag_x(x: np.ndarray, k: int) -> float:
+def _lag_product(x: np.ndarray, k: int, axis: str) -> float:
     if k == 0:
         return float(np.mean(x * x))
-    return float(np.mean(x[:, :-k] * x[:, k:]))
-
-
-def _acf_lag_y(x: np.ndarray, k: int) -> float:
-    if k == 0:
-        return float(np.mean(x * x))
+    if axis == "x":
+        return float(np.mean(x[:, :-k] * x[:, k:]))
     return float(np.mean(x[:-k, :] * x[k:, :]))
+
+
+def lag_fits(r: Raster, max_lag: int) -> bool:
+    """Whether lags 0..max_lag leave an overlap of more than half the image."""
+    return 0 <= max_lag < min(r.width, r.height) / 2
+
+
+def check_max_lag(r: Raster, max_lag: int) -> None:
+    if not lag_fits(r, max_lag):
+        raise DomainError(
+            f"max_lag {max_lag} must satisfy 0 <= max_lag < min(width, height)/2"
+        )
+
+
+def lag_table(r: Raster, x_lags: int, y_lags: int) -> LagTable:
+    """Raw-product x profile to lag ``x_lags`` and y profile to ``y_lags``, one r(0)."""
+    check_max_lag(r, max(x_lags, y_lags))
+    x = r.data
+    mean = float(x.mean())
+    r0 = _lag_product(x, 0, "x")
+    curves = [
+        AcfCurve(lags=np.arange(n + 1),
+                 values=[r0] + [_lag_product(x, k, axis) for k in range(1, n + 1)],
+                 mean=mean, axis=axis)
+        for axis, n in (("x", x_lags), ("y", y_lags))
+    ]
+    return LagTable(*curves)
 
 
 def _acf_offset(x: np.ndarray, dx: int, dy: int) -> float:
@@ -96,10 +139,10 @@ def autocorrelation(r: Raster, max_lag: int, axis: str = "x",
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
-    if max_lag < 0 or max_lag >= min(r.width, r.height) / 2:
-        raise DomainError(
-            f"max_lag {max_lag} must satisfy 0 <= max_lag < min(width, height)/2"
-        )
+    if axis != "radial" and not periodic:
+        table = lag_table(r, max_lag if axis == "x" else 0, max_lag if axis == "y" else 0)
+        return getattr(table, axis)
+    check_max_lag(r, max_lag)
     x = r.data
     mean = float(x.mean())
     lags = np.arange(max_lag + 1)
@@ -112,23 +155,18 @@ def autocorrelation(r: Raster, max_lag: int, axis: str = "x",
         values = surface[0, : max_lag + 1] if axis == "x" else surface[: max_lag + 1, 0]
         return AcfCurve(lags=lags, values=values.copy(), mean=mean, axis=axis)
 
-    if axis == "x":
-        values = np.array([_acf_lag_x(x, int(k)) for k in lags])
-    elif axis == "y":
-        values = np.array([_acf_lag_y(x, int(k)) for k in lags])
-    else:
-        sums = np.zeros(max_lag + 1)
-        counts = np.zeros(max_lag + 1)
-        for dy in range(0, max_lag + 1):
-            for dx in range(-max_lag, max_lag + 1):
-                if dy == 0 and dx < 0:
-                    continue  # mirror of (dx >= 0, 0): same value by symmetry
-                radius = int(round(math.hypot(dx, dy)))
-                if radius > max_lag:
-                    continue
-                sums[radius] += _acf_offset(x, dx, dy)
-                counts[radius] += 1
-        values = sums / counts
+    sums = np.zeros(max_lag + 1)
+    counts = np.zeros(max_lag + 1)
+    for dy in range(0, max_lag + 1):
+        for dx in range(-max_lag, max_lag + 1):
+            if dy == 0 and dx < 0:
+                continue  # mirror of (dx >= 0, 0): same value by symmetry
+            radius = int(round(math.hypot(dx, dy)))
+            if radius > max_lag:
+                continue
+            sums[radius] += _acf_offset(x, dx, dy)
+            counts[radius] += 1
+    values = sums / counts
     return AcfCurve(lags=lags, values=values, mean=mean, axis=axis)
 
 
@@ -188,13 +226,47 @@ def _profile_fwhm(profile: np.ndarray, peak_idx: int, peak: float, background: f
     return max(width, 1.0)
 
 
+def ccf_surface(a: np.ndarray, b: np.ndarray) -> CcfResult:
+    """Build the circular cross-correlation surface of two planes once and read its peak.
+
+    The surface is the inverse transform of conj(F) * G of the mean-subtracted
+    planes, scaled to mean-product units; real-input transforms halve the
+    spectrum work.  The background is the median of the surface outside the
+    5x5 block around the peak, and the FWHM is read along the peak row.
+    """
+    xa = a - a.mean()
+    xb = b - b.mean()
+    spectrum = np.conj(np.fft.rfft2(xa)) * np.fft.rfft2(xb)
+    surface = np.fft.irfft2(spectrum, s=xa.shape) / xa.size
+
+    h, w = surface.shape
+    my, mx = np.unravel_index(int(np.argmax(surface)), surface.shape)
+    dx = int(mx) - w if mx > w // 2 else int(mx)
+    dy = int(my) - h if my > h // 2 else int(my)
+    peak = float(surface[my, mx])
+
+    mask = np.ones_like(surface, dtype=bool)
+    mask[np.ix_(np.arange(my - 2, my + 3) % h, np.arange(mx - 2, mx + 3) % w)] = False
+    background = float(np.median(surface[mask]))
+
+    profile = np.roll(surface[my, :], w // 2 - mx)
+    neighbours = (surface[my, (mx + 1) % w] + surface[my, (mx - 1) % w]
+                  + surface[(my + 1) % h, mx] + surface[(my - 1) % h, mx])
+    return CcfResult(
+        peak_offset=(dx, dy),
+        peak_value=peak,
+        background=background,
+        fwhm=_profile_fwhm(profile, w // 2, peak, background),
+        unit_offset_mean=0.25 * float(neighbours),
+    )
+
+
 def cross_correlate(a: Raster, b: Raster) -> CcfResult:
     """Spectrum-domain cross-correlation with peak location, FWHM, and correlation.
 
-    The surface is the circular cross-correlation of the mean-subtracted
-    images (inverse transform of conj(F) * G), scaled to mean-product units.
-    The reported correlation is the zero-offset correlation coefficient after
-    circularly aligning ``b`` by the recovered peak offset.
+    The surface comes from :func:`ccf_surface`.  The reported correlation is
+    the zero-offset correlation coefficient after circularly aligning ``b`` by
+    the recovered peak offset.
     """
     if (a.width, a.height) != (b.width, b.height):
         raise DomainError(
@@ -203,28 +275,8 @@ def cross_correlate(a: Raster, b: Raster) -> CcfResult:
     if a.width < 16 or a.height < 16:
         raise DomainError("cross-correlation needs at least 16x16 images")
 
-    xa = a.data - a.data.mean()
-    xb = b.data - b.data.mean()
-    fa = np.fft.fft2(xa)
-    fb = np.fft.fft2(xb)
-    surface = np.fft.ifft2(np.conj(fa) * fb).real / xa.size
-
-    h, w = surface.shape
-    peak_flat = int(np.argmax(surface))
-    my, mx = np.unravel_index(peak_flat, surface.shape)
-    dx = int(mx) - w if mx > w // 2 else int(mx)
-    dy = int(my) - h if my > h // 2 else int(my)
-    peak = float(surface[my, mx])
-
-    mask = np.ones_like(surface, dtype=bool)
-    ys = (np.arange(my - 2, my + 3)) % h
-    xs = (np.arange(mx - 2, mx + 3)) % w
-    mask[np.ix_(ys, xs)] = False
-    background = float(np.median(surface[mask]))
-
-    profile = np.roll(surface[my, :], w // 2 - mx)
-    fwhm = _profile_fwhm(profile, w // 2, peak, background)
-
+    ccf = ccf_surface(a.data, b.data)
+    dx, dy = ccf.peak_offset
     aligned = np.roll(b.data, (-dy, -dx), axis=(0, 1))
     sa = float(np.std(a.data))
     sb = float(np.std(aligned))
@@ -232,12 +284,4 @@ def cross_correlate(a: Raster, b: Raster) -> CcfResult:
         rho = 0.0
     else:
         rho = float(np.mean((a.data - a.data.mean()) * (aligned - aligned.mean())) / (sa * sb))
-    rho = max(-1.0, min(1.0, rho))
-
-    return CcfResult(
-        peak_offset=(dx, dy),
-        peak_value=peak,
-        background=background,
-        fwhm=fwhm,
-        correlation=rho,
-    )
+    return replace(ccf, correlation=max(-1.0, min(1.0, rho)))

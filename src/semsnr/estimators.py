@@ -4,7 +4,10 @@ Every single-image technique is a rule for predicting the noise-free
 autocorrelation peak r_nf(0) from lags k >= 1; the estimate is then
 (r_nf - mean^2) / (r(0) - r_nf) through the shared back-end in
 :mod:`semsnr.correlation`.  The two-image techniques work from the
-cross-correlation of two acquisitions of the same scene.
+cross-correlation of two acquisitions of the same scene.  Every method is
+an entry of one registry, :data:`METHODS`; the single-image estimators take an
+image or the :class:`~semsnr.correlation.LagTable` that :func:`estimate_all`
+shares among them.
 
 Failure modes raise typed :class:`~semsnr.errors.EstimatorError` subclasses;
 :func:`estimate_all` converts them to per-method statuses so a benchmark run
@@ -14,11 +17,21 @@ never aborts on a single degenerate image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .correlation import AcfCurve, autocorrelation, cross_correlate, snr_db, snr_from_peaks
+from .correlation import (
+    AcfCurve,
+    LagTable,
+    ccf_surface,
+    lag_fits,
+    lag_table,
+    snr_db,
+    snr_from_peaks,
+)
 from .errors import (
     DegenerateError,
     DomainError,
@@ -29,11 +42,7 @@ from .errors import (
     NonStationaryError,
     SingularFitError,
 )
-from .raster import Raster, raster_from_array
-
-SINGLE_IMAGE_METHODS = ("nn", "fol", "lsr", "nllsr", "asnn", "acldr", "chillsr")
-TWO_IMAGE_METHODS = ("frank_alali", "smart")
-ALL_METHODS = SINGLE_IMAGE_METHODS + TWO_IMAGE_METHODS
+from .raster import Raster
 
 EPSILON_POLICIES = ("half_gap", "zero")
 
@@ -53,7 +62,6 @@ class EstimatorConfig:
     n_points: int = 4
     lag_start: int = 1
     nllsr_lag_start: int = 2
-    nllsr_order: int = 1
     acldr_order: int = 2
     chillsr_points: int = 4
     epsilon_policy: str = "half_gap"
@@ -61,14 +69,13 @@ class EstimatorConfig:
     asnn_intercept: float = 0.00645
     chillsr_correction: tuple[float, float, float] = (0.0, 1.0, 0.0)
     smart_shift: int = 4
-    smart_roi: int | None = None
 
     def __post_init__(self):
         if self.n_points < 2:
             raise DomainError("n_points must be at least 2")
         if self.lag_start < 1 or self.nllsr_lag_start < 1:
             raise DomainError("lag_start must be at least 1")
-        if self.nllsr_order < 1 or self.acldr_order < 1:
+        if self.acldr_order < 1:
             raise DomainError("orders must be at least 1")
         if self.chillsr_points < 4:
             raise DomainError("the spline needs at least 4 lags")
@@ -91,6 +98,8 @@ class SnrEstimate:
     snr_db: float = math.nan
     predicted_nf_peak: float | None = None
     diagnostics: dict = field(default_factory=dict)
+    # the method's own time in estimate_all, without the shared lag table
+    runtime_ms: float = field(default=math.nan, compare=False)
 
 
 def _ok(method: str, snr: float, peak: float | None = None, **diag) -> SnrEstimate:
@@ -161,8 +170,6 @@ def nllsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG,
     power law fits the covariance structure rather than the flat offset that
     dominates raw products.
     """
-    if cfg.nllsr_order != 1:
-        raise DomainError("only the first-order log-log fit is supported")
     lags = np.arange(cfg.nllsr_lag_start, cfg.nllsr_lag_start + cfg.n_points)
     ys = np.array([curve.value(int(k)) for k in lags]) - offset
     if np.any(ys <= 0.0):
@@ -242,7 +249,7 @@ def acldr_peak(tail_values, order: int) -> tuple[float, dict]:
     # tail[k-2] holds r(k-1): the first Yule-Walker equation reads
     # r(1) = phi_1 r(0) + sum_{k>=2} phi_k r(k-1)
     acc = tail[0] - float(np.dot(phi[1:], tail[: order - 1]))
-    peak = acc / phi[0]
+    peak = float(acc / phi[0])
     return peak, {
         "ar_coeffs": ld.ar_coeffs.tolist(),
         "reflection": ld.reflection.tolist(),
@@ -277,16 +284,6 @@ def _pchip_tangents(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return d
 
 
-def _hermite_eval(x0, x1, y0, y1, d0, d1, x) -> float:
-    h = x1 - x0
-    t = (x - x0) / h
-    h00 = 2 * t**3 - 3 * t**2 + 1
-    h10 = t**3 - 2 * t**2 + t
-    h01 = -2 * t**3 + 3 * t**2
-    h11 = t**3 - t**2
-    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-
-
 def chillsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG) -> tuple[float, dict]:
     """Shape-preserving cubic Hermite spline through lags 1..K evaluated at lag 0.
 
@@ -297,7 +294,8 @@ def chillsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG) -> tupl
     lags = np.arange(1, cfg.chillsr_points + 1, dtype=np.float64)
     ys = np.array([curve.value(int(k)) for k in lags])
     d = _pchip_tangents(lags, ys)
-    peak = _hermite_eval(lags[0], lags[1], ys[0], ys[1], d[0], d[1], 0.0)
+    # the cubic Hermite basis of the unit segment [1, 2] at lag 0 (t = -1) is (-4, -4, 5, -2)
+    peak = float(-4.0 * ys[0] - 4.0 * d[0] + 5.0 * ys[1] - 2.0 * d[1])
     return peak, {"tangents": d.tolist()}
 
 
@@ -309,69 +307,69 @@ def asnn_correct(snr_base: float, cfg: EstimatorConfig = DEFAULT_CONFIG) -> floa
 # --- image-level estimators ---------------------------------------------------
 
 
-def _estimate_via_peak(method: str, img: Raster, peak_fn, max_lag: int,
-                       cfg: EstimatorConfig) -> SnrEstimate:
-    curve = autocorrelation(img, max_lag=max_lag, axis="x")
-    peak, diag = peak_fn(curve)
-    snr = snr_from_peaks(curve.value(0), peak, curve.mean)
+def _table(src: Raster | LagTable, method: str, cfg: EstimatorConfig) -> LagTable:
+    """The lag table estimate_all shares, or one of the method's own need for an image."""
+    return src if isinstance(src, LagTable) else lag_table(src, *METHODS[method].lags(cfg))
+
+
+def _from_peak(method: str, table: LagTable, peak: float, **diag) -> SnrEstimate:
+    return _ok(method, snr_from_peaks(table.x.value(0), peak, table.mean), peak=peak, **diag)
+
+
+def _corrected(method: str, snr: float, peak: float, **diag) -> SnrEstimate:
+    if snr <= 0.0:
+        raise DegenerateError(f"corrected SNR {snr} is not positive")
     return _ok(method, snr, peak=peak, **diag)
 
 
-def estimate_nn(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def estimate_nn(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Nearest-offset prediction: r_nf(0) ~ (r(1,0) + r(0,1)) / 2."""
-    curve_x = autocorrelation(img, max_lag=1, axis="x")
-    curve_y = autocorrelation(img, max_lag=1, axis="y")
-    peak = nn_peak(curve_x.value(1), curve_y.value(1))
-    snr = snr_from_peaks(curve_x.value(0), peak, curve_x.mean)
-    return _ok("nn", snr, peak=peak, r_x1=curve_x.value(1), r_y1=curve_y.value(1))
+    t = _table(img, "nn", cfg)
+    r_x1, r_y1 = t.x.value(1), t.y.value(1)
+    return _from_peak("nn", t, nn_peak(r_x1, r_y1), r_x1=r_x1, r_y1=r_y1)
 
 
-def estimate_fol(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def estimate_fol(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """First-order extrapolation through lags 1 and 2 of the x profile."""
-    curve = autocorrelation(img, max_lag=2, axis="x")
-    peak = fol_peak(curve.value(1), curve.value(2))
-    snr = snr_from_peaks(curve.value(0), peak, curve.mean)
-    return _ok("fol", snr, peak=peak, r1=curve.value(1), r2=curve.value(2))
+    t = _table(img, "fol", cfg)
+    r1, r2 = t.x.value(1), t.x.value(2)
+    return _from_peak("fol", t, fol_peak(r1, r2), r1=r1, r2=r2)
 
 
-def estimate_lsr(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def estimate_lsr(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Least-squares line through the early autocorrelation tail."""
-    max_lag = cfg.lag_start + cfg.n_points - 1
-    return _estimate_via_peak("lsr", img, lambda c: lsr_peak(c, cfg), max_lag, cfg)
+    t = _table(img, "lsr", cfg)
+    peak, diag = lsr_peak(t.x, cfg)
+    return _from_peak("lsr", t, peak, **diag)
 
 
-def _xy_mean_curve(img: Raster, max_lag: int) -> AcfCurve:
-    """Average of the x and y autocorrelation profiles (halves tail variance)."""
-    cx = autocorrelation(img, max_lag=max_lag, axis="x")
-    cy = autocorrelation(img, max_lag=max_lag, axis="y")
-    return AcfCurve(lags=cx.lags, values=0.5 * (cx.values + cy.values),
-                    mean=cx.mean, axis="xy")
-
-
-def estimate_nllsr(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def estimate_nllsr(img: Raster | LagTable,
+                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Log-log power-law fit of the covariance tail (squared mean restored).
 
     Fits the average of the two axis profiles; the single-axis tail is noisy
     enough at low SNR to tip the extrapolation above the measured peak.
     """
-    max_lag = cfg.nllsr_lag_start + cfg.n_points - 1
-    curve = _xy_mean_curve(img, max_lag)
-    peak, diag = nllsr_peak(curve, cfg, offset=curve.mean**2)
-    snr = snr_from_peaks(curve.value(0), peak, curve.mean)
-    return _ok("nllsr", snr, peak=peak, **diag)
+    t = _table(img, "nllsr", cfg)
+    curve = t.xy(cfg.nllsr_lag_start + cfg.n_points - 1)
+    peak, diag = nllsr_peak(curve, cfg, offset=t.mean**2)
+    return _from_peak("nllsr", t, peak, **diag)
 
 
-def estimate_asnn(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def _asnn(nn: SnrEstimate, cfg: EstimatorConfig) -> SnrEstimate:
+    if nn.status != "ok":
+        return replace(nn, method="asnn")
+    return _corrected("asnn", asnn_correct(nn.snr_linear, cfg), nn.predicted_nf_peak,
+                      snr_base=nn.snr_linear, slope=cfg.asnn_slope, intercept=cfg.asnn_intercept)
+
+
+def estimate_asnn(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Affine-corrected nearest-offset estimate."""
-    base = estimate_nn(img, cfg)
-    corrected = asnn_correct(base.snr_linear, cfg)
-    if corrected <= 0.0:
-        raise DegenerateError(f"corrected SNR {corrected} is not positive")
-    return _ok("asnn", corrected, peak=base.predicted_nf_peak,
-               snr_base=base.snr_linear, slope=cfg.asnn_slope, intercept=cfg.asnn_intercept)
+    return _asnn(estimate_nn(img, cfg), cfg)
 
 
-def estimate_acldr(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def estimate_acldr(img: Raster | LagTable,
+                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Autoregressive backward extrapolation of the autocorrelation tail.
 
     The recursion runs on mean-removed samples (the squared mean dominates raw
@@ -380,36 +378,30 @@ def estimate_acldr(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEst
     too noisy for the requested order, the order is stepped down before giving
     up; the effective order is recorded in the diagnostics.
     """
+    t = _table(img, "acldr", cfg)
     order = cfg.acldr_order
-    curve = _xy_mean_curve(img, order + 1)
-    mu2 = curve.mean**2
-    tail = np.array([curve.value(k) - mu2 for k in range(1, order + 2)])
+    mu2 = t.mean**2
+    tail = t.xy(order + 1).values[1:] - mu2
     if tail[0] <= 0.0:
         raise DegenerateError("no covariance structure above the squared mean")
-    last_error: EstimatorError | None = None
     for effective in range(order, 0, -1):
         try:
             cov_peak, diag = acldr_peak(tail[: effective + 1], effective)
-        except NonStationaryError as exc:
-            last_error = exc
-            continue
-        peak = cov_peak + mu2
-        snr = snr_from_peaks(curve.value(0), peak, curve.mean)
-        return _ok("acldr", snr, peak=peak, order=effective, **diag)
-    raise last_error if last_error is not None else DegenerateError("empty tail")
+            return _from_peak("acldr", t, cov_peak + mu2, order=effective, **diag)
+        except NonStationaryError:
+            if effective == 1:
+                raise
 
 
-def estimate_chillsrsnr(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def estimate_chillsrsnr(img: Raster | LagTable,
+                        cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Cubic Hermite spline extrapolation with an optional quadratic correction."""
-    curve = autocorrelation(img, max_lag=cfg.chillsr_points, axis="x")
-    peak, diag = chillsr_peak(curve, cfg)
-    raw = snr_from_peaks(curve.value(0), peak, curve.mean)
+    t = _table(img, "chillsr", cfg)
+    peak, diag = chillsr_peak(t.x, cfg)
+    raw = snr_from_peaks(t.x.value(0), peak, t.mean)
     qa, qb, qc = cfg.chillsr_correction
-    corrected = qa * raw * raw + qb * raw + qc
-    if corrected <= 0.0:
-        raise DegenerateError(f"corrected SNR {corrected} is not positive")
-    return _ok("chillsr", corrected, peak=peak, raw_snr=raw,
-               correction=list(cfg.chillsr_correction), **diag)
+    return _corrected("chillsr", qa * raw * raw + qb * raw + qc, peak, raw_snr=raw,
+                      correction=list(cfg.chillsr_correction), **diag)
 
 
 def snr_from_correlation(rho: float) -> float:
@@ -449,20 +441,6 @@ def _centered_roi(data: np.ndarray, size: int, x_shift: int = 0) -> np.ndarray:
     return data[y0 : y0 + size, x0 : x0 + size]
 
 
-def _smart_roi_size(img: Raster, cfg: EstimatorConfig) -> int:
-    if cfg.smart_roi is not None:
-        size = cfg.smart_roi
-    else:
-        size = 1
-        while size * 2 + cfg.smart_shift <= min(img.width, img.height):
-            size *= 2
-    if size < 64:
-        raise DomainError("the region of interest must be at least 64x64")
-    if size + cfg.smart_shift > min(img.width, img.height):
-        raise DomainError("image too small for the region size plus shift")
-    return size
-
-
 def estimate_smart(img: Raster, second: Raster | None = None,
                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Region-based cross-correlation estimate with alignment recovery.
@@ -470,8 +448,8 @@ def estimate_smart(img: Raster, second: Raster | None = None,
     Two equal regions of interest are taken: one centered in ``img`` and one
     shifted by ``cfg.smart_shift`` pixels along x, cut from ``second`` when a
     second acquisition is supplied and from ``img`` itself otherwise.  The
-    cross-correlation surface locates the region displacement and measures
-    resolution as the peak's full width at half maximum.
+    cross-correlation surface, built once, locates the region displacement and
+    measures resolution as the peak's full width at half maximum.
 
     With a second acquisition the region is re-extracted at the recovered
     alignment and the correlation coefficient feeds rho / (1 - rho), like the
@@ -481,17 +459,18 @@ def estimate_smart(img: Raster, second: Raster | None = None,
     energy off the surface profile: the sharp single-pixel peak carries the
     noise energy and the unit-offset neighbors predict the noise-free peak.
     """
-    size = _smart_roi_size(img, cfg)
     shift = cfg.smart_shift
+    size = 1
+    while size * 2 + shift <= min(img.width, img.height):
+        size *= 2
+    if size < 64:
+        raise DomainError("the region of interest must be at least 64x64")
     source = second if second is not None else img
     if (source.width, source.height) != (img.width, img.height):
         raise DomainError("images must have equal dimensions")
 
     roi1 = _centered_roi(img.data, size)
-    roi2 = _centered_roi(source.data, size, x_shift=shift)
-    ccf = cross_correlate(
-        raster_from_array(roi1, img.bit_depth), raster_from_array(roi2, img.bit_depth)
-    )
+    ccf = ccf_surface(roi1, _centered_roi(source.data, size, x_shift=shift))
     # content displacement -> region offset convention (region 2 sits +shift in x)
     offset = (-ccf.peak_offset[0], -ccf.peak_offset[1])
 
@@ -509,15 +488,16 @@ def estimate_smart(img: Raster, second: Raster | None = None,
         snr = snr_from_correlation(rho)
         return _ok("smart", snr, rho=rho, **diag)
 
-    peak_c, nf_c, background = _smart_profile_reading(roi1, roi2)
-    signal = nf_c - background
-    noise = peak_c - nf_c
+    # 2-D unit-offset average, the surface analog of the nearest-offset rule
+    nf = ccf.unit_offset_mean
+    signal = nf - ccf.background
+    noise = ccf.peak_value - nf
     # correlation under 2% of the peak height reads as uncorrelated content
-    if signal <= 0.02 * (peak_c - background):
+    if signal <= 0.02 * (ccf.peak_value - ccf.background):
         raise NonpositiveCorrelationError("no signal correlation above the surface noise")
     if noise <= 0.0:
         return _infinite("smart", **diag)
-    return _ok("smart", signal / noise, peak=nf_c, **diag)
+    return _ok("smart", signal / noise, peak=nf, **diag)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -527,63 +507,78 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
-def _ccf_surface(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    xa = a - a.mean()
-    xb = b - b.mean()
-    return np.fft.ifft2(np.conj(np.fft.fft2(xa)) * np.fft.fft2(xb)).real / xa.size
+# --- method registry --------------------------------------------------------------
 
 
-def _smart_profile_reading(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    surface = _ccf_surface(a, b)
-    h, w = surface.shape
-    my, mx = np.unravel_index(int(np.argmax(surface)), surface.shape)
-    peak = float(surface[my, mx])
-    # 2-D unit-offset average, the surface analog of the nearest-offset rule
-    nf = 0.25 * float(
-        surface[my, (mx + 1) % w]
-        + surface[my, (mx - 1) % w]
-        + surface[(my + 1) % h, mx]
-        + surface[(my - 1) % h, mx]
-    )
-    mask = np.ones_like(surface, dtype=bool)
-    ys = (np.arange(my - 2, my + 3)) % h
-    xs = (np.arange(mx - 2, mx + 3)) % w
-    mask[np.ix_(ys, xs)] = False
-    background = float(np.median(surface[mask]))
-    return peak, nf, background
+@dataclass(frozen=True)
+class Method:
+    """A registry entry: the largest (x, y) lag a method reads and its rule.
+
+    ``rule`` takes (lag table, cfg); with a ``base`` it takes (base estimate,
+    cfg), and two-image methods (``lags`` None) take (img, second, cfg).
+    """
+
+    name: str
+    lags: Callable[[EstimatorConfig], tuple[int, int]] | None
+    rule: Callable[..., SnrEstimate]
+    base: str | None = None
+
+
+METHODS = {m.name: m for m in (
+    Method("nn", lambda c: (1, 1), estimate_nn),
+    Method("fol", lambda c: (2, 0), estimate_fol),
+    Method("lsr", lambda c: (c.lag_start + c.n_points - 1, 0), estimate_lsr),
+    Method("nllsr", lambda c: (c.nllsr_lag_start + c.n_points - 1,) * 2, estimate_nllsr),
+    Method("asnn", lambda c: (1, 1), _asnn, base="nn"),
+    Method("acldr", lambda c: (c.acldr_order + 1,) * 2, estimate_acldr),
+    Method("chillsr", lambda c: (c.chillsr_points, 0), estimate_chillsrsnr),
+    Method("smart", None, estimate_smart),
+    Method("frank_alali", None, lambda img, second, cfg: estimate_frank_alali(img, second)
+           if second is not None else SnrEstimate("frank_alali", "not_applicable")),
+)}
+SINGLE_IMAGE_METHODS = tuple(name for name, m in METHODS.items() if m.lags is not None)
+ALL_METHODS = SINGLE_IMAGE_METHODS + ("frank_alali", "smart")
+
+
+def _attempt(name: str, run, *args) -> SnrEstimate:
+    """Run one method; a typed failure becomes its status."""
+    try:
+        return run(*args)
+    except EstimatorError as exc:
+        return SnrEstimate(method=name, status=exc.status, diagnostics={"detail": str(exc)})
+    except (DomainError, SingularFitError) as exc:
+        return SnrEstimate(method=name, status="error", diagnostics={"detail": str(exc)})
 
 
 def estimate_all(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
-                 second: Raster | None = None) -> dict[str, SnrEstimate]:
-    """Run every applicable technique; failures become per-method statuses."""
-    runners = {
-        "nn": lambda: estimate_nn(img, cfg),
-        "fol": lambda: estimate_fol(img, cfg),
-        "lsr": lambda: estimate_lsr(img, cfg),
-        "nllsr": lambda: estimate_nllsr(img, cfg),
-        "asnn": lambda: estimate_asnn(img, cfg),
-        "acldr": lambda: estimate_acldr(img, cfg),
-        "chillsr": lambda: estimate_chillsrsnr(img, cfg),
-        "smart": lambda: estimate_smart(img, second, cfg),
-        "frank_alali": (
-            (lambda: estimate_frank_alali(img, second)) if second is not None else None
-        ),
-    }
+                 second: Raster | None = None,
+                 methods=ALL_METHODS) -> dict[str, SnrEstimate]:
+    """Run the selected techniques, in registry order; failures become statuses.
+
+    The single-image methods read one lag table, sized to the largest lag
+    among the selected methods whose own need fits the image.
+    """
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise DomainError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
+    entries = [m for name, m in METHODS.items() if name in methods]
+    fits = [e for e in entries if e.lags is not None and lag_fits(img, max(e.lags(cfg)))]
+    table = lag_table(img, *map(max, zip(*(e.lags(cfg) for e in fits)))) if fits else None
+
     results: dict[str, SnrEstimate] = {}
-    for method, run in runners.items():
-        if run is None:
-            results[method] = SnrEstimate(method=method, status="not_applicable")
-            continue
-        try:
-            results[method] = run()
-        except EstimatorError as exc:
-            results[method] = SnrEstimate(
-                method=method, status=exc.status, diagnostics={"detail": str(exc)}
-            )
-        except (DomainError, SingularFitError) as exc:
-            results[method] = SnrEstimate(
-                method=method, status="error", diagnostics={"detail": str(exc)}
-            )
+    for entry in entries:
+        t0 = time.perf_counter()
+        # a method whose need does not fit reads the image and fails as it does alone
+        src = table if entry in fits else img
+        if entry.lags is None:
+            args = (img, second)
+        elif entry.base is not None:
+            base = METHODS[entry.base]
+            args = (results.get(base.name) or _attempt(base.name, base.rule, src, cfg),)
+        else:
+            args = (src,)
+        est = _attempt(entry.name, entry.rule, *args, cfg)
+        results[entry.name] = replace(est, runtime_ms=(time.perf_counter() - t0) * 1e3)
     return results
 
 

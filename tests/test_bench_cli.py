@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -309,3 +310,51 @@ def test_denoise_internal_error_exit_code(small_corpus, tmp_path):
     _, corpus_dir = small_corpus
     assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(tmp_path / "x"),
                  "--filter", "median:window=99"]) == 4
+
+
+@pytest.mark.parametrize("line", ["epsilon_polcy = zero", "n_points = many",
+                                  "epsilon_policy = sometimes"])
+def test_bad_estimate_config_exit_code(small_corpus, tmp_path, capsys, line):
+    _, corpus_dir = small_corpus
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"[estimate]\n{line}\n")
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "o"),
+                 "--methods", "nn", "--config", str(config)]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+
+
+def test_estimate_and_sweep_run_only_requested_methods(small_corpus, tmp_path, monkeypatch):
+    import semsnr.estimators as estimators
+    from conftest import BENCH_CONFIG
+    from semsnr.bench import run_sweep
+
+    def not_requested(*args, **kwargs):
+        raise AssertionError("smart ran without being requested")
+
+    monkeypatch.setattr(estimators, "estimate_smart", not_requested)
+    config, corpus_dir = small_corpus
+    out = tmp_path / "res"
+    rows, _ = run_estimation(corpus_dir, ("nn", "lsr"), BENCH_CONFIG, out_dir=out)
+    assert {r["method"] for r in rows} == {"nn", "lsr"}
+    assert all(r["runtime_ms"] >= 0.0 for r in rows)
+    lines = [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
+    shared = [line for line in lines if "shared_ms" in line]
+    assert [line["image_id"] for line in shared] == sorted({r["image_id"] for r in rows})
+    assert all(line["shared_ms"] >= 0.0 for line in shared)
+    assert len(lines) == len(shared) + len(rows)
+    spec = corpus_spec_from_config(load_config(config))
+    sweep = run_sweep("contrast", [1.0], spec, ("nn", "smart"), BENCH_CONFIG, seeds=1)
+    assert [r["method"] for r in sweep] == ["nn"]
+
+
+def test_nn_or_none_catches_typed_errors_only(monkeypatch):
+    from semsnr import bench
+
+    assert bench._nn_or_none(raster_from_array(np.ones((2, 2)))) is None  # lag 1 does not fit
+
+    def broken(img):
+        raise ZeroDivisionError("not an estimator failure")
+
+    monkeypatch.setattr(bench, "estimate_nn", broken)
+    with pytest.raises(ZeroDivisionError):
+        bench._nn_or_none(raster_from_array(np.ones((8, 8))))

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semsnr.correlation import (
+    AcfCurve,
     autocorrelation,
+    ccf_surface,
     cross_correlate,
     export_acf_csv,
+    lag_table,
     snr_db,
     snr_from_peaks,
 )
@@ -215,3 +218,45 @@ def test_variance_identity_property(seed, w, h):
     r = raster_from_array(arr, bit_depth=16)
     curve = autocorrelation(r, max_lag=2)
     assert curve.value(0) - curve.mean**2 == pytest.approx(stats(r).variance, rel=1e-9)
+
+
+def test_acf_curve_lags_are_zero_to_k():
+    for lags in ([1, 2, 3], [0, 2, 3], [0, 1, 1]):
+        with pytest.raises(DomainError):
+            AcfCurve(lags=lags, values=[3.0, 2.0, 1.0])
+    curve = AcfCurve(lags=[0, 1, 2], values=[3.0, 2.0, 1.0])
+    assert [curve.value(k) for k in range(3)] == [3.0, 2.0, 1.0]
+    for lag in (-1, 3):
+        with pytest.raises(DomainError):
+            curve.value(lag)
+
+
+def test_lag_table_matches_direct_products(rng):
+    arr = rng.uniform(0.0, 50.0, size=(20, 30))
+    r = raster_from_array(arr)
+    table = lag_table(r, 6, 3)
+    h, w = arr.shape
+    assert table.x.values.tolist() == [float(np.mean(arr[:, : w - k] * arr[:, k:]))
+                                       for k in range(7)]
+    assert table.y.values.tolist() == [float(np.mean(arr[: h - k] * arr[k:])) for k in range(4)]
+    assert table.mean == float(arr.mean())
+    assert table.xy(3).values.tolist() == (0.5 * (table.x.values[:4] + table.y.values)).tolist()
+    with pytest.raises(DomainError):
+        lag_table(r, 0, 10)  # 10 >= 20 / 2
+
+
+def test_ccf_surface_reads_brute_force_surface(rng):
+    arr1 = rng.uniform(0.0, 10.0, size=(24, 32))
+    arr2 = np.roll(arr1, (1, 2), axis=(0, 1)) + rng.normal(0.0, 1.0, size=(24, 32))
+    res = ccf_surface(arr1, arr2)
+    xa, xb = arr1 - arr1.mean(), arr2 - arr2.mean()
+    brute = np.array([[np.mean(xa * np.roll(xb, (-dy, -dx), axis=(0, 1))) for dx in range(32)]
+                      for dy in range(24)])
+    assert res.peak_offset == (2, 1)
+    assert res.peak_value == pytest.approx(brute[1, 2], rel=1e-9)
+    neighbours = brute[1, 1] + brute[1, 3] + brute[0, 2] + brute[2, 2]
+    assert res.unit_offset_mean == pytest.approx(0.25 * neighbours, rel=1e-9)
+    mask = np.ones_like(brute, dtype=bool)
+    mask[np.ix_(np.arange(-1, 4) % 24, np.arange(0, 5) % 32)] = False
+    assert res.background == pytest.approx(np.median(brute[mask]), abs=1e-9 * brute[1, 2])
+    assert math.isnan(res.correlation)  # only cross_correlate aligns and correlates

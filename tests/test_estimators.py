@@ -11,11 +11,13 @@ from semsnr.correlation import AcfCurve, autocorrelation, snr_from_peaks
 from semsnr.errors import (
     DegenerateError,
     DomainError,
+    EstimatorError,
     LogDomainError,
     NonpositiveCorrelationError,
     NonStationaryError,
 )
 from semsnr.estimators import (
+    SINGLE_IMAGE_METHODS,
     EstimatorConfig,
     acldr_peak,
     asnn_correct,
@@ -441,3 +443,95 @@ def test_estimator_medians_match_baseline(corpus_estimates, estimator_baseline):
         median = float(np.median(errs))
         pinned = estimator_baseline[method]
         assert abs(median - pinned) <= 0.20 * pinned, (method, median, pinned)
+
+
+# --- one estimation core: shared lag table and method registry ----------------------
+
+STANDALONE = {
+    "nn": estimate_nn, "fol": estimate_fol, "lsr": estimate_lsr, "nllsr": estimate_nllsr,
+    "asnn": estimate_asnn, "acldr": estimate_acldr, "chillsr": estimate_chillsrsnr,
+}
+
+
+def test_estimate_all_matches_standalone_estimators(oracle_corpus, corpus_estimates):
+    for image, entry in zip(oracle_corpus, corpus_estimates):
+        img, results = image["gt"].noisy, entry["results"]
+        for method, run in STANDALONE.items():
+            # equality compares every value and diagnostic bit for bit
+            assert results[method] == run(img, BENCH_CONFIG), (entry["image_id"], method)
+        try:
+            alone = estimate_smart(img, None, BENCH_CONFIG)
+        except EstimatorError as exc:
+            assert results["smart"].status == exc.status, entry["image_id"]
+        else:
+            assert results["smart"].status == alone.status, entry["image_id"]
+            assert results["smart"].snr_linear == pytest.approx(alone.snr_linear, rel=1e-12)
+
+
+def test_subset_run_matches_full_run(oracle_corpus, corpus_estimates):
+    for image, entry in zip(oracle_corpus, corpus_estimates):
+        subset = estimate_all(image["gt"].noisy, BENCH_CONFIG, methods=("nn", "lsr"))
+        assert list(subset) == ["nn", "lsr"]
+        for method, est in subset.items():
+            assert est == entry["results"][method], (entry["image_id"], method)
+
+
+@pytest.mark.parametrize("cfg", [BENCH_CONFIG, EstimatorConfig()], ids=["zero", "half_gap"])
+def test_small_image_keeps_per_method_statuses(cfg):
+    # 9x9 fits lags up to 4: nllsr needs lag 5 and smart a 64x64 region
+    from semsnr.noise import rng_for
+
+    yy, xx = np.mgrid[0:9, 0:9]
+    base = 500.0 + 300.0 * np.sin(xx / 2.0) * np.cos(yy / 2.5)
+    img = raster_from_array(np.clip(base + rng_for(7, 0).normal(0.0, 60.0, (9, 9)), 0.0, None), 16)
+    results = estimate_all(img, cfg)
+    assert {m: e.status for m, e in results.items()} == {
+        "nn": "ok", "fol": "degenerate", "lsr": "degenerate", "nllsr": "error",
+        "asnn": "ok", "acldr": "degenerate", "chillsr": "degenerate", "smart": "error",
+        "frank_alali": "not_applicable",
+    }
+    assert results["nllsr"].diagnostics["detail"].startswith("max_lag 5 ")
+    assert results["nn"] == estimate_nn(img, cfg)
+    assert results["asnn"] == estimate_asnn(img, cfg)
+    assert estimate_all(img, cfg, methods=("nllsr",))["nllsr"].status == "error"
+    with pytest.raises(DomainError):
+        estimate_nllsr(img, cfg)
+
+
+def test_ok_estimates_are_plain_floats(oracle_corpus, corpus_estimates):
+    gt = oracle_corpus[30]["gt"]
+    paired = estimate_all(gt.noisy, BENCH_CONFIG, second=gt.clean)
+    seen = set()
+    for results in [e["results"] for e in corpus_estimates] + [paired]:
+        for method, est in results.items():
+            if est.status == "ok":
+                assert type(est.snr_linear) is float, method
+                seen.add(method)
+    assert seen >= set(SINGLE_IMAGE_METHODS) | {"frank_alali", "smart"}
+
+
+def test_estimate_all_times_each_method_and_rejects_unknown(oracle_corpus):
+    img = oracle_corpus[0]["gt"].noisy
+    results = estimate_all(img, BENCH_CONFIG, methods=("smart", "nn"))
+    assert list(results) == ["nn", "smart"]  # registry order
+    assert all(math.isfinite(e.runtime_ms) and e.runtime_ms >= 0.0 for e in results.values())
+    assert math.isnan(estimate_nn(img, BENCH_CONFIG).runtime_ms)
+    with pytest.raises(DomainError):
+        estimate_all(img, BENCH_CONFIG, methods=("nn", "psychic"))
+
+
+def test_estimate_all_leaves_no_reference_cycles(oracle_corpus):
+    # a cycle would keep each image plane alive until a full collection, so a
+    # corpus run's memory would grow with the number of images
+    import gc
+
+    small = raster_from_array(np.add.outer(np.arange(9.0), np.arange(9.0)))
+    estimate_all(small, BENCH_CONFIG)
+    gc.collect()
+    gc.disable()
+    try:
+        estimate_all(oracle_corpus[30]["gt"].noisy, BENCH_CONFIG)
+        estimate_all(small, BENCH_CONFIG, methods=("asnn", "nllsr"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
