@@ -17,17 +17,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from semsnr.corpus import iter_corpus, reference_corpus_spec
-from semsnr.estimators import EstimatorConfig, estimate_chillsrsnr, fit_quadratic_correction
-
-BENCH_CONFIG = EstimatorConfig(epsilon_policy="zero")
+from semsnr.corpus import iter_corpus, reference_corpus_spec, write_csv
+from semsnr.estimators import DEFAULT_CONFIG, estimate_chillsrsnr, fit_quadratic_correction
 
 
 def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("chillsr_correction.csv")
     raw, actual = [], []
     for _, _, _, gt, row in iter_corpus(reference_corpus_spec()):
-        est = estimate_chillsrsnr(gt.noisy, BENCH_CONFIG)
+        est = estimate_chillsrsnr(gt.noisy, DEFAULT_CONFIG)
         raw.append(est.snr_linear)
         actual.append(row["true_snr"])
     a, b, c = fit_quadratic_correction(np.array(raw), np.array(actual))
@@ -38,10 +36,7 @@ def main() -> int:
     print(f"coefficients: a={a!r} b={b!r} c={c!r}")
     print(f"median |rel err| raw {before:.4f} -> corrected {after:.4f} (in-sample)")
 
-    with open(out, "w", encoding="ascii") as fh:
-        fh.write("# semsnr-csv v1\n")
-        fh.write("a,b,c\n")
-        fh.write(f"{a!r},{b!r},{c!r}\n")
+    write_csv(out, ("a", "b", "c"), [{"a": a, "b": b, "c": c}])
     print(f"wrote {out}")
     return 0
 

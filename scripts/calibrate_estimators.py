@@ -15,17 +15,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from semsnr.corpus import iter_corpus, reference_corpus_spec
-from semsnr.estimators import SINGLE_IMAGE_METHODS, EstimatorConfig, estimate_all
-
-BENCH_CONFIG = EstimatorConfig(epsilon_policy="zero")
+from semsnr.corpus import iter_corpus, reference_corpus_spec, write_csv
+from semsnr.estimators import DEFAULT_CONFIG, SINGLE_IMAGE_METHODS, estimate_all
 
 
 def main() -> int:
     errors = {m: [] for m in SINGLE_IMAGE_METHODS}
     count = 0
     for image_id, _, _, gt, row in iter_corpus(reference_corpus_spec()):
-        results = estimate_all(gt.noisy, BENCH_CONFIG, methods=SINGLE_IMAGE_METHODS)
+        results = estimate_all(gt.noisy, DEFAULT_CONFIG, methods=SINGLE_IMAGE_METHODS)
         for method in SINGLE_IMAGE_METHODS:
             est = results[method]
             if est.status != "ok":
@@ -38,13 +36,12 @@ def main() -> int:
 
     out = Path(__file__).resolve().parents[1] / "tests" / "data" / "estimator_baseline.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="ascii") as fh:
-        fh.write("# semsnr-csv v1\n")
-        fh.write("method,n,median_abs_rel_error\n")
-        for method in SINGLE_IMAGE_METHODS:
-            median = float(np.median(errors[method]))
-            fh.write(f"{method},{len(errors[method])},{median!r}\n")
-            print(f"{method:>8}: median |rel err| = {median:.4f} over {len(errors[method])} images")
+    rows = []
+    for method in SINGLE_IMAGE_METHODS:
+        median = float(np.median(errors[method]))
+        rows.append({"method": method, "n": len(errors[method]), "median_abs_rel_error": median})
+        print(f"{method:>8}: median |rel err| = {median:.4f} over {len(errors[method])} images")
+    write_csv(out, ("method", "n", "median_abs_rel_error"), rows)
     print(f"wrote {out}")
     return 0
 

@@ -12,9 +12,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from semsnr.bench import run_estimation
+from semsnr.bench import print_summary, run_estimation
 from semsnr.corpus import generate_corpus, reference_corpus_spec
-from semsnr.estimators import ALL_METHODS, EstimatorConfig
+from semsnr.estimators import ALL_METHODS, DEFAULT_CONFIG
 
 
 def main() -> int:
@@ -27,13 +27,9 @@ def main() -> int:
     print(f"  {len(rows)} image pairs written")
 
     print("running the estimator suite ...")
-    cfg = EstimatorConfig(epsilon_policy="zero")
-    _, summary = run_estimation(corpus_dir, ALL_METHODS, cfg, out_dir=results_dir, jobs=2)
-    for line in summary:
-        med = line["median_abs_rel_error"]
-        med_text = f"{med:.4f}" if med is not None else "n/a"
-        print(f"  {line['method']:>12}: {line['n_ok']}/{line['n_total']} ok, "
-              f"median |rel err| = {med_text}")
+    _, summary = run_estimation(corpus_dir, ALL_METHODS, DEFAULT_CONFIG,
+                                out_dir=results_dir, jobs=2)
+    print_summary(summary)
     print(f"results in {results_dir}")
     return 0
 

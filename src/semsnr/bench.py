@@ -9,7 +9,6 @@ always aggregated in manifest order so output is schedule-independent.
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 import math
 import time
@@ -19,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CSV_MAGIC, CorpusSpec, SceneSpec, load_corpus
+# read_csv is re-exported next to write_csv, for readers of the harness's CSVs
+from .corpus import CorpusSpec, SceneSpec, csv_value, load_corpus, read_csv, write_csv  # noqa: F401
 from .denoise import FilterSpec, apply_filter, parse_filter_spec
-from .errors import ConfigError, DataError, DomainError, EstimatorError, SingularFitError
+from .errors import ConfigError, DomainError, EstimatorError, SingularFitError
 from .estimators import (
     ALL_METHODS,
     DEFAULT_CONFIG,
@@ -59,38 +59,6 @@ DENOISE_FIELDS = (
     "snr_before",
     "snr_after",
 )
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.10g}"
-    return str(value)
-
-
-def write_csv(path, fieldnames, rows) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(CSV_MAGIC + "\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
-
-
-def read_csv(path) -> list[dict]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing CSV file {path}")
-    with open(path, newline="", encoding="ascii") as fh:
-        first = fh.readline()
-        if not first.startswith(CSV_MAGIC):
-            raise DataError(f"{path}: missing '{CSV_MAGIC}' header line")
-        return list(csv.DictReader(fh))
 
 
 # --- config parsing -----------------------------------------------------------
@@ -242,7 +210,7 @@ def summarize_results(rows) -> list[dict]:
     for row in rows:
         method = row["method"]
         totals[method] = totals.get(method, 0) + 1
-        if row["status"] == "ok" and row["rel_error"] is not None:
+        if row["status"] == "ok" and row["rel_error"] not in (None, ""):
             by_method.setdefault(method, []).append(abs(float(row["rel_error"])))
     summary = []
     for method in sorted(totals):
@@ -256,6 +224,15 @@ def summarize_results(rows) -> list[dict]:
             }
         )
     return summary
+
+
+def print_summary(summary) -> None:
+    """One line per summary row: ok count and median |rel err|."""
+    for line in summary:
+        med = line["median_abs_rel_error"]
+        med_text = f"{med:.4f}" if med is not None else "n/a"
+        print(f"{line['method']:>12}: {line['n_ok']}/{line['n_total']} ok, "
+              f"median |rel err| = {med_text}")
 
 
 def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFIG,
@@ -464,7 +441,7 @@ def write_sweep_svg(rows, path) -> None:
 def filter_spec_to_string(spec: FilterSpec) -> str:
     if not spec.params:
         return spec.kind
-    params = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(spec.params.items()))
+    params = ",".join(f"{k}={csv_value(v)}" for k, v in sorted(spec.params.items()))
     return f"{spec.kind}:{params}"
 
 

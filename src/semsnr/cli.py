@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate, estimate, sweep, denoise, report.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 internal error.
+0 success, 2 configuration error, 3 data error (including a corrupt corpus
+file and an ``--out`` path that cannot be created or written), 4 internal
+error.
 """
 
 from __future__ import annotations
@@ -11,11 +13,14 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    SUMMARY_FIELDS,
     SWEEP_FIELDS,
+    SWEEP_PARAMETERS,
     corpus_spec_from_config,
     estimator_config_from_config,
     load_config,
     parse_methods,
+    print_summary,
     read_csv,
     run_denoise,
     run_estimation,
@@ -23,10 +28,10 @@ from .bench import (
     summarize_results,
     write_csv,
     write_sweep_svg,
-    SUMMARY_FIELDS,
 )
 from .corpus import generate_corpus
 from .errors import ConfigError, DataError, SemSnrError
+from .estimators import DEFAULT_CONFIG
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="sensitivity sweep; " + _SWEEP_HELP)
     swp.add_argument("--config", required=True, help="config with [corpus] (+ optional [estimate])")
     swp.add_argument("--out", required=True, help="output directory for sweep.csv/sweep.svg")
-    swp.add_argument("--parameter", required=True, choices=("dose", "dwell", "contrast"),
+    swp.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS,
                      help=_SWEEP_HELP)
     swp.add_argument("--range", required=True,
                      help="comma-separated monotone values, e.g. 25,100,400")
@@ -94,26 +99,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     methods = parse_methods(args.methods)
-    est_cfg = (
-        estimator_config_from_config(load_config(args.config))
-        if args.config
-        else estimator_config_from_config(_empty_config())
-    )
-    rows, summary = run_estimation(
+    est_cfg = DEFAULT_CONFIG
+    if args.config:
+        est_cfg = estimator_config_from_config(load_config(args.config))
+    _, summary = run_estimation(
         args.corpus, methods, est_cfg, out_dir=args.out, jobs=max(args.jobs, 1)
     )
-    for line in summary:
-        med = line["median_abs_rel_error"]
-        med_text = f"{med:.4f}" if med is not None else "n/a"
-        print(f"{line['method']:>12}: {line['n_ok']}/{line['n_total']} ok, "
-              f"median |rel err| = {med_text}")
+    print_summary(summary)
     return EXIT_OK
-
-
-def _empty_config():
-    import configparser
-
-    return configparser.ConfigParser()
 
 
 def _cmd_sweep(args) -> int:
@@ -150,23 +143,8 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    raw = read_csv(args.results)
-    rows = []
-    for row in raw:
-        rel = row.get("rel_error", "")
-        rows.append(
-            {
-                "method": row["method"],
-                "status": row["status"],
-                "rel_error": float(rel) if rel not in ("", None) else None,
-            }
-        )
-    summary = summarize_results(rows)
-    for line in summary:
-        med = line["median_abs_rel_error"]
-        med_text = f"{med:.4f}" if med is not None else "n/a"
-        print(f"{line['method']:>12}: {line['n_ok']}/{line['n_total']} ok, "
-              f"median |rel err| = {med_text}")
+    summary = summarize_results(read_csv(args.results))
+    print_summary(summary)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -190,7 +168,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SemSnrError as exc:

@@ -51,6 +51,8 @@ TRUTH_FIELDS = (
     "scene",
     "snr_target",
 )
+_TRUTH_FLOATS = ("delta", "eta", "gain", "idc", "signal_energy", "noise_energy", "true_snr",
+                 "snr_target")
 
 
 @dataclass(frozen=True)
@@ -232,37 +234,44 @@ def build_recipe(spec: CorpusSpec, scene01: np.ndarray, seed: int,
     )
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def csv_value(value) -> str:
+    """The one cell rule: None is empty, floats (numpy scalars too) round-trip exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
-def write_truth_csv(rows: list[dict], path: Path) -> None:
+def write_csv(path, fieldnames, rows) -> None:
+    """Write ``rows`` under the version line and a header; other keys are ignored."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(CSV_MAGIC + "\n")
-        writer = csv.DictWriter(fh, fieldnames=TRUTH_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_value(row[k]) for k in TRUTH_FIELDS})
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows([csv_value(row.get(k)) for k in fieldnames] for row in rows)
 
 
-def read_truth_csv(path: Path) -> list[dict]:
+def read_csv(path) -> list[dict]:
+    """Rows of a versioned CSV as string dicts; a missing or unversioned file is a DataError."""
+    path = Path(path)
     if not path.exists():
-        raise DataError(f"missing truth file {path}")
+        raise DataError(f"missing CSV file {path}")
     with open(path, newline="", encoding="ascii") as fh:
-        first = fh.readline()
-        if not first.startswith(CSV_MAGIC):
+        if fh.readline().rstrip("\r\n") != CSV_MAGIC:
             raise DataError(f"{path}: missing '{CSV_MAGIC}' header line")
-        rows = []
-        for row in csv.DictReader(fh):
-            parsed = dict(row)
-            for key in ("delta", "eta", "gain", "idc", "signal_energy",
-                        "noise_energy", "true_snr", "snr_target"):
-                parsed[key] = float(row[key])
-            parsed["seed"] = int(row["seed"])
-            rows.append(parsed)
-        return rows
+        return list(csv.DictReader(fh))
+
+
+def read_truth_csv(path) -> list[dict]:
+    """truth.csv rows with the oracle fields as floats and the seed as an int."""
+    rows = read_csv(path)
+    try:
+        for row in rows:
+            row.update({k: float(row[k]) for k in _TRUTH_FLOATS}, seed=int(row["seed"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad truth row: {exc!r}") from exc
+    return rows
 
 
 def iter_corpus(spec: CorpusSpec):
@@ -323,7 +332,7 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> list[dict]:
         save_pgm(gt.noisy, out / f"{image_id}.noisy.pgm")
         rows.append(row)
         manifest.append(f"image = {image_id} seed = {row['seed']} target = {row['snr_target']!r}")
-    write_truth_csv(rows, out / "truth.csv")
+    write_csv(out / "truth.csv", TRUTH_FIELDS, rows)
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="ascii")
     return rows
 

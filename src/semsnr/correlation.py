@@ -2,8 +2,7 @@
 
 Autocorrelation values follow the raw-product convention: r(k) is the mean of
 f(i,j) * f(i,j+k) over the valid overlap (no wraparound), so r(0) is the mean
-square intensity and r(0) - mean^2 equals the population variance.  A periodic
-(circular, FFT-backed) variant exists for spectrum-domain parity checks.
+square intensity and r(0) - mean^2 equals the population variance.
 
 The single-image SNR identity implemented by :func:`snr_from_peaks` reads the
 signal energy as (noise-free peak - mean^2) and the noise energy as
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import DegenerateError, DomainError, NonpositiveSignalError
 from .raster import Raster
 
-AXES = ("x", "y", "radial")
+AXES = ("x", "y")
 
 
 @dataclass(frozen=True)
@@ -115,59 +114,16 @@ def lag_table(r: Raster, x_lags: int, y_lags: int) -> LagTable:
     return LagTable(*curves)
 
 
-def _acf_offset(x: np.ndarray, dx: int, dy: int) -> float:
-    """Valid-overlap mean product at an arbitrary 2-D offset (dy >= 0)."""
-    h, w = x.shape
-    if dx >= 0:
-        a = x[: h - dy, : w - dx]
-        b = x[dy:, dx:]
-    else:
-        a = x[: h - dy, -dx:]
-        b = x[dy:, : w + dx]
-    return float(np.mean(a * b))
-
-
-def autocorrelation(r: Raster, max_lag: int, axis: str = "x",
-                    periodic: bool = False) -> AcfCurve:
-    """Raw-product ACF profile along an axis, normalized per-lag by overlap count.
+def autocorrelation(r: Raster, max_lag: int, axis: str = "x") -> AcfCurve:
+    """Raw-product ACF profile for lags 0..max_lag, normalized per lag by overlap count.
 
     ``axis`` is "x" (offset across columns at zero row offset, the default
-    profile), "y", or "radial" (average of the 2-D surface over annuli of
-    rounded integer radius).  ``periodic=True`` switches to the circular ACF
-    computed in the spectrum domain (x/y axes only), which pairs with the
-    direct sum only on wraparound-friendly content and exists for parity tests.
+    profile) or "y"; the profile is read from :func:`lag_table`.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
-    if axis != "radial" and not periodic:
-        table = lag_table(r, max_lag if axis == "x" else 0, max_lag if axis == "y" else 0)
-        return getattr(table, axis)
-    check_max_lag(r, max_lag)
-    x = r.data
-    mean = float(x.mean())
-    lags = np.arange(max_lag + 1)
-
-    if periodic:
-        if axis == "radial":
-            raise DomainError("periodic mode supports x and y axes only")
-        spec = np.fft.fft2(x)
-        surface = np.fft.ifft2(spec * np.conj(spec)).real / x.size
-        values = surface[0, : max_lag + 1] if axis == "x" else surface[: max_lag + 1, 0]
-        return AcfCurve(lags=lags, values=values.copy(), mean=mean, axis=axis)
-
-    sums = np.zeros(max_lag + 1)
-    counts = np.zeros(max_lag + 1)
-    for dy in range(0, max_lag + 1):
-        for dx in range(-max_lag, max_lag + 1):
-            if dy == 0 and dx < 0:
-                continue  # mirror of (dx >= 0, 0): same value by symmetry
-            radius = int(round(math.hypot(dx, dy)))
-            if radius > max_lag:
-                continue
-            sums[radius] += _acf_offset(x, dx, dy)
-            counts[radius] += 1
-    values = sums / counts
-    return AcfCurve(lags=lags, values=values, mean=mean, axis=axis)
+    table = lag_table(r, max_lag if axis == "x" else 0, max_lag if axis == "y" else 0)
+    return getattr(table, axis)
 
 
 def snr_db(snr_linear: float) -> float:
@@ -192,15 +148,6 @@ def snr_from_peaks(r0: float, r_nf: float, mean: float) -> float:
             f"predicted noise-free peak {r_nf} does not exceed squared mean {mu2}"
         )
     return (r_nf - mu2) / (r0 - r_nf)
-
-
-def export_acf_csv(curve: AcfCurve, path) -> None:
-    """Two-column CSV (lag, value) with a header comment recording mean and axis."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# semsnr-csv v1 acf mean={float(curve.mean)!r} axis={curve.axis}\n")
-        fh.write("lag,value\n")
-        for lag, value in zip(curve.lags, curve.values):
-            fh.write(f"{int(lag)},{float(value)!r}\n")
 
 
 def _profile_fwhm(profile: np.ndarray, peak_idx: int, peak: float, background: float) -> float:

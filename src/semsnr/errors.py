@@ -14,20 +14,20 @@ class DomainError(SemSnrError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class PgmParseError(SemSnrError):
-    """Malformed PGM header; the message names the offending token."""
-
-
-class PgmSizeError(SemSnrError):
-    """PGM payload shorter or longer than the header promises."""
-
-
 class ConfigError(SemSnrError):
     """Invalid benchmark configuration file or key."""
 
 
 class DataError(SemSnrError):
     """Corpus/manifest data missing or inconsistent on disk."""
+
+
+class PgmParseError(DataError):
+    """Malformed PGM header; the message names the offending token."""
+
+
+class PgmSizeError(DataError):
+    """PGM payload shorter or longer than the header promises."""
 
 
 class SingularFitError(SemSnrError):

@@ -55,8 +55,9 @@ class EstimatorConfig:
     methods, ``lag_start`` the first lag they use (the log-log fit starts at
     lag 2 by default since its model diverges from a finite peak at lag 0).
     ``epsilon_policy`` selects the residual-error term of the line fit:
-    "half_gap" adds half the drop from the noisy peak to the first lag,
-    "zero" omits it.
+    "zero" (the default) omits it, "half_gap" adds half the drop from the
+    noisy peak to the first lag, which absorbs half the noise energy and
+    degenerates at high SNR.
     """
 
     n_points: int = 4
@@ -64,7 +65,7 @@ class EstimatorConfig:
     nllsr_lag_start: int = 2
     acldr_order: int = 2
     chillsr_points: int = 4
-    epsilon_policy: str = "half_gap"
+    epsilon_policy: str = "zero"
     asnn_slope: float = 0.99744
     asnn_intercept: float = 0.00645
     chillsr_correction: tuple[float, float, float] = (0.0, 1.0, 0.0)

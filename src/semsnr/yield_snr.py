@@ -9,13 +9,12 @@ the dark offset, and the intensity standard deviation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, InconsistentCurrentsError, SingularFitError
+from .errors import DomainError, InconsistentCurrentsError, SingularFitError
 from .noise import ELECTRON_CHARGE
 
 CHANNELS = ("PE", "BSE", "SE")
@@ -168,36 +167,3 @@ def calibrate_idc(samples) -> DarkOffsetFit:
         residuals=residuals, intercept_stderr=stderr,
     )
 
-
-# --- yield table CSV ----------------------------------------------------------
-
-YIELD_TABLE_FIELDS = ("material", "energy_keV", "delta", "eta", "source")
-
-
-def write_yield_table(rows, path) -> None:
-    """Write measured/published yields as CSV for side-by-side comparisons."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write("# semsnr-csv v1\n")
-        writer = csv.DictWriter(fh, fieldnames=YIELD_TABLE_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in YIELD_TABLE_FIELDS})
-
-
-def read_yield_table(path) -> list[dict]:
-    with open(path, newline="", encoding="ascii") as fh:
-        first = fh.readline()
-        if not first.startswith("# semsnr-csv"):
-            raise DataError(f"{path}: missing semsnr-csv header line")
-        rows = []
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "material": row["material"],
-                    "energy_keV": float(row["energy_keV"]),
-                    "delta": float(row["delta"]),
-                    "eta": float(row["eta"]),
-                    "source": row["source"],
-                }
-            )
-        return rows

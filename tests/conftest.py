@@ -1,19 +1,17 @@
-import csv
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semsnr.corpus import iter_corpus, reference_corpus_spec
-from semsnr.estimators import EstimatorConfig
+from semsnr.corpus import iter_corpus, read_csv, reference_corpus_spec
+from semsnr.estimators import DEFAULT_CONFIG
 
 DATA_DIR = Path(__file__).parent / "data"
 
 # the estimator configuration used for every benchmark/regression run: the
-# additive error term of the line fit is disabled because it absorbs half the
-# noise energy and degenerates at high SNR (see the package docs)
-BENCH_CONFIG = EstimatorConfig(epsilon_policy="zero")
+# package default, whose line fit has no additive error term
+BENCH_CONFIG = DEFAULT_CONFIG
 
 
 @pytest.fixture(scope="session")
@@ -49,10 +47,7 @@ def estimator_baseline():
     path = DATA_DIR / "estimator_baseline.csv"
     if not path.exists():
         pytest.skip("estimator_baseline.csv missing; run scripts/calibrate_estimators.py")
-    with open(path, newline="", encoding="ascii") as fh:
-        first = fh.readline()
-        assert first.startswith("# semsnr-csv")
-        return {row["method"]: float(row["median_abs_rel_error"]) for row in csv.DictReader(fh)}
+    return {row["method"]: float(row["median_abs_rel_error"]) for row in read_csv(path)}
 
 
 def rel_error(estimate: float, oracle: float) -> float:

@@ -17,6 +17,7 @@ from semsnr.correlation import autocorrelation, snr_db, snr_from_peaks
 from semsnr.denoise import mse, wiener_global, wiener_local, wiener_transfer
 from semsnr.denoise import estimate_noise_variance_ar
 from semsnr.estimators import (
+    SINGLE_IMAGE_METHODS,
     asnn_correct,
     estimate_acldr,
     estimate_chillsrsnr,
@@ -30,8 +31,6 @@ from semsnr.estimators import (
 from semsnr.noise import NoiseRecipe, rng_for, simulate
 from semsnr.raster import pgm_bytes, raster_from_array, raster_from_pgm_bytes, stats
 from semsnr.yield_snr import snr_detected, snr_from_image
-
-SINGLE_METHODS = ("nn", "fol", "lsr", "nllsr", "asnn", "acldr", "chillsr")
 
 TABLE_ROWS = [
     ("151 nm", 77279.9, 77251.0, 75289.8, 67.86, 18.32),
@@ -125,7 +124,7 @@ def test_criterion_6_single_image_recovery(corpus_estimates, estimator_baseline)
     smooth = [e for e in corpus_estimates if e["truth"]["scene"] == "spectral"]
     assert len(smooth) >= 50
     medians = {}
-    for method in SINGLE_METHODS:
+    for method in SINGLE_IMAGE_METHODS:
         errs = []
         for entry in corpus_estimates:
             est = entry["results"][method]
@@ -140,7 +139,7 @@ def test_criterion_6_single_image_recovery(corpus_estimates, estimator_baseline)
     nn_errs = [abs(rel_error(e["results"]["nn"].snr_linear, e["truth"]["true_snr"]))
                for e in smooth]
     assert np.median(lsr_errs) <= np.median(nn_errs)
-    summary = " ".join(f"{m}={medians[m]:.3f}" for m in SINGLE_METHODS)
+    summary = " ".join(f"{m}={medians[m]:.3f}" for m in SINGLE_IMAGE_METHODS)
     _report(6, f"all 7 single-image methods finite on {len(corpus_estimates)} images; "
                f"medians within 20% of pins ({summary}); LSR beats NN on the smooth corpus")
 

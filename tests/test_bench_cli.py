@@ -258,7 +258,7 @@ def test_denoise_cli_identity_spec(small_corpus, tmp_path):
 
 def test_denoise_median_beats_gaussian_on_impulse_corpus(tmp_path):
     # hand-built corpus with salt-and-pepper corruption
-    from semsnr.corpus import write_truth_csv
+    from semsnr.corpus import TRUTH_FIELDS, write_csv
     from semsnr.noise import rng_for
 
     corpus_dir = tmp_path / "impulse"
@@ -285,7 +285,7 @@ def test_denoise_median_beats_gaussian_on_impulse_corpus(tmp_path):
             "true_snr": float(np.var(clean_q) / np.var(diff)),
             "scene": "stripes", "snr_target": 0.0,
         })
-    write_truth_csv(rows, corpus_dir / "truth.csv")
+    write_csv(corpus_dir / "truth.csv", TRUTH_FIELDS, rows)
 
     out_m = tmp_path / "median"
     out_g = tmp_path / "gauss"
@@ -358,3 +358,113 @@ def test_nn_or_none_catches_typed_errors_only(monkeypatch):
     monkeypatch.setattr(bench, "estimate_nn", broken)
     with pytest.raises(ZeroDivisionError):
         bench._nn_or_none(raster_from_array(np.ones((8, 8))))
+
+
+def test_report_summary_matches_estimate_summary(small_corpus, tmp_path):
+    config, corpus_dir = small_corpus
+    out = tmp_path / "res"
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--methods", "all", "--config", str(config)]) == 0
+    assert main(["report", "--results", str(out / "results.csv"),
+                 "--out", str(tmp_path / "rep")]) == 0
+    assert (tmp_path / "rep" / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+
+def test_estimate_default_policy_is_zero(small_corpus, tmp_path):
+    _, corpus_dir = small_corpus
+    config = tmp_path / "zero.cfg"
+    config.write_text("[estimate]\nepsilon_policy = zero\n")
+    runs = {}
+    for name, extra in (("default", []), ("zero", ["--config", str(config)])):
+        out = tmp_path / name
+        assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(out),
+                     "--methods", "all", *extra]) == 0
+        runs[name] = [{k: v for k, v in row.items() if k != "runtime_ms"}
+                      for row in read_csv(out / "results.csv")]
+    assert runs["default"] == runs["zero"]
+
+
+@pytest.mark.parametrize("command", ["generate", "estimate", "sweep", "denoise", "report"])
+def test_unwritable_out_is_data_error(small_corpus, tmp_path, capsys, command):
+    config, corpus_dir = small_corpus
+    results = tmp_path / "res"
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(results),
+                 "--methods", "nn"]) == 0
+    args = {
+        "generate": ["--config", str(config)],
+        "estimate": ["--corpus", str(corpus_dir), "--methods", "nn"],
+        "sweep": ["--config", str(config), "--parameter", "contrast", "--range", "1",
+                  "--methods", "nn", "--seeds", "1"],
+        "denoise": ["--corpus", str(corpus_dir), "--filter", "gaussian:sigma=1.0"],
+        "report": ["--results", str(results / "results.csv")],
+    }[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(blocker / "out")]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("name,blob,message", [
+    ("img0000.noisy.pgm", b"P5\n64 64\n65535\n\x00\x00", "payload is 2 bytes"),
+    ("img0000.noisy.pgm", b"P6\n64 64\n65535\n", "magic"),
+    ("truth.csv", None, "bad truth row"),
+], ids=["truncated_pgm", "bad_pgm_magic", "bad_truth_value"])
+def test_corrupt_corpus_file_is_data_error(small_corpus, tmp_path, capsys, name, blob, message):
+    _, corpus_dir = small_corpus
+    path = corpus_dir / name
+    if blob is None:  # an oracle value that is not a number
+        from semsnr.corpus import TRUTH_FIELDS, write_csv
+
+        rows = read_csv(path)
+        rows[0]["true_snr"] = "n/a"
+        write_csv(path, TRUTH_FIELDS, rows)
+    else:
+        path.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "o"),
+                 "--methods", "nn"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+
+
+def _assert_cells_exact(path, fields, rows):
+    """Every cell of a written CSV parses back to exactly its in-memory value."""
+    stored = read_csv(path)
+    assert len(stored) == len(rows)
+    for cells, row in zip(stored, rows):
+        assert tuple(cells) == tuple(fields)
+        for key in fields:
+            value, cell = row[key], cells[key]
+            if value is None:
+                assert cell == "", (key, cell)
+            elif isinstance(value, float):
+                back = float(cell)
+                assert back == value or (math.isnan(back) and math.isnan(value)), (key, cell)
+            else:
+                assert cell == str(value), (key, cell)
+    return [cell for cells in stored for cell in cells.values()]
+
+
+def test_csv_cells_round_trip_exactly(small_corpus, tmp_path):
+    from semsnr.bench import DENOISE_FIELDS, RESULTS_FIELDS, run_denoise, write_csv
+
+    _, corpus_dir = small_corpus
+    rows, _ = run_estimation(corpus_dir, ("nn", "lsr", "frank_alali"), out_dir=tmp_path / "res")
+    cells = _assert_cells_exact(tmp_path / "res" / "results.csv", RESULTS_FIELDS, rows)
+    assert "" in cells  # frank_alali has no second acquisition: empty estimate cells
+
+    # a noise-free image under the identity filter gives MSE 0 and PSNR inf
+    (corpus_dir / "img0000.noisy.pgm").write_bytes((corpus_dir / "img0000.clean.pgm").read_bytes())
+    rows = run_denoise(corpus_dir, "wiener_local:window=5,noise_var=0", out_dir=tmp_path / "den")
+    cells = _assert_cells_exact(tmp_path / "den" / "report.csv", DENOISE_FIELDS, rows)
+    assert "inf" in cells and "" in cells
+
+    fields = ("pos", "neg", "nan", "none", "f64", "f32", "int", "whole")
+    row = {"pos": math.inf, "neg": -math.inf, "nan": math.nan, "none": None,
+           "f64": np.float64(0.1), "f32": np.float32(0.1), "int": np.int64(7), "whole": 2.0}
+    write_csv(tmp_path / "cells.csv", fields, [row])
+    assert read_csv(tmp_path / "cells.csv") == [{
+        "pos": "inf", "neg": "-inf", "nan": "nan", "none": "", "f64": "0.1",
+        "f32": repr(float(np.float32(0.1))), "int": "7", "whole": "2.0",
+    }]

@@ -117,7 +117,7 @@ def test_nn_and_fol_rules():
 def test_lsr_hand_example():
     # exactly linear tail with a noisy peak: alpha=100, beta=-1, eps=(102-99)/2
     curve = curve_from([102.0, 99.0, 98.0, 97.0, 96.0], mean=5.0)
-    peak, diag = lsr_peak(curve, EstimatorConfig())
+    peak, diag = lsr_peak(curve, EstimatorConfig(epsilon_policy="half_gap"))
     assert peak == pytest.approx(101.5, abs=1e-9)
     assert diag["alpha"] == pytest.approx(100.0)
     assert diag["beta"] == pytest.approx(-1.0)
@@ -145,7 +145,7 @@ def test_nllsr_recovers_exact_power_law():
 def test_nllsr_flat_tail_reduces_toward_nearest_offset():
     values = [110.0, 100.0, 100.0, 100.0, 100.0, 100.0]
     curve = curve_from(values)
-    peak, diag = nllsr_peak(curve, EstimatorConfig())
+    peak, diag = nllsr_peak(curve, EstimatorConfig(epsilon_policy="half_gap"))
     assert diag["beta"] == pytest.approx(0.0, abs=1e-12)
     # multiplicative half-gap: sqrt(r0 / r1)
     assert diag["epsilon"] == pytest.approx(math.sqrt(1.1))
@@ -251,7 +251,7 @@ def test_scale_equivariance(oracle_corpus, lam):
     entry = oracle_corpus[5]  # a low-SNR image keeps the half-gap policy finite
     img = entry["gt"].noisy
     scaled = img.scaled(lam)
-    cfg = EstimatorConfig()  # default half-gap / multiplicative policies
+    cfg = EstimatorConfig(epsilon_policy="half_gap")  # additive / multiplicative half-gap terms
     for fn in (estimate_nn, estimate_fol, estimate_lsr, estimate_nllsr,
                estimate_acldr, estimate_chillsrsnr):
         base = fn(img, cfg)
@@ -397,12 +397,9 @@ def test_chillsr_calibration_does_not_hurt(corpus_estimates):
 # --- corpus-level behavior --------------------------------------------------------
 
 
-SINGLE_METHODS = ("nn", "fol", "lsr", "nllsr", "asnn", "acldr", "chillsr")
-
-
 def test_all_single_image_methods_finite_on_corpus(corpus_estimates):
     for entry in corpus_estimates:
-        for method in SINGLE_METHODS:
+        for method in SINGLE_IMAGE_METHODS:
             est = entry["results"][method]
             assert est.status == "ok", (entry["image_id"], method, est.status)
             assert math.isfinite(est.snr_linear)
@@ -437,7 +434,7 @@ def test_acldr_error_variance_not_worse_than_nn(corpus_estimates):
 
 
 def test_estimator_medians_match_baseline(corpus_estimates, estimator_baseline):
-    for method in SINGLE_METHODS:
+    for method in SINGLE_IMAGE_METHODS:
         errs = [abs(rel_error(e["results"][method].snr_linear, e["truth"]["true_snr"]))
                 for e in corpus_estimates]
         median = float(np.median(errs))
@@ -476,7 +473,8 @@ def test_subset_run_matches_full_run(oracle_corpus, corpus_estimates):
             assert est == entry["results"][method], (entry["image_id"], method)
 
 
-@pytest.mark.parametrize("cfg", [BENCH_CONFIG, EstimatorConfig()], ids=["zero", "half_gap"])
+@pytest.mark.parametrize("cfg", [BENCH_CONFIG, EstimatorConfig(epsilon_policy="half_gap")],
+                         ids=["zero", "half_gap"])
 def test_small_image_keeps_per_method_statuses(cfg):
     # 9x9 fits lags up to 4: nllsr needs lag 5 and smart a 64x64 region
     from semsnr.noise import rng_for

@@ -10,11 +10,9 @@ from semsnr.yield_snr import (
     calibrate_idc,
     currents_from_yields,
     dose_per_pixel,
-    read_yield_table,
     snr_detected,
     snr_from_image,
     snr_yield,
-    write_yield_table,
     yields_from_currents,
 )
 from semsnr.noise import ELECTRON_CHARGE
@@ -154,13 +152,3 @@ def test_se_yield_snr_matches_simulation():
     measured = float(x.mean() / x.std())
     assert abs(measured - analytic) <= 0.05 * analytic
 
-
-def test_yield_table_round_trip(tmp_path):
-    rows = [
-        {"material": "Au", "energy_keV": 10.0, "delta": 0.16, "eta": 0.30, "source": "in-situ"},
-        {"material": "Si", "energy_keV": 20.0, "delta": 0.14, "eta": 0.18, "source": "published"},
-    ]
-    path = tmp_path / "yields.csv"
-    write_yield_table(rows, path)
-    again = read_yield_table(path)
-    assert again == rows
