@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 # read_csv is re-exported next to write_csv, for readers of the harness's CSVs
-from .corpus import CorpusSpec, SceneSpec, csv_value, load_corpus, read_csv, write_csv  # noqa: F401
-from .denoise import FilterSpec, apply_filter, parse_filter_spec
+from .corpus import CorpusSpec, SceneSpec, load_corpus, read_csv, write_csv  # noqa: F401
+from .denoise import FilterSpec, apply_filter, filter_spec_to_string, parse_filter_spec
 from .errors import ConfigError, DomainError, EstimatorError, SingularFitError
 from .estimators import (
     ALL_METHODS,
@@ -32,7 +32,7 @@ from .estimators import (
     estimate_nn,
 )
 from .noise import NoiseRecipe, simulate
-from .raster import Raster, raster_from_array
+from .raster import Raster, quantize, raster_from_array, save_pgm
 
 RESULTS_FIELDS = (
     "image_id",
@@ -76,12 +76,17 @@ def load_config(path) -> configparser.ConfigParser:
     return parser
 
 
+# [corpus] key -> value type.  The _SCENE_KEYS are SceneSpec fields ("scene" is
+# its kind), the rest CorpusSpec fields; a key left out keeps its default.
 _CORPUS_KEYS = {
-    "scene", "width", "height", "corr_length", "n_blobs", "blob_sigma",
-    "model", "snr_targets", "seeds_per_level", "base_seed", "dose_min",
-    "dose_max", "se_yield", "bse_yield", "yield_inflation", "detector_gain",
-    "dc_offset", "bit_depth",
+    "scene": str, "width": int, "height": int, "corr_length": float, "n_blobs": int,
+    "blob_sigma": float, "model": str, "seeds_per_level": int,
+    "snr_targets": lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
+    "base_seed": int, "dose_min": float, "dose_max": float, "se_yield": float,
+    "bse_yield": float, "yield_inflation": float, "detector_gain": float,
+    "dc_offset": float, "bit_depth": int,
 }
+_SCENE_KEYS = ("scene", "width", "height", "corr_length", "n_blobs", "blob_sigma")
 
 
 def corpus_spec_from_config(cfg: configparser.ConfigParser,
@@ -89,37 +94,16 @@ def corpus_spec_from_config(cfg: configparser.ConfigParser,
     if not cfg.has_section("corpus"):
         raise ConfigError("config has no [corpus] section")
     section = cfg["corpus"]
-    unknown = set(section.keys()) - _CORPUS_KEYS
+    unknown = set(section.keys()) - set(_CORPUS_KEYS)
     if unknown:
         raise ConfigError(f"unknown [corpus] keys: {sorted(unknown)}")
     try:
-        scene = SceneSpec(
-            kind=section.get("scene", "ar_field"),
-            width=section.getint("width", 128),
-            height=section.getint("height", 128),
-            corr_length=section.getfloat("corr_length", 8.0),
-            n_blobs=section.getint("n_blobs", 12),
-            blob_sigma=section.getfloat("blob_sigma", 6.0),
-        )
-        targets = tuple(
-            float(v) for v in section.get("snr_targets", "1,5,20").split(",") if v.strip()
-        )
-        spec = CorpusSpec(
-            scene=scene,
-            model=section.get("model", "additive-gaussian"),
-            snr_targets=targets,
-            seeds_per_level=section.getint("seeds_per_level", 3),
-            base_seed=seed_override if seed_override is not None
-            else section.getint("base_seed", 0),
-            dose_min=section.getfloat("dose_min", 50.0),
-            dose_max=section.getfloat("dose_max", 400.0),
-            se_yield=section.getfloat("se_yield", 0.16),
-            bse_yield=section.getfloat("bse_yield", 0.30),
-            yield_inflation=section.getfloat("yield_inflation", 1.0),
-            detector_gain=section.getfloat("detector_gain", 1.0),
-            dc_offset=section.getfloat("dc_offset", 200.0),
-            bit_depth=section.getint("bit_depth", 16),
-        )
+        values = {key: _CORPUS_KEYS[key](text) for key, text in section.items()}
+        if seed_override is not None:
+            values["base_seed"] = seed_override
+        scene = {("kind" if k == "scene" else k): values.pop(k)
+                 for k in _SCENE_KEYS if k in values}
+        spec = CorpusSpec(scene=SceneSpec(**scene), **values)
     except ValueError as exc:
         raise ConfigError(f"bad [corpus] value: {exc}") from exc
     from .noise import EMISSION_MODELS
@@ -438,13 +422,6 @@ def write_sweep_svg(rows, path) -> None:
 # --- denoising runs -------------------------------------------------------------
 
 
-def filter_spec_to_string(spec: FilterSpec) -> str:
-    if not spec.params:
-        return spec.kind
-    params = ",".join(f"{k}={csv_value(v)}" for k, v in sorted(spec.params.items()))
-    return f"{spec.kind}:{params}"
-
-
 def run_denoise(corpus_dir, spec: FilterSpec | str, out_dir=None,
                 with_snr: bool = True) -> list[dict]:
     """Filter every noisy corpus image and report MSE/PSNR against the clean pair.
@@ -452,8 +429,6 @@ def run_denoise(corpus_dir, spec: FilterSpec | str, out_dir=None,
     When ``out_dir`` is given the filtered planes are quantized back to the
     input bit depth and written as ``<id>.filtered.pgm`` next to report.csv.
     """
-    from .raster import quantize, save_pgm
-
     if isinstance(spec, str):
         spec = parse_filter_spec(spec)
     images = load_corpus(corpus_dir)

@@ -30,7 +30,8 @@ from .bench import (
     write_sweep_svg,
 )
 from .corpus import generate_corpus
-from .errors import ConfigError, DataError, SemSnrError
+from .denoise import parse_filter_spec
+from .errors import ConfigError, DataError, DomainError, SemSnrError
 from .estimators import DEFAULT_CONFIG
 
 EXIT_OK = 0
@@ -128,9 +129,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    from .denoise import parse_filter_spec
-    from .errors import DomainError
-
     try:
         spec = parse_filter_spec(args.filter_spec)
     except DomainError as exc:

@@ -10,7 +10,9 @@ the zero-frequency bin through untouched, and only shapes spectral magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -19,58 +21,86 @@ from .errors import DomainError, EstimatorError
 from .estimators import acldr_peak
 from .raster import Raster, raster_from_array
 
-FILTER_KINDS = ("gaussian", "median", "bilateral", "wiener_global", "wiener_local", "ar_wiener")
+# parameter -> (int-valued?, rule, test of the rule); every value must also be finite
+_PARAMS = {
+    "sigma": (False, "finite and > 0", lambda v: v > 0.0),
+    "sigma_s": (False, "finite and > 0", lambda v: v > 0.0),
+    "sigma_r": (False, "finite and > 0", lambda v: v > 0.0),
+    "noise_var": (False, "finite and >= 0", lambda v: v >= 0.0),
+    "window": (True, "an odd int >= 3", lambda v: v >= 3 and v % 2 == 1),
+    "radius": (True, "an int >= 0", lambda v: v >= 0),
+    "ar_order": (True, "an int >= 1", lambda v: v >= 1),
+}
+
+
+def _check_param(name: str, value) -> None:
+    integral, rule, holds = _PARAMS[name]
+    if integral:
+        typed = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    else:
+        typed = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (typed and holds(value)):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class _Kind:
+    required: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)  # optional parameter -> default(params)
+    plane: Callable | None = None  # spatial kinds: (plane, params) -> filtered plane
+    run: Callable | None = None  # the others: (image, spec, reference) -> DenoiseReport
+
+
+# kind -> parameters and implementation.  The implementations are named inside
+# lambdas, so each call looks up the module attribute (and any wrapper on it).
+FILTERS = {
+    "gaussian": _Kind(("sigma",), {"radius": lambda p: math.ceil(3.0 * p["sigma"])},
+                      plane=lambda x, p: gaussian_blur(x, p["sigma"], p["radius"])),
+    "median": _Kind(("window",), plane=lambda x, p: _median(x, p["window"])),
+    "bilateral": _Kind(("sigma_s", "sigma_r"), {"radius": lambda p: math.ceil(2.0 * p["sigma_s"])},
+                       plane=lambda x, p: _bilateral(x, p["sigma_s"], p["sigma_r"], p["radius"])),
+    "wiener_global": _Kind(("noise_var",), run=lambda img, spec, ref: wiener_global(
+        img, spec.params["noise_var"], ref)),
+    "wiener_local": _Kind(("window", "noise_var"), run=lambda img, spec, ref: wiener_local(
+        img, spec.params["window"], spec.params["noise_var"], ref)),
+    "ar_wiener": _Kind(("ar_order", "window"),
+                       run=lambda img, spec, ref: ar_wiener(img, spec, ref)),
+}
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A denoising filter selection with its validated parameters."""
+    """A filter kind and its parameters, checked against ``FILTERS`` and
+    ``_PARAMS``, with the defaults of the optional parameters filled in."""
 
     kind: str
     params: dict
 
     def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise DomainError(f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}")
+        kind = FILTERS.get(self.kind)
+        if kind is None:
+            raise DomainError(
+                f"unknown filter kind {self.kind!r}; expected one of {tuple(FILTERS)}")
         p = dict(self.params)
-        if self.kind == "gaussian":
-            if p.get("sigma", 0.0) <= 0.0:
-                raise DomainError("gaussian filter needs sigma > 0")
-            p.setdefault("radius", int(math.ceil(3.0 * p["sigma"])))
-        elif self.kind == "median":
-            _check_window(p.get("window"))
-        elif self.kind == "bilateral":
-            if p.get("sigma_s", 0.0) <= 0.0 or p.get("sigma_r", 0.0) <= 0.0:
-                raise DomainError("bilateral filter needs sigma_s > 0 and sigma_r > 0")
-            p.setdefault("radius", int(math.ceil(2.0 * p["sigma_s"])))
-        elif self.kind == "wiener_global":
-            if p.get("noise_var", -1.0) < 0.0:
-                raise DomainError("wiener_global needs noise_var >= 0")
-        elif self.kind == "wiener_local":
-            _check_window(p.get("window"))
-            if p.get("noise_var", -1.0) < 0.0:
-                raise DomainError("wiener_local needs noise_var >= 0")
-        elif self.kind == "ar_wiener":
-            _check_window(p.get("window"))
-            if int(p.get("ar_order", 0)) < 1:
-                raise DomainError("ar_wiener needs ar_order >= 1")
-            p["ar_order"] = int(p["ar_order"])
+        if not set(kind.required) <= set(p) <= set(kind.required) | set(kind.defaults):
+            takes = ",".join(kind.required) + "".join(f"[,{k}]" for k in kind.defaults)
+            raise DomainError(f"{self.kind} takes ({takes}), got keys {sorted(p)}")
+        for key, value in p.items():
+            _check_param(key, value)
+        try:
+            p.update({k: default(p) for k, default in kind.defaults.items() if k not in p})
+        except OverflowError:
+            raise DomainError(f"a default parameter overflows for {p}") from None
         object.__setattr__(self, "params", p)
-
-
-def _check_window(window) -> None:
-    if window is None or int(window) < 3 or int(window) % 2 == 0:
-        raise DomainError(f"window must be an odd integer >= 3, got {window!r}")
 
 
 def parse_filter_spec(text: str) -> FilterSpec:
     """Parse a CLI filter string, e.g. ``wiener_local:window=7,noise_var=25.0``.
 
     Grammar: ``kind[:key=value[,key=value...]]``; values parse as int when
-    possible, float otherwise.
+    possible, float otherwise.  A key given twice is an error.
     """
     kind, sep, rest = text.partition(":")
-    kind = kind.strip()
     params: dict = {}
     if sep and rest.strip():
         for item in rest.split(","):
@@ -78,6 +108,8 @@ def parse_filter_spec(text: str) -> FilterSpec:
             if not eq:
                 raise DomainError(f"bad filter parameter {item!r}: expected key=value")
             key, value = key.strip(), value.strip()
+            if key in params:
+                raise DomainError(f"filter parameter {key!r} given twice")
             try:
                 params[key] = int(value)
             except ValueError:
@@ -85,7 +117,15 @@ def parse_filter_spec(text: str) -> FilterSpec:
                     params[key] = float(value)
                 except ValueError:
                     raise DomainError(f"bad filter parameter value {value!r}") from None
-    return FilterSpec(kind=kind, params=params)
+    return FilterSpec(kind=kind.strip(), params=params)
+
+
+def filter_spec_to_string(spec: FilterSpec) -> str:
+    """The report label: the spec in the grammar, sorted keys, CSV-rule values."""
+    from .corpus import csv_value  # corpus imports this module
+
+    params = ",".join(f"{k}={csv_value(v)}" for k, v in sorted(spec.params.items()))
+    return f"{spec.kind}:{params}"
 
 
 @dataclass(frozen=True)
@@ -112,17 +152,11 @@ def psnr_db(mse_value: float, maxval: int) -> float:
     return 20.0 * math.log10(maxval) - 10.0 * math.log10(mse_value)
 
 
-def _report(output: Raster, reference: Raster | None,
-            est_var: float | None = None) -> DenoiseReport:
+def _report(output: Raster, reference: Raster | None) -> DenoiseReport:
     if reference is None:
-        return DenoiseReport(output=output, estimated_noise_variance=est_var)
+        return DenoiseReport(output)
     err = mse(output, reference)
-    return DenoiseReport(
-        output=output,
-        mse_vs_reference=err,
-        psnr_db=psnr_db(err, output.maxval),
-        estimated_noise_variance=est_var,
-    )
+    return DenoiseReport(output, err, psnr_db(err, output.maxval))
 
 
 def _pad(x: np.ndarray, ry: int, rx: int) -> np.ndarray:
@@ -149,38 +183,15 @@ def _convolve_separable(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def gaussian_blur(x: np.ndarray, sigma: float, radius: int | None = None) -> np.ndarray:
-    """Separable normalized Gaussian smoothing of a bare array."""
-    if radius is None:
-        radius = int(math.ceil(3.0 * sigma))
+    """Separable normalized Gaussian smoothing of a bare array; radius ceil(3 sigma) if None."""
+    radius = math.ceil(3.0 * sigma) if radius is None else radius
     return _convolve_separable(np.asarray(x, dtype=np.float64), _gaussian_kernel(sigma, radius))
 
 
-def _window_view(x: np.ndarray, window: int) -> np.ndarray:
+def _median(x: np.ndarray, window: int) -> np.ndarray:
     r = window // 2
-    padded = _pad(x, r, r)
-    return np.lib.stride_tricks.sliding_window_view(padded, (window, window))
-
-
-def spatial_filter(img: Raster, spec: FilterSpec) -> Raster:
-    """Gaussian, median, or bilateral smoothing with mirror edge handling."""
-    if spec.kind not in ("gaussian", "median", "bilateral"):
-        raise DomainError(f"spatial_filter does not handle kind {spec.kind!r}")
-    x = img.data
-    p = spec.params
-    if spec.kind == "median":
-        window = int(p["window"])
-        if window > min(img.width, img.height):
-            raise DomainError("window larger than image")
-        out = np.median(_window_view(x, window), axis=(2, 3))
-    elif spec.kind == "gaussian":
-        radius = int(p["radius"])
-        if 2 * radius + 1 > 2 * min(img.width, img.height):
-            raise DomainError("kernel larger than image")
-        out = _convolve_separable(x, _gaussian_kernel(p["sigma"], radius))
-    else:
-        out = _bilateral(x, p["sigma_s"], p["sigma_r"], int(p["radius"]))
-    out = np.maximum(out, 0.0)  # guard round-off below zero
-    return raster_from_array(out, img.bit_depth)
+    views = np.lib.stride_tricks.sliding_window_view(_pad(x, r, r), (window, window))
+    return np.median(views, axis=(2, 3))
 
 
 def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
@@ -198,22 +209,29 @@ def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np
     return acc / norm
 
 
-def wiener_transfer(img: Raster, noise_psd) -> np.ndarray:
-    """Frequency response of the spectral-subtraction Wiener filter.
+def spatial_filter(img: Raster, spec: FilterSpec) -> Raster:
+    """Gaussian, median, or bilateral smoothing with mirror edge handling."""
+    plane, p = FILTERS[spec.kind].plane, spec.params
+    if plane is None:
+        raise DomainError(f"spatial_filter does not handle kind {spec.kind!r}")
+    side = min(img.width, img.height)
+    if p.get("window", 0) > side:
+        raise DomainError("window larger than image")
+    if 2 * p.get("radius", 0) + 1 > 2 * side:
+        raise DomainError("kernel larger than image")
+    out = np.maximum(plane(img.data, p), 0.0)  # guard round-off below zero
+    return raster_from_array(out, img.bit_depth)
 
-    ``noise_psd`` is a scalar white-noise variance or a per-frequency array in
-    periodogram units (|FFT|^2 / pixel count).  The response lies in [0, 1]
-    and the zero-frequency bin is forced to 1 so the mean passes through.
-    """
+
+def _transfer(spectrum: np.ndarray, noise_psd) -> np.ndarray:
     p_u = np.asarray(noise_psd, dtype=np.float64)
     if p_u.ndim == 0:
-        p_u = np.full((img.height, img.width), float(p_u))
-    if p_u.shape != (img.height, img.width):
+        p_u = np.full(spectrum.shape, float(p_u))
+    if p_u.shape != spectrum.shape:
         raise DomainError("noise PSD shape does not match the image")
     if np.any(p_u < 0.0):
         raise DomainError("noise PSD must be nonnegative everywhere")
-    spectrum = np.fft.fft2(img.data)
-    p_w = np.abs(spectrum) ** 2 / img.data.size
+    p_w = np.abs(spectrum) ** 2 / spectrum.size
     p_f = np.maximum(p_w - p_u, 0.0)
     denom = p_f + p_u
     transfer = np.where(denom > 0.0, p_f / np.where(denom > 0.0, denom, 1.0), 1.0)
@@ -222,32 +240,46 @@ def wiener_transfer(img: Raster, noise_psd) -> np.ndarray:
     return transfer
 
 
+def wiener_transfer(img: Raster, noise_psd) -> np.ndarray:
+    """Frequency response of the spectral-subtraction Wiener filter.
+
+    ``noise_psd`` is a scalar white-noise variance or a per-frequency array in
+    periodogram units (|FFT|^2 / pixel count).  The response lies in [0, 1]
+    and the zero-frequency bin is forced to 1 so the mean passes through.
+    """
+    return _transfer(np.fft.fft2(img.data), noise_psd)
+
+
 def wiener_global(img: Raster, noise_psd, reference: Raster | None = None) -> DenoiseReport:
     """Frequency-domain Wiener restoration with spectral subtraction."""
-    transfer = wiener_transfer(img, noise_psd)
     spectrum = np.fft.fft2(img.data)
-    out = np.fft.ifft2(transfer * spectrum).real
+    out = np.fft.ifft2(_transfer(spectrum, noise_psd) * spectrum).real
     out = np.maximum(out, 0.0)
     return _report(raster_from_array(out, img.bit_depth), reference)
 
 
 def wiener_local(img: Raster, window: int, noise_variance: float,
                  reference: Raster | None = None) -> DenoiseReport:
-    """Pixelwise minimum mean square error shrinkage toward the local mean."""
-    _check_window(window)
-    if noise_variance < 0.0:
-        raise DomainError("noise variance must be nonnegative")
+    """Pixelwise minimum mean square error shrinkage toward the local mean (Lee 1980).
+
+    The window mean and mean square come from flat separable convolutions of
+    the plane minus its global mean, so the cost does not grow with the
+    window area and a DC offset does not cancel digits in the variance.
+    """
+    _check_param("window", window)
+    _check_param("noise_var", noise_variance)
     if window > min(img.width, img.height):
         raise DomainError("window larger than image")
     x = img.data
     if noise_variance == 0.0:
         return _report(raster_from_array(x.copy(), img.bit_depth), reference)
-    views = _window_view(x, window)
-    m = views.mean(axis=(2, 3))
-    v = np.mean((views - m[..., None, None]) ** 2, axis=(2, 3))
+    mean = x.mean()
+    c = x - mean
+    flat = np.full(window, 1.0 / window)
+    m = _convolve_separable(c, flat)
+    v = _convolve_separable(c * c, flat) - m * m
     gain = np.maximum(v - noise_variance, 0.0) / np.maximum(v, noise_variance)
-    out = m + gain * (x - m)
-    out = np.maximum(out, 0.0)
+    out = np.maximum(mean + m + gain * (c - m), 0.0)
     return _report(raster_from_array(out, img.bit_depth), reference)
 
 
@@ -260,8 +292,7 @@ def estimate_noise_variance_ar(img: Raster, ar_order: int) -> float:
     zero).  Tails whose first-lag correlation is below 5% of the total
     variance count as structure-free and attribute everything to noise.
     """
-    if ar_order < 1:
-        raise DomainError("ar_order must be at least 1")
+    _check_param("ar_order", ar_order)
     max_lag = ar_order + 1
     if max_lag >= min(img.width, img.height) / 2:
         raise DomainError("image too small for the requested order")
@@ -285,21 +316,13 @@ def ar_wiener(img: Raster, spec: FilterSpec, reference: Raster | None = None) ->
     if spec.kind != "ar_wiener":
         raise DomainError("ar_wiener needs an ar_wiener filter spec")
     est = estimate_noise_variance_ar(img, spec.params["ar_order"])
-    report = wiener_local(img, spec.params["window"], est, reference)
-    return DenoiseReport(
-        output=report.output,
-        mse_vs_reference=report.mse_vs_reference,
-        psnr_db=report.psnr_db,
-        estimated_noise_variance=est,
-    )
+    return replace(wiener_local(img, spec.params["window"], est, reference),
+                   estimated_noise_variance=est)
 
 
 def apply_filter(img: Raster, spec: FilterSpec, reference: Raster | None = None) -> DenoiseReport:
-    """Dispatch a filter spec to its implementation and report quality metrics."""
-    if spec.kind in ("gaussian", "median", "bilateral"):
-        return _report(spatial_filter(img, spec), reference)
-    if spec.kind == "wiener_global":
-        return wiener_global(img, spec.params["noise_var"], reference)
-    if spec.kind == "wiener_local":
-        return wiener_local(img, spec.params["window"], spec.params["noise_var"], reference)
-    return ar_wiener(img, spec, reference)
+    """Run a filter spec's implementation and report quality metrics."""
+    kind = FILTERS[spec.kind]
+    if kind.plane is None:
+        return kind.run(img, spec, reference)
+    return _report(spatial_filter(img, spec), reference)

@@ -174,9 +174,12 @@ def pgm_bytes(r: Raster) -> bytes:
 
 
 def load_pgm(path) -> Raster:
-    """Read a binary PGM (P5) file with maxval 255 or 65535."""
+    """Read a binary PGM (P5) file with maxval 255 or 65535; errors name the path."""
     with open(path, "rb") as fh:
-        return raster_from_pgm_bytes(fh.read())
+        try:
+            return raster_from_pgm_bytes(fh.read())
+        except (PgmParseError, PgmSizeError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_pgm(r: Raster, path) -> None:

@@ -13,6 +13,20 @@ DATA_DIR = Path(__file__).parent / "data"
 # package default, whose line fit has no additive error term
 BENCH_CONFIG = DEFAULT_CONFIG
 
+# filter specs that must fail validation: unknown key, out-of-range or
+# non-integral int, non-finite float, duplicate key, overflowing default
+MALFORMED_FILTER_SPECS = (
+    "gaussian:sigma=1.5,raduis=2",
+    "gaussian:sigma=1,radius=-1",
+    "ar_wiener:ar_order=2.7,window=7",
+    "gaussian:sigma=inf",
+    "wiener_local:window=7,noise_var=nan",
+    "median:window=5.0",
+    "gaussian:sigma=1.5,radius=2.5",
+    "gaussian:sigma=1,sigma=2",
+    "gaussian:sigma=1e308",
+)
+
 
 @pytest.fixture(scope="session")
 def oracle_corpus():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_FILTER_SPECS
 from semsnr.bench import (
     corpus_spec_from_config,
     load_config,
@@ -113,6 +114,15 @@ def test_unknown_emission_model_is_named(tmp_path):
     with pytest.raises(ConfigError, match="warp-drive"):
         corpus_spec_from_config(load_config(config))
     assert main(["generate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_empty_corpus_section_gives_default_spec(tmp_path):
+    from semsnr.corpus import CorpusSpec
+
+    config = tmp_path / "empty.cfg"
+    config.write_text("[corpus]\n")
+    assert corpus_spec_from_config(load_config(config)) == CorpusSpec()
+    assert corpus_spec_from_config(load_config(config), seed_override=5) == CorpusSpec(base_seed=5)
 
 
 def test_estimate_cli_and_schema(small_corpus, tmp_path):
@@ -305,6 +315,17 @@ def test_denoise_bad_filter_exit_code(small_corpus, tmp_path):
                  "--filter", "sharpen:amount=2"]) == 2
 
 
+@pytest.mark.parametrize("text", MALFORMED_FILTER_SPECS)
+def test_denoise_malformed_filter_is_config_error(small_corpus, tmp_path, capsys, text):
+    _, corpus_dir = small_corpus
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--filter", text]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_denoise_internal_error_exit_code(small_corpus, tmp_path):
     # a window larger than the 64-pixel corpus images fails mid-run
     _, corpus_dir = small_corpus
@@ -426,6 +447,7 @@ def test_corrupt_corpus_file_is_data_error(small_corpus, tmp_path, capsys, name,
                  "--methods", "nn"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and message in err
+    assert str(path) in err  # the message names the corrupt file
 
 
 def _assert_cells_exact(path, fields, rows):

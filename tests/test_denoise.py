@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BENCH_CONFIG
+from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS
 from semsnr.denoise import (
     DenoiseReport,
     FilterSpec,
     apply_filter,
     ar_wiener,
     estimate_noise_variance_ar,
+    filter_spec_to_string,
     gaussian_blur,
     mse,
     parse_filter_spec,
@@ -37,6 +38,40 @@ def test_parse_filter_spec_grammar():
         parse_filter_spec("median:window=4")  # even window
     with pytest.raises(DomainError):
         parse_filter_spec("bilateral:sigma_s=2")  # missing sigma_r
+
+
+@pytest.mark.parametrize("text", MALFORMED_FILTER_SPECS)
+def test_malformed_filter_spec_is_domain_error(text):
+    with pytest.raises(DomainError):
+        parse_filter_spec(text)
+
+
+@pytest.mark.parametrize("text,label", [
+    # the benchmark's denoise specs and the README example
+    ("ar_wiener:ar_order=2,window=7", "ar_wiener:ar_order=2,window=7"),
+    ("wiener_global:noise_var=1000000", "wiener_global:noise_var=1000000"),
+    ("median:window=5", "median:window=5"),
+    ("bilateral:sigma_s=2,sigma_r=2000", "bilateral:radius=4,sigma_r=2000,sigma_s=2"),
+    ("gaussian:sigma=1.5", "gaussian:radius=5,sigma=1.5"),
+    ("wiener_local:window=7,noise_var=25", "wiener_local:noise_var=25,window=7"),
+])
+def test_filter_labels_are_pinned(text, label):
+    spec = parse_filter_spec(text)
+    assert filter_spec_to_string(spec) == label
+    assert parse_filter_spec(label) == spec
+
+
+def test_filter_kind_guards():
+    img = raster_from_array(np.ones((8, 8)))
+    with pytest.raises(DomainError):
+        spatial_filter(img, parse_filter_spec("wiener_global:noise_var=1"))
+    with pytest.raises(DomainError):
+        ar_wiener(img, parse_filter_spec("median:window=3"))
+    with pytest.raises(DomainError):  # radius ceil(2 * 40) spans more than the image
+        spatial_filter(img, parse_filter_spec("bilateral:sigma_s=40,sigma_r=10"))
+    for window, noise_var in ((4, 1.0), (5.0, 1.0), (5, -1.0), (5, math.nan)):
+        with pytest.raises(DomainError):
+            wiener_local(img, window, noise_var)
 
 
 @pytest.mark.parametrize("text", [
@@ -143,6 +178,31 @@ def test_wiener_local_identity_and_flat_limits(rng):
     views_mean = huge.output.data
     # every window variance is below the noise floor: output is the local mean
     assert np.allclose(views_mean, flat.data.mean(), atol=1.0)
+
+
+def _wiener_local_window_view(x, window, noise_var):
+    """The direct formula: statistics over a materialised mirror-padded window view."""
+    r = window // 2
+    padded = np.pad(x, r, mode="symmetric")
+    views = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
+    m = views.mean(axis=(2, 3))
+    v = np.mean((views - m[..., None, None]) ** 2, axis=(2, 3))
+    gain = np.maximum(v - noise_var, 0.0) / np.maximum(v, noise_var)
+    return np.maximum(m + gain * (x - m), 0.0)
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+def test_wiener_local_matches_window_view_formula(window, rng):
+    arr = rng.uniform(20.0, 80.0, size=(32, 32))
+    out = wiener_local(raster_from_array(arr), window, 150.0).output.data
+    assert np.max(np.abs(out - _wiener_local_window_view(arr, window, 150.0))) <= 1e-8
+
+
+def test_wiener_local_matches_window_view_formula_on_oracle(oracle_corpus):
+    gt = oracle_corpus[10]["gt"]
+    out = wiener_local(gt.noisy, 7, gt.noise_energy).output.data
+    expected = _wiener_local_window_view(gt.noisy.data, 7, gt.noise_energy)
+    assert np.max(np.abs(out - expected)) <= 1e-8
 
 
 def test_wiener_local_reduces_mse_on_oracle(oracle_corpus):
