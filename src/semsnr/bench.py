@@ -19,7 +19,15 @@ from pathlib import Path
 import numpy as np
 
 # read_csv is re-exported next to write_csv, for readers of the harness's CSVs
-from .corpus import CorpusSpec, SceneSpec, load_corpus, read_csv, write_csv  # noqa: F401
+from .corpus import (  # noqa: F401
+    CorpusSpec,
+    SceneSpec,
+    acquire,
+    load_plane,
+    read_csv,
+    read_truth_csv,
+    write_csv,
+)
 from .denoise import FilterSpec, apply_filter, filter_spec_to_string, parse_filter_spec
 from .errors import ConfigError, DomainError, EstimatorError, SingularFitError
 from .estimators import (
@@ -31,7 +39,7 @@ from .estimators import (
     estimate_all,
     estimate_nn,
 )
-from .noise import NoiseRecipe, simulate
+from .noise import ELECTRON_CHARGE, EMISSION_MODELS, simulate
 from .raster import Raster, quantize, raster_from_array, save_pgm
 
 RESULTS_FIELDS = (
@@ -65,7 +73,7 @@ DENOISE_FIELDS = (
 
 
 def load_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -106,8 +114,6 @@ def corpus_spec_from_config(cfg: configparser.ConfigParser,
         spec = CorpusSpec(scene=SceneSpec(**scene), **values)
     except ValueError as exc:
         raise ConfigError(f"bad [corpus] value: {exc}") from exc
-    from .noise import EMISSION_MODELS
-
     if spec.model not in EMISSION_MODELS:
         raise ConfigError(
             f"unknown emission model {spec.model!r}; expected one of {EMISSION_MODELS}"
@@ -152,17 +158,18 @@ def parse_methods(text: str) -> tuple[str, ...]:
 # --- estimation runs ----------------------------------------------------------
 
 
-def _estimate_one(image, methods, est_cfg) -> tuple[list[dict], float]:
-    """One image's result rows and its shared time in ms.
+def _estimate_one(root, truth_row, methods, est_cfg) -> tuple[list[dict], float]:
+    """One image's result rows and its shared time in ms; reads its noisy plane only.
 
     The shared time is estimate_all's time outside every method's own
     runtime_ms: the lag table and bookkeeping.
     """
+    noisy = load_plane(root, truth_row["image_id"], "noisy")
     t0 = time.perf_counter()
-    results = estimate_all(image.noisy, est_cfg, methods=methods)
+    results = estimate_all(noisy, est_cfg, methods=methods)
     total_ms = (time.perf_counter() - t0) * 1000.0
     shared_ms = total_ms - sum(est.runtime_ms for est in results.values())
-    oracle = image.truth["true_snr"]
+    oracle = truth_row["true_snr"]
     rows = []
     for method in methods:
         est: SnrEstimate = results[method]
@@ -173,7 +180,7 @@ def _estimate_one(image, methods, est_cfg) -> tuple[list[dict], float]:
         )
         rows.append(
             {
-                "image_id": image.image_id,
+                "image_id": truth_row["image_id"],
                 "oracle_snr": oracle,
                 "method": method,
                 "status": est.status,
@@ -225,18 +232,20 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
 
     Returns (result rows, summary rows) and, when ``out_dir`` is given, writes
     results.csv, summary.csv, and a diagnostics.jsonl sidecar holding, per
-    image, one ``shared_ms`` line followed by one line per method.
+    image, one ``shared_ms`` line followed by one line per method.  Each image's
+    noisy plane is read by the worker that estimates it, so memory follows
+    ``jobs``, not the corpus size.
     """
-    images = load_corpus(corpus_dir)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    root = Path(corpus_dir)
+    truth = read_truth_csv(root / "truth.csv")
     methods = tuple(methods)
     for m in methods:
         if m not in ALL_METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_image = list(pool.map(lambda im: _estimate_one(im, methods, est_cfg), images))
-    else:
-        per_image = [_estimate_one(im, methods, est_cfg) for im in images]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        per_image = list(pool.map(lambda row: _estimate_one(root, row, methods, est_cfg), truth))
     rows = [row for group, _ in per_image for row in group]
     summary = summarize_results(rows)
     if out_dir is not None:
@@ -245,8 +254,9 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
         write_csv(out / "results.csv", RESULTS_FIELDS, rows)
         write_csv(out / "summary.csv", SUMMARY_FIELDS, summary)
         with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
-            for image, (group, shared_ms) in zip(images, per_image):
-                fh.write(json.dumps({"image_id": image.image_id, "shared_ms": shared_ms}) + "\n")
+            for truth_row, (group, shared_ms) in zip(truth, per_image):
+                fh.write(json.dumps({"image_id": truth_row["image_id"],
+                                     "shared_ms": shared_ms}) + "\n")
                 for row in group:
                     fh.write(json.dumps(
                         {
@@ -274,34 +284,36 @@ def _json_safe(obj):
 # --- sweeps --------------------------------------------------------------------
 
 SWEEP_PARAMETERS = ("dose", "dwell", "contrast")
+SWEEP_BEAM_CURRENT = 1e-10  # amperes; a dwell sweep's seconds -> electrons per pixel
 
 
 def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
-              est_cfg: EstimatorConfig = DEFAULT_CONFIG, seeds: int = 3,
-              i_pe: float = 1e-10) -> list[dict]:
+              est_cfg: EstimatorConfig = DEFAULT_CONFIG, seeds: int = 3) -> list[dict]:
     """Synthetic analogs of instrument factor studies.
 
     ``dose`` scales the mean electrons per pixel (the scan-rate/beam-current
     analog: SNR of a counting acquisition grows like sqrt(dose)).  ``dwell``
-    maps dwell seconds to dose through the beam current.  ``contrast`` scales
-    all intensities of one fixed acquisition, which leaves autocorrelation
-    based estimates unchanged.
+    maps dwell seconds to dose through ``SWEEP_BEAM_CURRENT``.  ``contrast``
+    scales all intensities of one fixed acquisition, which leaves
+    autocorrelation based estimates unchanged.  Counting models add a
+    ``moment`` row per point: mean over standard deviation of a flat field at
+    the mid dose under the same recipe.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    if seeds < 1:
+        raise ConfigError(f"seeds must be at least 1, got {seeds}")
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep range is empty")
     if sorted(values) != values:
         raise ConfigError("sweep range must be monotone increasing")
     rows: list[dict] = []
-    from .noise import ELECTRON_CHARGE
-
     for value in values:
         if parameter == "dose":
             dose_mid = value
         elif parameter == "dwell":
-            dose_mid = i_pe * value / ELECTRON_CHARGE
+            dose_mid = SWEEP_BEAM_CURRENT * value / ELECTRON_CHARGE
         else:
             dose_mid = 0.5 * (spec.dose_min + spec.dose_max)
         for seed in range(seeds):
@@ -312,12 +324,7 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
 
 
 def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> list[dict]:
-    from .corpus import build_recipe, make_scene
-    from .noise import rng_for
-
     rows = []
-    scene_rng = rng_for(spec.base_seed, seed)
-    scene01 = make_scene(spec.scene, scene_rng)
     local = spec
     if parameter in ("dose", "dwell"):
         # scale the whole dose range so the configured contrast ratio is kept
@@ -327,11 +334,8 @@ def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> li
             dose_min=max(spec.dose_min * scale, 1e-6),
             dose_max=spec.dose_max * scale,
         )
-    recipe, _, _ = build_recipe(
-        local, scene01, seed=seed + 1,
-        snr_target=local.snr_targets[0] if local.model == "additive-gaussian" else None,
-    )
-    gt = simulate(recipe)
+    target = local.snr_targets[0] if local.snr_targets else None
+    _, (recipe, _, _), gt = acquire(local, seed, seed + 1, target)
 
     noisy = gt.noisy
     if parameter == "contrast":
@@ -339,17 +343,7 @@ def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> li
 
     # moment-based reference on a flat field of the same mid dose (counting models)
     if local.model != "additive-gaussian":
-        flat_recipe = NoiseRecipe(
-            dose_map=np.full((64, 64), dose_mid),
-            emission_model=local.model,
-            se_yield=local.se_yield,
-            bse_yield=local.bse_yield,
-            detector_gain=local.detector_gain,
-            dc_offset=local.dc_offset,
-            seed=seed + 1,
-            bit_depth=local.bit_depth,
-        )
-        flat = simulate(flat_recipe).noisy.data
+        flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
         sd = float(flat.std())
         moment_snr = (float(flat.mean()) - local.dc_offset) / sd if sd > 0 else math.inf
         rows.append(
@@ -422,40 +416,38 @@ def write_sweep_svg(rows, path) -> None:
 # --- denoising runs -------------------------------------------------------------
 
 
-def run_denoise(corpus_dir, spec: FilterSpec | str, out_dir=None,
-                with_snr: bool = True) -> list[dict]:
+def run_denoise(corpus_dir, spec: FilterSpec | str, out_dir=None) -> list[dict]:
     """Filter every noisy corpus image and report MSE/PSNR against the clean pair.
 
-    When ``out_dir`` is given the filtered planes are quantized back to the
-    input bit depth and written as ``<id>.filtered.pgm`` next to report.csv.
+    Images are read one pair at a time.  When ``out_dir`` is given the filtered
+    planes are quantized back to the input bit depth and written as
+    ``<id>.filtered.pgm`` next to report.csv.
     """
     if isinstance(spec, str):
         spec = parse_filter_spec(spec)
-    images = load_corpus(corpus_dir)
+    root = Path(corpus_dir)
+    truth = read_truth_csv(root / "truth.csv")
     label = filter_spec_to_string(spec)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for image in images:
-        report = apply_filter(image.noisy, spec, reference=image.clean)
+    for image_id in (row["image_id"] for row in truth):
+        noisy = load_plane(root, image_id, "noisy")
+        report = apply_filter(noisy, spec, reference=load_plane(root, image_id, "clean"))
         if out is not None:
-            stored, _ = quantize(report.output, image.noisy.bit_depth)
-            save_pgm(stored, out / f"{image.image_id}.filtered.pgm")
-        snr_before = snr_after = None
-        if with_snr:
-            snr_before = _nn_or_none(image.noisy)
-            snr_after = _nn_or_none(report.output)
+            stored, _ = quantize(report.output, noisy.bit_depth)
+            save_pgm(stored, out / f"{image_id}.filtered.pgm")
         rows.append(
             {
-                "image_id": image.image_id,
+                "image_id": image_id,
                 "filter": label,
                 "mse_vs_clean": report.mse_vs_reference,
                 "psnr_db": report.psnr_db,
                 "estimated_noise_variance": report.estimated_noise_variance,
-                "snr_before": snr_before,
-                "snr_after": snr_after,
+                "snr_before": _nn_or_none(noisy),
+                "snr_after": _nn_or_none(report.output),
             }
         )
     if out is not None:

@@ -104,7 +104,7 @@ def _cmd_estimate(args) -> int:
     if args.config:
         est_cfg = estimator_config_from_config(load_config(args.config))
     _, summary = run_estimation(
-        args.corpus, methods, est_cfg, out_dir=args.out, jobs=max(args.jobs, 1)
+        args.corpus, methods, est_cfg, out_dir=args.out, jobs=args.jobs
     )
     print_summary(summary)
     return EXIT_OK

@@ -247,7 +247,7 @@ def write_csv(path, fieldnames, rows) -> None:
     """Write ``rows`` under the version line and a header; other keys are ignored."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(CSV_MAGIC + "\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         writer.writerows([csv_value(row.get(k)) for k in fieldnames] for row in rows)
 
@@ -274,6 +274,19 @@ def read_truth_csv(path) -> list[dict]:
     return rows
 
 
+def acquire(spec: CorpusSpec, stream: int, seed: int, target: float | None):
+    """One acquisition: (scene01, (recipe, dose_scale, dose_offset), ground_truth).
+
+    The scene comes from RNG stream (base_seed, ``stream``), the noise from
+    ``seed``; ``target`` is the additive-gaussian SNR target, unused by the
+    counting models.
+    """
+    scene01 = make_scene(spec.scene, rng_for(spec.base_seed, stream))
+    built = build_recipe(spec, scene01, seed,
+                         target if spec.model == "additive-gaussian" else None)
+    return scene01, built, simulate(built[0])
+
+
 def iter_corpus(spec: CorpusSpec):
     """Yield (image_id, scene01, recipe, ground_truth, truth_row) in manifest order.
 
@@ -284,13 +297,8 @@ def iter_corpus(spec: CorpusSpec):
     for target in spec.snr_targets:
         for _ in range(spec.seeds_per_level):
             image_id = f"img{index:04d}"
-            stream = rng_for(spec.base_seed, index)
-            scene01 = make_scene(spec.scene, stream)
             seed = int(np.random.SeedSequence((spec.base_seed, index)).generate_state(1)[0])
-            recipe, dose_scale, dose_offset = build_recipe(
-                spec, scene01, seed, target if spec.model == "additive-gaussian" else None
-            )
-            gt = simulate(recipe)
+            scene01, built, gt = acquire(spec, index, seed, target)
             row = {
                 "image_id": image_id,
                 "seed": seed,
@@ -305,7 +313,7 @@ def iter_corpus(spec: CorpusSpec):
                 "scene": spec.scene.kind,
                 "snr_target": float(target),
             }
-            yield image_id, scene01, (recipe, dose_scale, dose_offset), gt, row
+            yield image_id, scene01, built, gt, row
             index += 1
 
 
@@ -359,34 +367,33 @@ def reference_corpus_spec(base_seed: int = 0, seeds_per_level: int = 9) -> Corpu
     )
 
 
+def load_plane(corpus_dir, image_id: str, kind: str) -> Raster:
+    """One stored plane of one image: ``kind`` is scene, clean or noisy."""
+    path = Path(corpus_dir) / f"{image_id}.{kind}.pgm"
+    if not path.exists():
+        raise DataError(f"corpus image {image_id} is missing its {kind} plane {path}")
+    return load_pgm(path)
+
+
 def load_corpus(corpus_dir) -> list[CorpusImage]:
-    """Load every image listed in a corpus directory's truth file."""
+    """Every image in the truth file with both planes in memory; runs use ``load_plane``."""
     root = Path(corpus_dir)
-    rows = read_truth_csv(root / "truth.csv")
-    images = []
-    for row in rows:
-        image_id = row["image_id"]
-        clean_path = root / f"{image_id}.clean.pgm"
-        noisy_path = root / f"{image_id}.noisy.pgm"
-        if not clean_path.exists() or not noisy_path.exists():
-            raise DataError(f"corpus image {image_id} is missing its PGM pair")
-        images.append(
-            CorpusImage(
-                image_id=image_id,
-                clean=load_pgm(clean_path),
-                noisy=load_pgm(noisy_path),
-                truth=row,
-            )
-        )
-    return images
+    return [
+        CorpusImage(row["image_id"], load_plane(root, row["image_id"], "clean"),
+                    load_plane(root, row["image_id"], "noisy"), row)
+        for row in read_truth_csv(root / "truth.csv")
+    ]
+
+
+def _read_recipe(corpus_dir, image_id: str) -> NoiseRecipe:
+    root = Path(corpus_dir)
+    text = (root / f"{image_id}.recipe.txt").read_text(encoding="ascii")
+    return recipe_from_text(text, dose_loader=lambda name: load_pgm(root / name))
 
 
 def regenerate_image(corpus_dir, image_id: str) -> GroundTruth:
     """Re-run the persisted recipe for one image (reproducibility check)."""
-    root = Path(corpus_dir)
-    text = (root / f"{image_id}.recipe.txt").read_text(encoding="ascii")
-    recipe = recipe_from_text(text, dose_loader=lambda name: load_pgm(root / name))
-    return simulate(recipe)
+    return simulate(_read_recipe(corpus_dir, image_id))
 
 
 def second_realization(corpus_dir, image_id: str) -> GroundTruth:
@@ -395,8 +402,6 @@ def second_realization(corpus_dir, image_id: str) -> GroundTruth:
     The recipe is identical except for a derived seed, giving the aligned
     image pair that two-acquisition estimators need.
     """
-    root = Path(corpus_dir)
-    text = (root / f"{image_id}.recipe.txt").read_text(encoding="ascii")
-    recipe = recipe_from_text(text, dose_loader=lambda name: load_pgm(root / name))
+    recipe = _read_recipe(corpus_dir, image_id)
     alt_seed = int(np.random.SeedSequence((recipe.seed, 0x5EC0ED)).generate_state(1)[0])
     return simulate(replace(recipe, seed=alt_seed))

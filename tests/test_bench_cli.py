@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +9,21 @@ import pytest
 from conftest import MALFORMED_FILTER_SPECS
 from semsnr.bench import (
     corpus_spec_from_config,
+    estimator_config_from_config,
     load_config,
     parse_methods,
     read_csv,
     run_estimation,
 )
 from semsnr.cli import main
-from semsnr.corpus import read_truth_csv, regenerate_image, second_realization
+from semsnr.corpus import (
+    CorpusSpec,
+    SceneSpec,
+    load_corpus,
+    read_truth_csv,
+    regenerate_image,
+    second_realization,
+)
 from semsnr.errors import ConfigError, DataError
 from semsnr.raster import load_pgm, raster_from_array, save_pgm
 
@@ -117,8 +127,6 @@ def test_unknown_emission_model_is_named(tmp_path):
 
 
 def test_empty_corpus_section_gives_default_spec(tmp_path):
-    from semsnr.corpus import CorpusSpec
-
     config = tmp_path / "empty.cfg"
     config.write_text("[corpus]\n")
     assert corpus_spec_from_config(load_config(config)) == CorpusSpec()
@@ -227,6 +235,25 @@ def test_sweep_dose_scaling_law(tmp_path, capsys):
         assert medians[0] < medians[1] < medians[2], method
 
 
+@pytest.mark.parametrize("inflation", [1.0, 2.0])
+def test_sweep_moment_rows_follow_the_se_yield_law(inflation):
+    from conftest import BENCH_CONFIG
+    from semsnr.bench import run_sweep
+    from semsnr.noise import ELECTRON_CHARGE
+    from semsnr.yield_snr import BeamParams, snr_yield
+
+    spec = CorpusSpec(scene=SceneSpec(kind="ar_field", width=64, height=64, corr_length=6.0),
+                      model="poisson-se", se_yield=0.16, yield_inflation=inflation,
+                      dose_min=50.0, dose_max=400.0, dc_offset=200.0, base_seed=5)
+    rows = run_sweep("dose", [400.0, 1600.0], spec, ("nn",), BENCH_CONFIG, seeds=3)
+    for dose in (400.0, 1600.0):
+        moments = [r["estimate"] for r in rows if r["method"] == "moment" and r["value"] == dose]
+        beam = BeamParams(i_pe=dose * ELECTRON_CHARGE, dwell=1.0, b_enhancement=inflation)
+        law = snr_yield(beam, delta=0.16, channel="SE")  # sqrt(dose / (1 + k / delta))
+        assert len(moments) == 3
+        assert np.median(moments) == pytest.approx(law, rel=0.05), dose
+
+
 def test_sweep_contrast_invariance(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(SMALL_CONFIG)
@@ -248,6 +275,54 @@ def test_sweep_empty_range_is_config_error(tmp_path):
     config.write_text(SMALL_CONFIG)
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "s"),
                  "--parameter", "dose", "--range", " ", "--seeds", "1"]) == 2
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("estimate", "--jobs", "-5"), ("estimate", "--jobs", "0"),
+    ("sweep", "--seeds", "0"), ("sweep", "--seeds", "-1"),
+])
+def test_count_below_one_is_config_error(small_corpus, tmp_path, capsys, command, flag, value):
+    config, corpus_dir = small_corpus
+    source = ["--corpus", str(corpus_dir)] if command == "estimate" else [
+        "--config", str(config), "--parameter", "dose", "--range", "100"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *source, "--methods", "nn", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and value in err
+    assert not out.exists()
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert "#" in block  # the example documents its values with inline comments
+    config = tmp_path / "readme.cfg"
+    config.write_text(block)
+    cfg = load_config(config)
+    spec = corpus_spec_from_config(cfg)
+    assert (spec.scene.kind, spec.scene.corr_length, spec.model) == (
+        "spectral", 110.0, "additive-gaussian")
+    assert spec.snr_targets == (1.0, 5.0, 20.0)
+    est = estimator_config_from_config(cfg)
+    assert (est.epsilon_policy, est.n_points) == ("zero", 4)
+
+
+def test_estimation_reads_no_clean_plane(small_corpus, tmp_path, capsys):
+    _, corpus_dir = small_corpus
+    for path in corpus_dir.glob("*.clean.pgm"):
+        path.unlink()
+    rows, summary = run_estimation(corpus_dir, ("nn", "lsr"), jobs=2)
+    assert len(rows) == 2 * len(read_truth_csv(corpus_dir / "truth.csv"))
+    assert all(line["n_ok"] == line["n_total"] for line in summary)
+    # the runs that need a clean plane name the one that is missing
+    missing = corpus_dir / "img0000.clean.pgm"
+    with pytest.raises(DataError, match="img0000 is missing its clean plane"):
+        load_corpus(corpus_dir)
+    capsys.readouterr()
+    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(tmp_path / "den"),
+                 "--filter", "gaussian:sigma=1.0"]) == 3
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_denoise_cli_identity_spec(small_corpus, tmp_path):
@@ -481,11 +556,14 @@ def test_csv_cells_round_trip_exactly(small_corpus, tmp_path):
     rows = run_denoise(corpus_dir, "wiener_local:window=5,noise_var=0", out_dir=tmp_path / "den")
     cells = _assert_cells_exact(tmp_path / "den" / "report.csv", DENOISE_FIELDS, rows)
     assert "inf" in cells and "" in cells
+    for path in (tmp_path / "res" / "results.csv", tmp_path / "den" / "report.csv"):
+        assert b"\r" not in path.read_bytes()  # one line ending: LF
 
     fields = ("pos", "neg", "nan", "none", "f64", "f32", "int", "whole")
     row = {"pos": math.inf, "neg": -math.inf, "nan": math.nan, "none": None,
            "f64": np.float64(0.1), "f32": np.float32(0.1), "int": np.int64(7), "whole": 2.0}
     write_csv(tmp_path / "cells.csv", fields, [row])
+    assert b"\r" not in (tmp_path / "cells.csv").read_bytes()
     assert read_csv(tmp_path / "cells.csv") == [{
         "pos": "inf", "neg": "-inf", "nan": "nan", "none": "", "f64": "0.1",
         "f32": repr(float(np.float32(0.1))), "int": "7", "whole": "2.0",
