@@ -3,13 +3,18 @@
 Subcommands: generate, estimate, sweep, denoise, report.  Exit codes:
 0 success, 2 configuration error, 3 data error (including a corrupt corpus
 file and an ``--out`` path that cannot be created or written), 4 internal
-error.
+error.  Every command writes its ``--out`` files into a sibling
+``<out>.partial/`` first and moves them into ``<out>`` only on success, so a
+failed run leaves neither directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bench import (
@@ -91,9 +96,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _staged_out(out_dir):
+    """Yield a fresh ``<out>.partial/`` to write into; move its files into ``out_dir``
+    when the block succeeds and remove it when the block raises."""
+    out = Path(os.path.abspath(out_dir))
+    stage = out.with_name(out.name + ".partial")
+    stage.mkdir(parents=True)  # an existing one is not ours to overwrite
+    try:
+        yield stage
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    out.mkdir(exist_ok=True)
+    for path in stage.iterdir():
+        path.replace(out / path.name)
+    stage.rmdir()
+
+
 def _cmd_generate(args) -> int:
     spec = corpus_spec_from_config(load_config(args.config), seed_override=args.seed)
-    rows = generate_corpus(spec, args.out)
+    with _staged_out(args.out) as out:
+        rows = generate_corpus(spec, out)
     print(f"generated {len(rows)} image pair(s) in {args.out}")
     return EXIT_OK
 
@@ -103,9 +127,8 @@ def _cmd_estimate(args) -> int:
     est_cfg = DEFAULT_CONFIG
     if args.config:
         est_cfg = estimator_config_from_config(load_config(args.config))
-    _, summary = run_estimation(
-        args.corpus, methods, est_cfg, out_dir=args.out, jobs=args.jobs
-    )
+    with _staged_out(args.out) as out:
+        _, summary = run_estimation(args.corpus, methods, est_cfg, out_dir=out, jobs=args.jobs)
     print_summary(summary)
     return EXIT_OK
 
@@ -120,11 +143,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --range value: {exc}") from exc
     rows = run_sweep(args.parameter, values, spec, parse_methods(args.methods),
                      est_cfg, seeds=args.seeds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "sweep.csv", SWEEP_FIELDS, rows)
-    write_sweep_svg(rows, out / "sweep.svg")
-    print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
+    with _staged_out(args.out) as out:
+        write_csv(out / "sweep.csv", SWEEP_FIELDS, rows)
+        write_sweep_svg(rows, out / "sweep.svg")
+    print(f"wrote {len(rows)} sweep rows to {Path(args.out) / 'sweep.csv'}")
     return EXIT_OK
 
 
@@ -133,7 +155,8 @@ def _cmd_denoise(args) -> int:
         spec = parse_filter_spec(args.filter_spec)
     except DomainError as exc:
         raise ConfigError(f"bad --filter value: {exc}") from exc
-    rows = run_denoise(args.corpus, spec, out_dir=args.out)
+    with _staged_out(args.out) as out:
+        rows = run_denoise(args.corpus, spec, out_dir=out)
     mses = [r["mse_vs_clean"] for r in rows if r["mse_vs_clean"] is not None]
     if mses:
         print(f"filtered {len(rows)} image(s); mean MSE vs clean = {sum(mses) / len(mses):.4g}")
@@ -144,9 +167,8 @@ def _cmd_report(args) -> int:
     summary = summarize_results(read_csv(args.results))
     print_summary(summary)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "summary.csv", SUMMARY_FIELDS, summary)
+        with _staged_out(args.out) as out:
+            write_csv(out / "summary.csv", SUMMARY_FIELDS, summary)
     return EXIT_OK
 
 

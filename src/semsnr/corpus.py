@@ -15,6 +15,7 @@ per-image RNG streams derive from (corpus seed, image index).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,6 +35,9 @@ from .noise import (
 from .raster import Raster, load_pgm, quantize, save_pgm
 
 SCENE_KINDS = ("ar_field", "spectral", "blobs", "ramp", "constant")
+
+# amplitude spectra kept by _spectral_amplitude (one per scene size and shape)
+_AMPLITUDE_CACHE_SIZE = 4
 
 CSV_MAGIC = "# semsnr-csv v1"
 
@@ -96,29 +100,38 @@ def _ar1_both_axes(noise: np.ndarray, phi: float) -> np.ndarray:
     return out.T
 
 
-def _spectral_field(h: int, w: int, corr_length: float, nugget: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Random-phase field with a deterministic, estimator-friendly correlation.
+@functools.lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _spectral_amplitude(h: int, w: int, corr_length: float, nugget: float) -> np.ndarray:
+    """Read-only ``h x (w//2 + 1)`` half-spectrum amplitude of the spectral target.
 
     The target circular autocorrelation is (1 - nugget) * exp(-r / corr_length)
     plus a white nugget at zero offset (per-pixel fine detail).  Both
     components have nonnegative power spectra, so the amplitude spectrum is
-    exact and every realization shares the same sample autocorrelation shape;
-    only the phases are random.
+    exact and depends only on the arguments; it is cached on them.
     """
     dy = np.minimum(np.arange(h), h - np.arange(h))[:, None]
     dx = np.minimum(np.arange(w), w - np.arange(w))[None, :]
-    radius = np.hypot(dy, dx)
-    smooth_psd = np.fft.fft2(np.exp(-radius / corr_length)).real
-    psd = (1.0 - nugget) * np.maximum(smooth_psd, 0.0) + nugget
-    amplitude = np.sqrt(psd)
+    smooth_psd = np.fft.rfft2(np.exp(-np.hypot(dy, dx) / corr_length)).real
+    amplitude = np.sqrt((1.0 - nugget) * np.maximum(smooth_psd, 0.0) + nugget)
     amplitude[0, 0] = 0.0  # mean handled by normalization
+    amplitude.flags.writeable = False
+    return amplitude
+
+
+def _spectral_field(h: int, w: int, corr_length: float, nugget: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Random-phase field with a deterministic, estimator-friendly correlation.
+
+    Every realization shares the amplitude spectrum of ``_spectral_amplitude``,
+    and so the same sample autocorrelation shape; only the phases are random.
+    """
+    amplitude = _spectral_amplitude(h, w, corr_length, nugget)
     # Hermitian-symmetric unit phases from a real white field keep the
     # synthesized field real and its amplitude spectrum exactly on target.
-    white = np.fft.fft2(rng.standard_normal((h, w)))
+    white = np.fft.rfft2(rng.standard_normal((h, w)))
     magnitude = np.abs(white)
     phases = np.where(magnitude > 0.0, white / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
-    field_ = np.fft.ifft2(amplitude * phases).real
+    field_ = np.fft.irfft2(amplitude * phases, s=(h, w))
     # Equalize row and column means: overlap windows of the lagged product
     # sums then share the same mean, which keeps sample autocorrelation tails
     # stable when the intensity offset dwarfs the contrast.
@@ -205,10 +218,14 @@ def build_recipe(spec: CorpusSpec, scene01: np.ndarray, seed: int,
     The dose map is an affine map of the 16-bit quantized scene basis so that a
     serialized recipe regenerates the acquisition exactly.
     """
-    basis = _scene_to_raster(scene01).data  # integers 0..65535
+    return _recipe_for_basis(spec, _scene_to_raster(scene01), seed, snr_target)
+
+
+def _recipe_for_basis(spec: CorpusSpec, basis: Raster, seed: int,
+                      snr_target: float | None) -> tuple[NoiseRecipe, float, float]:
     dose_scale = (spec.dose_max - spec.dose_min) / 65535.0
     dose_offset = spec.dose_min
-    dose = dose_scale * basis + dose_offset
+    dose = dose_scale * basis.data + dose_offset  # basis holds integers 0..65535
     sigma = 0.0
     if spec.model == "additive-gaussian":
         if snr_target is None or snr_target <= 0.0:
@@ -275,20 +292,24 @@ def read_truth_csv(path) -> list[dict]:
 
 
 def acquire(spec: CorpusSpec, stream: int, seed: int, target: float | None):
-    """One acquisition: (scene01, (recipe, dose_scale, dose_offset), ground_truth).
+    """One acquisition: (basis, (recipe, dose_scale, dose_offset), ground_truth).
 
+    ``basis`` is the 16-bit quantized scene the dose map is an affine map of.
     The scene comes from RNG stream (base_seed, ``stream``), the noise from
     ``seed``; ``target`` is the additive-gaussian SNR target, unused by the
     counting models.
     """
-    scene01 = make_scene(spec.scene, rng_for(spec.base_seed, stream))
-    built = build_recipe(spec, scene01, seed,
-                         target if spec.model == "additive-gaussian" else None)
-    return scene01, built, simulate(built[0])
+    basis = _scene_to_raster(make_scene(spec.scene, rng_for(spec.base_seed, stream)))
+    built = _recipe_for_basis(spec, basis, seed,
+                              target if spec.model == "additive-gaussian" else None)
+    return basis, built, simulate(built[0])
 
 
 def iter_corpus(spec: CorpusSpec):
-    """Yield (image_id, scene01, recipe, ground_truth, truth_row) in manifest order.
+    """Yield (image_id, basis, built, ground_truth, truth_row) in manifest order.
+
+    ``basis`` is the stored 16-bit scene raster and ``built`` the
+    (recipe, dose_scale, dose_offset) triple of ``build_recipe``.
 
     Per-image randomness derives from (base_seed, image index), so the corpus
     is reproducible image by image and safe to generate in parallel.
@@ -298,7 +319,7 @@ def iter_corpus(spec: CorpusSpec):
         for _ in range(spec.seeds_per_level):
             image_id = f"img{index:04d}"
             seed = int(np.random.SeedSequence((spec.base_seed, index)).generate_state(1)[0])
-            scene01, built, gt = acquire(spec, index, seed, target)
+            basis, built, gt = acquire(spec, index, seed, target)
             row = {
                 "image_id": image_id,
                 "seed": seed,
@@ -313,7 +334,7 @@ def iter_corpus(spec: CorpusSpec):
                 "scene": spec.scene.kind,
                 "snr_target": float(target),
             }
-            yield image_id, scene01, built, gt, row
+            yield image_id, basis, built, gt, row
             index += 1
 
 
@@ -330,9 +351,9 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> list[dict]:
         f"base_seed = {spec.base_seed}",
         f"images = {spec.image_count()}",
     ]
-    for image_id, scene01, (recipe, dose_scale, dose_offset), gt, row in iter_corpus(spec):
+    for image_id, basis, (recipe, dose_scale, dose_offset), gt, row in iter_corpus(spec):
         scene_name = f"{image_id}.scene.pgm"
-        save_pgm(_scene_to_raster(scene01), out / scene_name)
+        save_pgm(basis, out / scene_name)
         with open(out / f"{image_id}.recipe.txt", "w", encoding="ascii") as fh:
             fh.write(recipe_to_text(recipe, dose_pgm=scene_name,
                                     dose_scale=dose_scale, dose_offset=dose_offset))

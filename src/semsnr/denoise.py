@@ -188,10 +188,27 @@ def gaussian_blur(x: np.ndarray, sigma: float, radius: int | None = None) -> np.
     return _convolve_separable(np.asarray(x, dtype=np.float64), _gaussian_kernel(sigma, radius))
 
 
+_MEDIAN_STRIP = 64  # output rows per partition pass of _median
+
+
 def _median(x: np.ndarray, window: int) -> np.ndarray:
-    r = window // 2
-    views = np.lib.stride_tricks.sliding_window_view(_pad(x, r, r), (window, window))
-    return np.median(views, axis=(2, 3))
+    # The window is odd, so its median is the one middle element: partitioning
+    # the window**2 shifted views at that rank gives np.median's value exactly.
+    # A strip of _MEDIAN_STRIP rows at a time bounds the stack's memory.
+    padded = _pad(x, window // 2, window // 2)
+    h, w = x.shape
+    middle = window * window // 2
+    stack = np.empty((window * window, min(_MEDIAN_STRIP, h), w))
+    out = np.empty((h, w))
+    for top in range(0, h, _MEDIAN_STRIP):
+        rows = min(_MEDIAN_STRIP, h - top)
+        strip = stack[:, :rows]
+        for i in range(window * window):
+            dy, dx = divmod(i, window)
+            strip[i] = padded[top + dy : top + dy + rows, dx : dx + w]
+        strip.partition(middle, axis=0)
+        out[top : top + rows] = strip[middle]
+    return out
 
 
 def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:

@@ -422,12 +422,7 @@ def estimate_frank_alali(a: Raster, b: Raster) -> SnrEstimate:
     """
     if (a.width, a.height) != (b.width, b.height):
         raise DomainError("images must have equal dimensions")
-    xa, xb = a.data, b.data
-    mu_a, mu_b = float(xa.mean()), float(xb.mean())
-    sd_a, sd_b = float(xa.std()), float(xb.std())
-    if sd_a == 0.0 or sd_b == 0.0:
-        raise DegenerateError("an input image has zero variance")
-    rho = (float(np.mean(xa * xb)) - mu_a * mu_b) / (sd_a * sd_b)
+    rho = _pearson(a.data, b.data)
     if rho >= 1.0:
         return _infinite("frank_alali", rho=rho)
     snr = snr_from_correlation(rho)
@@ -502,10 +497,13 @@ def estimate_smart(img: Raster, second: Raster | None = None,
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = float(a.std()), float(b.std())
-    if sa == 0.0 or sb == 0.0:
-        raise DegenerateError("a region has zero variance")
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    """Correlation coefficient; exactly 1.0 for identical inputs, since sqrt(s * s)
+    rounds back to s, so an exact duplicate always reads as infinite SNR."""
+    da, db = a - a.mean(), b - b.mean()
+    saa, sbb = float(np.sum(da * da)), float(np.sum(db * db))
+    if saa == 0.0 or sbb == 0.0:
+        raise DegenerateError("an input has zero variance")
+    return float(np.sum(da * db)) / math.sqrt(saa * sbb)
 
 
 # --- method registry --------------------------------------------------------------

@@ -33,8 +33,8 @@ def oracle_corpus():
     """The frozen 54-image oracle corpus, kept in memory for the session."""
     spec = reference_corpus_spec()
     return [
-        {"image_id": image_id, "scene01": scene01, "gt": gt, "truth": row}
-        for image_id, scene01, _, gt, row in iter_corpus(spec)
+        {"image_id": image_id, "gt": gt, "truth": row}
+        for image_id, _, _, gt, row in iter_corpus(spec)
     ]
 
 

@@ -480,6 +480,37 @@ def test_estimate_default_policy_is_zero(small_corpus, tmp_path):
     assert runs["default"] == runs["zero"]
 
 
+def test_failed_run_leaves_no_out(small_corpus, tmp_path, capsys):
+    _, corpus_dir = small_corpus
+    (corpus_dir / "img0002.noisy.pgm").write_bytes(b"P5\n64 64\n65535\n\x00\x00")
+    for command, extra in (("denoise", ["--filter", "gaussian:sigma=1.0"]),
+                           ("estimate", ["--methods", "nn"])):
+        out = tmp_path / command
+        assert main([command, "--corpus", str(corpus_dir), "--out", str(out), *extra]) == 3
+        assert "img0002.noisy.pgm" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / f"{command}.partial").exists()
+
+
+def test_out_is_filled_on_success_and_staging_is_never_reused(small_corpus, tmp_path, capsys):
+    _, corpus_dir = small_corpus
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "keep.txt").write_text("not the run's\n")
+    args = ["estimate", "--corpus", str(corpus_dir), "--out", str(out), "--methods", "nn"]
+    assert main(args) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.jsonl", "keep.txt", "results.csv", "summary.csv"]
+    assert not (tmp_path / "res.partial").exists()
+    stale = tmp_path / "res.partial"  # say, left by a killed run
+    stale.mkdir()
+    (stale / "mine.txt").write_text("kept\n")
+    capsys.readouterr()
+    assert main(args) == 3
+    assert "res.partial" in capsys.readouterr().err
+    assert (stale / "mine.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["generate", "estimate", "sweep", "denoise", "report"])
 def test_unwritable_out_is_data_error(small_corpus, tmp_path, capsys, command):
     config, corpus_dir = small_corpus

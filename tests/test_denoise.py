@@ -205,6 +205,25 @@ def test_wiener_local_matches_window_view_formula_on_oracle(oracle_corpus):
     assert np.max(np.abs(out - expected)) <= 1e-8
 
 
+def _median_window_view(x, window):
+    """The direct formula: np.median over a materialised mirror-padded window view."""
+    r = window // 2
+    padded = np.pad(x, r, mode="symmetric")
+    return np.median(np.lib.stride_tricks.sliding_window_view(padded, (window, window)),
+                     axis=(2, 3))
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+@pytest.mark.parametrize("shape", [(130, 97), (40, 33)], ids=["three_strips", "one_strip"])
+def test_median_matches_window_view_formula(window, shape, rng):
+    floats = rng.uniform(0.0, 1000.0, size=shape)
+    ties = rng.integers(0, 6, size=shape).astype(np.float64)  # many equal neighbours
+    for arr in (floats, ties):
+        spec = parse_filter_spec(f"median:window={window}")
+        out = spatial_filter(raster_from_array(arr), spec).data
+        assert np.array_equal(out, _median_window_view(arr, window))
+
+
 def test_wiener_local_reduces_mse_on_oracle(oracle_corpus):
     entry = oracle_corpus[10]
     gt = entry["gt"]

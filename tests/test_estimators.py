@@ -327,6 +327,21 @@ def test_smart_duplicated_second_image(rng):
     assert est.diagnostics["fwhm"] >= 1.0
 
 
+@pytest.mark.parametrize("stream", range(6))
+def test_exact_duplicate_reads_infinite_whatever_the_rounding(stream):
+    # a rho divided by the product of two std() values lands an ulp or two
+    # under 1 on some of these planes (stream 5), an "ok" SNR of about 9e15
+    from semsnr.corpus import SceneSpec, make_scene
+    from semsnr.noise import rng_for
+
+    scene = make_scene(SceneSpec(kind="spectral", width=256, height=256,
+                                 corr_length=20.0, spectral_nugget=0.004), rng_for(5, stream))
+    img = raster_from_array(20000.0 * scene + 1000.0, 16)
+    for est in (estimate_smart(img, second=img, cfg=BENCH_CONFIG), estimate_frank_alali(img, img)):
+        assert est.status == "infinite", est.method
+        assert est.diagnostics["rho"] == 1.0
+
+
 def test_smart_white_noise_error_path():
     from semsnr.noise import rng_for
 
