@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .estimators import (
     estimate_all,
     estimate_nn,
 )
-from .noise import ELECTRON_CHARGE, EMISSION_MODELS, simulate
+from .noise import ELECTRON_CHARGE, simulate
 from .raster import Raster, quantize, raster_from_array, save_pgm
 
 RESULTS_FIELDS = (
@@ -114,29 +114,22 @@ def corpus_spec_from_config(cfg: configparser.ConfigParser,
         spec = CorpusSpec(scene=SceneSpec(**scene), **values)
     except ValueError as exc:
         raise ConfigError(f"bad [corpus] value: {exc}") from exc
-    if spec.model not in EMISSION_MODELS:
-        raise ConfigError(
-            f"unknown emission model {spec.model!r}; expected one of {EMISSION_MODELS}"
-        )
     return spec
 
 
-_ESTIMATE_INT_KEYS = {
-    "n_points", "lag_start", "nllsr_lag_start", "acldr_order", "chillsr_points", "smart_shift",
-}
-
-
 def estimator_config_from_config(cfg: configparser.ConfigParser) -> EstimatorConfig:
+    """The ``[estimate]`` keys are EstimatorConfig's fields, typed by their defaults."""
     if not cfg.has_section("estimate"):
         return DEFAULT_CONFIG
     section = cfg["estimate"]
-    unknown = set(section.keys()) - _ESTIMATE_INT_KEYS - {"epsilon_policy"}
+    types = {f.name: type(f.default) for f in fields(EstimatorConfig)}
+    unknown = set(section.keys()) - set(types)
     if unknown:
         raise ConfigError(f"unknown [estimate] keys: {sorted(unknown)}")
     kwargs = {}
-    for key in section.keys():
+    for key, text in section.items():
         try:
-            kwargs[key] = section.getint(key) if key in _ESTIMATE_INT_KEYS else section.get(key)
+            kwargs[key] = types[key](text)
         except ValueError as exc:
             raise ConfigError(f"bad [estimate] value for {key}: {exc}") from exc
     try:
@@ -334,8 +327,7 @@ def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> li
             dose_min=max(spec.dose_min * scale, 1e-6),
             dose_max=spec.dose_max * scale,
         )
-    target = local.snr_targets[0] if local.snr_targets else None
-    _, (recipe, _, _), gt = acquire(local, seed, seed + 1, target)
+    _, (recipe, _, _), gt = acquire(local, seed, seed + 1, local.snr_targets[0])
 
     noisy = gt.noisy
     if parameter == "contrast":

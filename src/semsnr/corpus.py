@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import gaussian_blur
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainError
 from .noise import (
     GroundTruth,
     NoiseRecipe,
@@ -177,7 +177,8 @@ class CorpusSpec:
     For the additive-gaussian model ``snr_targets`` states the intended
     signal/noise variance ratio per image; the exact realized oracle is
     recorded in truth.csv.  Counting models instead scale the scene into
-    [dose_min, dose_max] electrons per pixel.
+    [dose_min, dose_max] electrons per pixel.  A spec that would build no
+    image, or no valid acquisition, is a ConfigError.
     """
 
     scene: SceneSpec = field(default_factory=SceneSpec)
@@ -194,6 +195,20 @@ class CorpusSpec:
     dc_offset: float = 200.0
     bit_depth: int = 16
 
+    def __post_init__(self):
+        if self.image_count() < 1:
+            raise ConfigError("a corpus needs at least one snr target and one seed per level")
+        if not (0.0 < self.dose_min <= self.dose_max):
+            raise ConfigError("doses must satisfy 0 < dose_min <= dose_max")
+        try:  # quantize's bit depths and NoiseRecipe's model, yield, gain and offset rules
+            quantize(np.zeros((2, 2)), self.bit_depth)
+            NoiseRecipe(dose_map=np.ones((1, 1)), emission_model=self.model,
+                        se_yield=self.se_yield, bse_yield=self.bse_yield,
+                        yield_inflation=self.yield_inflation, detector_gain=self.detector_gain,
+                        dc_offset=self.dc_offset, bit_depth=self.bit_depth)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def image_count(self) -> int:
         return len(self.snr_targets) * self.seeds_per_level
 
@@ -204,51 +219,6 @@ class CorpusImage:
     clean: Raster
     noisy: Raster
     truth: dict
-
-
-def _scene_to_raster(scene01: np.ndarray) -> Raster:
-    basis, _ = quantize(scene01 * 65535.0, 16)
-    return basis
-
-
-def build_recipe(spec: CorpusSpec, scene01: np.ndarray, seed: int,
-                 snr_target: float | None) -> tuple[NoiseRecipe, float, float]:
-    """Instantiate a recipe for one image; returns (recipe, dose_scale, dose_offset).
-
-    The dose map is an affine map of the 16-bit quantized scene basis so that a
-    serialized recipe regenerates the acquisition exactly.
-    """
-    return _recipe_for_basis(spec, _scene_to_raster(scene01), seed, snr_target)
-
-
-def _recipe_for_basis(spec: CorpusSpec, basis: Raster, seed: int,
-                      snr_target: float | None) -> tuple[NoiseRecipe, float, float]:
-    dose_scale = (spec.dose_max - spec.dose_min) / 65535.0
-    dose_offset = spec.dose_min
-    dose = dose_scale * basis.data + dose_offset  # basis holds integers 0..65535
-    sigma = 0.0
-    if spec.model == "additive-gaussian":
-        if snr_target is None or snr_target <= 0.0:
-            raise ConfigError("the additive-gaussian model needs a positive snr target")
-        clean_plane = spec.detector_gain * dose + spec.dc_offset
-        sigma_intensity = math.sqrt(float(np.var(clean_plane)) / snr_target)
-        sigma = sigma_intensity / spec.detector_gain  # recipe sigma acts on counts
-    return (
-        NoiseRecipe(
-            dose_map=dose,
-            emission_model=spec.model,
-            se_yield=spec.se_yield,
-            bse_yield=spec.bse_yield,
-            yield_inflation=spec.yield_inflation,
-            gaussian_sigma=sigma,
-            detector_gain=spec.detector_gain,
-            dc_offset=spec.dc_offset,
-            seed=seed,
-            bit_depth=spec.bit_depth,
-        ),
-        dose_scale,
-        dose_offset,
-    )
 
 
 def csv_value(value) -> str:
@@ -294,22 +264,42 @@ def read_truth_csv(path) -> list[dict]:
 def acquire(spec: CorpusSpec, stream: int, seed: int, target: float | None):
     """One acquisition: (basis, (recipe, dose_scale, dose_offset), ground_truth).
 
-    ``basis`` is the 16-bit quantized scene the dose map is an affine map of.
-    The scene comes from RNG stream (base_seed, ``stream``), the noise from
-    ``seed``; ``target`` is the additive-gaussian SNR target, unused by the
-    counting models.
+    ``basis`` is the 16-bit quantized scene; the dose map is an affine map of
+    it, so a serialized recipe regenerates the acquisition exactly.  The scene
+    comes from RNG stream (base_seed, ``stream``), the noise from ``seed``;
+    ``target`` is the additive-gaussian SNR target, unused by the counting
+    models.
     """
-    basis = _scene_to_raster(make_scene(spec.scene, rng_for(spec.base_seed, stream)))
-    built = _recipe_for_basis(spec, basis, seed,
-                              target if spec.model == "additive-gaussian" else None)
-    return basis, built, simulate(built[0])
+    basis, _ = quantize(make_scene(spec.scene, rng_for(spec.base_seed, stream)) * 65535.0, 16)
+    dose_scale = (spec.dose_max - spec.dose_min) / 65535.0
+    dose = dose_scale * basis.data + spec.dose_min  # basis holds integers 0..65535
+    sigma = 0.0
+    if spec.model == "additive-gaussian":
+        if target is None or target <= 0.0:
+            raise ConfigError("the additive-gaussian model needs a positive snr target")
+        sigma_intensity = math.sqrt(float(np.var(spec.detector_gain * dose + spec.dc_offset))
+                                    / target)
+        sigma = sigma_intensity / spec.detector_gain  # recipe sigma acts on counts
+    recipe = NoiseRecipe(
+        dose_map=dose,
+        emission_model=spec.model,
+        se_yield=spec.se_yield,
+        bse_yield=spec.bse_yield,
+        yield_inflation=spec.yield_inflation,
+        gaussian_sigma=sigma,
+        detector_gain=spec.detector_gain,
+        dc_offset=spec.dc_offset,
+        seed=seed,
+        bit_depth=spec.bit_depth,
+    )
+    return basis, (recipe, dose_scale, spec.dose_min), simulate(recipe)
 
 
 def iter_corpus(spec: CorpusSpec):
     """Yield (image_id, basis, built, ground_truth, truth_row) in manifest order.
 
     ``basis`` is the stored 16-bit scene raster and ``built`` the
-    (recipe, dose_scale, dose_offset) triple of ``build_recipe``.
+    (recipe, dose_scale, dose_offset) triple of :func:`acquire`.
 
     Per-image randomness derives from (base_seed, image index), so the corpus
     is reproducible image by image and safe to generate in parallel.

@@ -150,6 +150,16 @@ def snr_from_peaks(r0: float, r_nf: float, mean: float) -> float:
     return (r_nf - mu2) / (r0 - r_nf)
 
 
+def pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Correlation coefficient; exactly 1.0 for identical inputs, since sqrt(s * s)
+    rounds back to s, so an exact duplicate always reads as infinite SNR."""
+    da, db = a - a.mean(), b - b.mean()
+    saa, sbb = float(np.sum(da * da)), float(np.sum(db * db))
+    if saa == 0.0 or sbb == 0.0:
+        raise DegenerateError("an input has zero variance")
+    return float(np.sum(da * db)) / math.sqrt(saa * sbb)
+
+
 def _profile_fwhm(profile: np.ndarray, peak_idx: int, peak: float, background: float) -> float:
     """Full width at half maximum of a line profile, linear interpolation at crossings."""
     half = background + 0.5 * (peak - background)
@@ -212,8 +222,8 @@ def cross_correlate(a: Raster, b: Raster) -> CcfResult:
     """Spectrum-domain cross-correlation with peak location, FWHM, and correlation.
 
     The surface comes from :func:`ccf_surface`.  The reported correlation is
-    the zero-offset correlation coefficient after circularly aligning ``b`` by
-    the recovered peak offset.
+    :func:`pearson` of ``a`` and ``b`` circularly aligned by the recovered peak
+    offset, and 0.0 when either input has zero variance.
     """
     if (a.width, a.height) != (b.width, b.height):
         raise DomainError(
@@ -225,10 +235,8 @@ def cross_correlate(a: Raster, b: Raster) -> CcfResult:
     ccf = ccf_surface(a.data, b.data)
     dx, dy = ccf.peak_offset
     aligned = np.roll(b.data, (-dy, -dx), axis=(0, 1))
-    sa = float(np.std(a.data))
-    sb = float(np.std(aligned))
-    if sa == 0.0 or sb == 0.0:
+    try:
+        rho = pearson(a.data, aligned)
+    except DegenerateError:
         rho = 0.0
-    else:
-        rho = float(np.mean((a.data - a.data.mean()) * (aligned - aligned.mean())) / (sa * sb))
     return replace(ccf, correlation=max(-1.0, min(1.0, rho)))

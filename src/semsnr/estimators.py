@@ -29,6 +29,7 @@ from .correlation import (
     ccf_surface,
     lag_fits,
     lag_table,
+    pearson,
     snr_db,
     snr_from_peaks,
 )
@@ -46,10 +47,14 @@ from .raster import Raster
 
 EPSILON_POLICIES = ("half_gap", "zero")
 
+# asnn's published affine correction of the unit-offset estimate
+ASNN_SLOPE = 0.99744
+ASNN_INTERCEPT = 0.00645
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Shared tuning knobs for the estimator suite.
+    """Shared tuning knobs for the estimator suite; its fields are the ``[estimate]`` keys.
 
     ``n_points`` is the number of autocorrelation lags used by fitting
     methods, ``lag_start`` the first lag they use (the log-log fit starts at
@@ -66,9 +71,6 @@ class EstimatorConfig:
     acldr_order: int = 2
     chillsr_points: int = 4
     epsilon_policy: str = "zero"
-    asnn_slope: float = 0.99744
-    asnn_intercept: float = 0.00645
-    chillsr_correction: tuple[float, float, float] = (0.0, 1.0, 0.0)
     smart_shift: int = 4
 
     def __post_init__(self):
@@ -300,9 +302,9 @@ def chillsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG) -> tupl
     return peak, {"tangents": d.tolist()}
 
 
-def asnn_correct(snr_base: float, cfg: EstimatorConfig = DEFAULT_CONFIG) -> float:
+def asnn_correct(snr_base: float) -> float:
     """Published affine correction of the unit-offset estimate."""
-    return cfg.asnn_slope * snr_base - cfg.asnn_intercept
+    return ASNN_SLOPE * snr_base - ASNN_INTERCEPT
 
 
 # --- image-level estimators ---------------------------------------------------
@@ -315,12 +317,6 @@ def _table(src: Raster | LagTable, method: str, cfg: EstimatorConfig) -> LagTabl
 
 def _from_peak(method: str, table: LagTable, peak: float, **diag) -> SnrEstimate:
     return _ok(method, snr_from_peaks(table.x.value(0), peak, table.mean), peak=peak, **diag)
-
-
-def _corrected(method: str, snr: float, peak: float, **diag) -> SnrEstimate:
-    if snr <= 0.0:
-        raise DegenerateError(f"corrected SNR {snr} is not positive")
-    return _ok(method, snr, peak=peak, **diag)
 
 
 def estimate_nn(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
@@ -357,16 +353,14 @@ def estimate_nllsr(img: Raster | LagTable,
     return _from_peak("nllsr", t, peak, **diag)
 
 
-def _asnn(nn: SnrEstimate, cfg: EstimatorConfig) -> SnrEstimate:
-    if nn.status != "ok":
-        return replace(nn, method="asnn")
-    return _corrected("asnn", asnn_correct(nn.snr_linear, cfg), nn.predicted_nf_peak,
-                      snr_base=nn.snr_linear, slope=cfg.asnn_slope, intercept=cfg.asnn_intercept)
-
-
 def estimate_asnn(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
     """Affine-corrected nearest-offset estimate."""
-    return _asnn(estimate_nn(img, cfg), cfg)
+    nn = estimate_nn(_table(img, "asnn", cfg), cfg)
+    snr = asnn_correct(nn.snr_linear)
+    if snr <= 0.0:
+        raise DegenerateError(f"corrected SNR {snr} is not positive")
+    return _ok("asnn", snr, peak=nn.predicted_nf_peak, snr_base=nn.snr_linear,
+               slope=ASNN_SLOPE, intercept=ASNN_INTERCEPT)
 
 
 def estimate_acldr(img: Raster | LagTable,
@@ -396,13 +390,10 @@ def estimate_acldr(img: Raster | LagTable,
 
 def estimate_chillsrsnr(img: Raster | LagTable,
                         cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
-    """Cubic Hermite spline extrapolation with an optional quadratic correction."""
+    """Cubic Hermite spline extrapolation of the x profile."""
     t = _table(img, "chillsr", cfg)
     peak, diag = chillsr_peak(t.x, cfg)
-    raw = snr_from_peaks(t.x.value(0), peak, t.mean)
-    qa, qb, qc = cfg.chillsr_correction
-    return _corrected("chillsr", qa * raw * raw + qb * raw + qc, peak, raw_snr=raw,
-                      correction=list(cfg.chillsr_correction), **diag)
+    return _from_peak("chillsr", t, peak, **diag)
 
 
 def snr_from_correlation(rho: float) -> float:
@@ -414,6 +405,13 @@ def snr_from_correlation(rho: float) -> float:
     return rho / (1.0 - rho)
 
 
+def _from_rho(method: str, rho: float, **diag) -> SnrEstimate:
+    """The two-image tail: infinite at rho >= 1, else rho / (1 - rho)."""
+    if rho >= 1.0:
+        return _infinite(method, rho=rho, **diag)
+    return _ok(method, snr_from_correlation(rho), rho=rho, **diag)
+
+
 def estimate_frank_alali(a: Raster, b: Raster) -> SnrEstimate:
     """Two-acquisition estimate from the zero-offset correlation coefficient.
 
@@ -422,11 +420,7 @@ def estimate_frank_alali(a: Raster, b: Raster) -> SnrEstimate:
     """
     if (a.width, a.height) != (b.width, b.height):
         raise DomainError("images must have equal dimensions")
-    rho = _pearson(a.data, b.data)
-    if rho >= 1.0:
-        return _infinite("frank_alali", rho=rho)
-    snr = snr_from_correlation(rho)
-    return _ok("frank_alali", snr, rho=rho)
+    return _from_rho("frank_alali", pearson(a.data, b.data))
 
 
 def _centered_roi(data: np.ndarray, size: int, x_shift: int = 0) -> np.ndarray:
@@ -478,11 +472,7 @@ def estimate_smart(img: Raster, second: Raster | None = None,
 
     if second is not None:
         aligned = _centered_roi(second.data, size, x_shift=shift - offset[0])
-        rho = _pearson(roi1, aligned)
-        if rho >= 1.0:
-            return _infinite("smart", **diag, rho=rho)
-        snr = snr_from_correlation(rho)
-        return _ok("smart", snr, rho=rho, **diag)
+        return _from_rho("smart", pearson(roi1, aligned), **diag)
 
     # 2-D unit-offset average, the surface analog of the nearest-offset rule
     nf = ccf.unit_offset_mean
@@ -496,16 +486,6 @@ def estimate_smart(img: Raster, second: Raster | None = None,
     return _ok("smart", signal / noise, peak=nf, **diag)
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Correlation coefficient; exactly 1.0 for identical inputs, since sqrt(s * s)
-    rounds back to s, so an exact duplicate always reads as infinite SNR."""
-    da, db = a - a.mean(), b - b.mean()
-    saa, sbb = float(np.sum(da * da)), float(np.sum(db * db))
-    if saa == 0.0 or sbb == 0.0:
-        raise DegenerateError("an input has zero variance")
-    return float(np.sum(da * db)) / math.sqrt(saa * sbb)
-
-
 # --- method registry --------------------------------------------------------------
 
 
@@ -513,14 +493,13 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 class Method:
     """A registry entry: the largest (x, y) lag a method reads and its rule.
 
-    ``rule`` takes (lag table, cfg); with a ``base`` it takes (base estimate,
-    cfg), and two-image methods (``lags`` None) take (img, second, cfg).
+    ``rule`` takes (lag table, cfg); two-image methods (``lags`` None) take
+    (img, second, cfg).
     """
 
     name: str
     lags: Callable[[EstimatorConfig], tuple[int, int]] | None
     rule: Callable[..., SnrEstimate]
-    base: str | None = None
 
 
 METHODS = {m.name: m for m in (
@@ -528,7 +507,7 @@ METHODS = {m.name: m for m in (
     Method("fol", lambda c: (2, 0), estimate_fol),
     Method("lsr", lambda c: (c.lag_start + c.n_points - 1, 0), estimate_lsr),
     Method("nllsr", lambda c: (c.nllsr_lag_start + c.n_points - 1,) * 2, estimate_nllsr),
-    Method("asnn", lambda c: (1, 1), _asnn, base="nn"),
+    Method("asnn", lambda c: (1, 1), estimate_asnn),
     Method("acldr", lambda c: (c.acldr_order + 1,) * 2, estimate_acldr),
     Method("chillsr", lambda c: (c.chillsr_points, 0), estimate_chillsrsnr),
     Method("smart", None, estimate_smart),
@@ -569,24 +548,8 @@ def estimate_all(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
         t0 = time.perf_counter()
         # a method whose need does not fit reads the image and fails as it does alone
         src = table if entry in fits else img
-        if entry.lags is None:
-            args = (img, second)
-        elif entry.base is not None:
-            base = METHODS[entry.base]
-            args = (results.get(base.name) or _attempt(base.name, base.rule, src, cfg),)
-        else:
-            args = (src,)
+        args = (img, second) if entry.lags is None else (src,)
         est = _attempt(entry.name, entry.rule, *args, cfg)
         results[entry.name] = replace(est, runtime_ms=(time.perf_counter() - t0) * 1e3)
     return results
 
-
-def fit_quadratic_correction(raw: np.ndarray, actual: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares quadratic mapping raw -> actual for offline calibration."""
-    raw = np.asarray(raw, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if raw.size < 3 or raw.size != actual.size:
-        raise DomainError("need at least three (raw, actual) pairs")
-    design = np.column_stack([raw**2, raw, np.ones_like(raw)])
-    coeffs, *_ = np.linalg.lstsq(design, actual, rcond=None)
-    return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])

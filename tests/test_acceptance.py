@@ -12,7 +12,7 @@ import pytest
 
 from conftest import BENCH_CONFIG, rel_error
 from semsnr.cli import main
-from semsnr.corpus import CorpusSpec, SceneSpec, build_recipe, make_scene
+from semsnr.corpus import CorpusSpec, SceneSpec, acquire
 from semsnr.correlation import autocorrelation, snr_db, snr_from_peaks
 from semsnr.denoise import mse, wiener_global, wiener_local, wiener_transfer
 from semsnr.denoise import estimate_noise_variance_ar
@@ -28,7 +28,7 @@ from semsnr.estimators import (
     estimate_nn,
     levinson_durbin,
 )
-from semsnr.noise import NoiseRecipe, rng_for, simulate
+from semsnr.noise import NoiseRecipe, simulate
 from semsnr.raster import pgm_bytes, raster_from_array, raster_from_pgm_bytes, stats
 from semsnr.yield_snr import snr_detected, snr_from_image
 
@@ -102,15 +102,13 @@ def test_criterion_5_two_image_recovery():
     spec = CorpusSpec(
         scene=SceneSpec(kind="spectral", width=256, height=256, corr_length=8.0,
                         spectral_nugget=0.004),
-        model="additive-gaussian", snr_targets=(1.0,),
+        model="additive-gaussian", snr_targets=(1.0,), base_seed=21,
         dose_min=5000.0, dose_max=30000.0, dc_offset=20000.0,
     )
     for target in (1.0, 5.0, 20.0):
         rels = []
         for s in range(10):
-            scene = make_scene(spec.scene, rng_for(21, s))
-            recipe, _, _ = build_recipe(spec, scene, seed=300 + s, snr_target=target)
-            g1 = simulate(recipe)
+            _, (recipe, _, _), g1 = acquire(spec, s, 300 + s, target)
             g2 = simulate(replace(recipe, seed=4000 + s))
             est = estimate_frank_alali(g1.noisy, g2.noisy)
             rels.append(rel_error(est.snr_linear, 0.5 * (g1.true_snr + g2.true_snr)))
@@ -183,14 +181,12 @@ def test_criterion_8_wiener_properties(oracle_corpus):
     spec = CorpusSpec(
         scene=SceneSpec(kind="spectral", width=256, height=256, corr_length=60.0,
                         spectral_nugget=0.004),
-        model="additive-gaussian", snr_targets=(2.0,),
+        model="additive-gaussian", snr_targets=(2.0,), base_seed=61,
         dose_min=5000.0, dose_max=30000.0, dc_offset=20000.0,
     )
     hits = total = 0
     for s in range(5):
-        scene = make_scene(spec.scene, rng_for(61, s))
-        recipe, _, _ = build_recipe(spec, scene, seed=70 + s, snr_target=2.0)
-        gt = simulate(recipe)
+        _, _, gt = acquire(spec, s, 70 + s, 2.0)
         estimate = estimate_noise_variance_ar(gt.noisy, 2)
         total += 1
         if abs(estimate - gt.noise_energy) <= 0.15 * gt.noise_energy:

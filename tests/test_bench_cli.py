@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from semsnr.corpus import (
     second_realization,
 )
 from semsnr.errors import ConfigError, DataError
+from semsnr.estimators import DEFAULT_CONFIG, EstimatorConfig
 from semsnr.raster import load_pgm, raster_from_array, save_pgm
 
 SMALL_CONFIG = """\
@@ -124,6 +126,38 @@ def test_unknown_emission_model_is_named(tmp_path):
     with pytest.raises(ConfigError, match="warp-drive"):
         corpus_spec_from_config(load_config(config))
     assert main(["generate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("line", [
+    "detector_gain = 0", "dose_min = -5", "bit_depth = 12", "se_yield = 2",
+    "yield_inflation = 3", "dc_offset = -3", "seeds_per_level = 0", "dose_max = 1",
+    "snr_targets =",
+])
+def test_bad_corpus_value_is_config_error(tmp_path, capsys, command, line):
+    key = line.split()[0]
+    lines = [text for text in SMALL_CONFIG.splitlines() if text.split(" ")[0] != key]
+    lines.insert(lines.index("[corpus]") + 1, line)
+    config = tmp_path / "bad.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    extra = ["--parameter", "dose", "--range", "100", "--seeds", "1", "--methods", "nn"]
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--out", str(out),
+                 *(extra if command == "sweep" else [])]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
+def test_estimate_keys_are_the_estimator_config_fields(tmp_path):
+    changed = {"n_points": 5, "lag_start": 2, "nllsr_lag_start": 3, "acldr_order": 3,
+               "chillsr_points": 5, "epsilon_policy": "half_gap", "smart_shift": 6}
+    assert set(changed) == {f.name for f in fields(EstimatorConfig)}
+    assert all(getattr(DEFAULT_CONFIG, key) != value for key, value in changed.items())
+    config = tmp_path / "est.cfg"
+    config.write_text("[estimate]\n" + "".join(f"{k} = {v}\n" for k, v in changed.items()))
+    assert estimator_config_from_config(load_config(config)) == EstimatorConfig(**changed)
 
 
 def test_empty_corpus_section_gives_default_spec(tmp_path):
@@ -409,7 +443,8 @@ def test_denoise_internal_error_exit_code(small_corpus, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["epsilon_polcy = zero", "n_points = many",
-                                  "epsilon_policy = sometimes"])
+                                  "epsilon_policy = sometimes", "asnn_slope = 1.0",
+                                  "chillsr_correction = 0,1,0"])
 def test_bad_estimate_config_exit_code(small_corpus, tmp_path, capsys, line):
     _, corpus_dir = small_corpus
     config = tmp_path / "bad.cfg"

@@ -122,6 +122,18 @@ def test_cross_correlate_self():
     assert res.fwhm >= 1.0
 
 
+def test_cross_correlate_self_is_exactly_one():
+    # the coefficient is pearson's: a mean product over two std() values read
+    # an ulp or two under 1 on some of these planes
+    from semsnr.noise import rng_for
+
+    for stream in range(40):
+        a = raster_from_array(rng_for(stream).uniform(0.0, 100.0, size=(64, 64)))
+        assert cross_correlate(a, a).correlation == 1.0, stream
+    flat = raster_from_array(np.full((64, 64), 7.0))
+    assert cross_correlate(a, flat).correlation == 0.0
+
+
 def test_cross_correlate_matches_brute_force(rng):
     arr1 = rng.uniform(0.0, 10.0, size=(32, 32))
     arr2 = rng.uniform(0.0, 10.0, size=(32, 32))
@@ -147,20 +159,18 @@ def test_cross_correlate_recovers_known_snr(oracle_corpus):
     # two realizations of one scene at a known oracle SNR close to 4
     from dataclasses import replace
 
-    from semsnr.corpus import CorpusSpec, SceneSpec, build_recipe, make_scene
-    from semsnr.noise import rng_for, simulate
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquire
+    from semsnr.noise import simulate
 
     spec = CorpusSpec(
         scene=SceneSpec(kind="spectral", width=256, height=256, corr_length=8.0,
                         spectral_nugget=0.004),
-        model="additive-gaussian", snr_targets=(4.0,),
+        model="additive-gaussian", snr_targets=(4.0,), base_seed=77,
         dose_min=5000.0, dose_max=30000.0, dc_offset=20000.0,
     )
     rels = []
     for s in range(5):
-        scene = make_scene(spec.scene, rng_for(77, s))
-        recipe, _, _ = build_recipe(spec, scene, seed=100 + s, snr_target=4.0)
-        g1 = simulate(recipe)
+        _, (recipe, _, _), g1 = acquire(spec, s, 100 + s, 4.0)
         g2 = simulate(replace(recipe, seed=7000 + s))
         res = cross_correlate(g1.noisy, g2.noisy)
         assert res.peak_offset == (0, 0)

@@ -17,6 +17,8 @@ from semsnr.errors import (
     NonStationaryError,
 )
 from semsnr.estimators import (
+    ASNN_INTERCEPT,
+    ASNN_SLOPE,
     SINGLE_IMAGE_METHODS,
     EstimatorConfig,
     acldr_peak,
@@ -32,7 +34,6 @@ from semsnr.estimators import (
     estimate_nllsr,
     estimate_nn,
     estimate_smart,
-    fit_quadratic_correction,
     fol_peak,
     levinson_durbin,
     lsr_peak,
@@ -238,7 +239,7 @@ def test_asnn_is_affine_of_nn(oracle_corpus):
         nn = estimate_nn(entry["gt"].noisy, cfg)
         asnn = estimate_asnn(entry["gt"].noisy, cfg)
         assert asnn.snr_linear == pytest.approx(
-            cfg.asnn_slope * nn.snr_linear - cfg.asnn_intercept, rel=1e-12
+            ASNN_SLOPE * nn.snr_linear - ASNN_INTERCEPT, rel=1e-12
         )
         values.append((nn.snr_linear, asnn.snr_linear))
     order_nn = np.argsort([v[0] for v in values])
@@ -294,20 +295,18 @@ def test_frank_alali_independent_noise_error(rng):
 
 
 def test_frank_alali_recovers_oracle():
-    from semsnr.corpus import CorpusSpec, SceneSpec, build_recipe, make_scene
-    from semsnr.noise import rng_for, simulate
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquire
+    from semsnr.noise import simulate
 
     spec = CorpusSpec(
         scene=SceneSpec(kind="spectral", width=256, height=256, corr_length=8.0,
                         spectral_nugget=0.004),
-        model="additive-gaussian", snr_targets=(5.0,),
+        model="additive-gaussian", snr_targets=(5.0,), base_seed=13,
         dose_min=5000.0, dose_max=30000.0, dc_offset=20000.0,
     )
     rels = []
     for s in range(6):
-        scene = make_scene(spec.scene, rng_for(13, s))
-        recipe, _, _ = build_recipe(spec, scene, seed=40 + s, snr_target=5.0)
-        g1 = simulate(recipe)
+        _, (recipe, _, _), g1 = acquire(spec, s, 40 + s, 5.0)
         g2 = simulate(replace(recipe, seed=900 + s))
         est = estimate_frank_alali(g1.noisy, g2.noisy)
         rels.append(rel_error(est.snr_linear, 0.5 * (g1.true_snr + g2.true_snr)))
@@ -351,20 +350,17 @@ def test_smart_white_noise_error_path():
 
 
 def test_smart_single_image_oracle_accuracy():
-    from semsnr.corpus import CorpusSpec, SceneSpec, build_recipe, make_scene
-    from semsnr.noise import rng_for, simulate
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquire
 
     spec = CorpusSpec(
         scene=SceneSpec(kind="spectral", width=512, height=512, corr_length=110.0,
                         spectral_nugget=0.004),
-        model="additive-gaussian", snr_targets=(4.0,),
+        model="additive-gaussian", snr_targets=(4.0,), base_seed=31,
         dose_min=5000.0, dose_max=30000.0, dc_offset=20000.0,
     )
     rels = []
     for s in range(11):
-        scene = make_scene(spec.scene, rng_for(31, s))
-        recipe, _, _ = build_recipe(spec, scene, seed=800 + s, snr_target=4.0)
-        gt = simulate(recipe)
+        _, _, gt = acquire(spec, s, 800 + s, 4.0)
         est = estimate_smart(gt.noisy, cfg=BENCH_CONFIG)
         rels.append(rel_error(est.snr_linear, gt.true_snr))
     assert abs(np.median(rels)) <= 0.20
@@ -374,39 +370,6 @@ def test_smart_too_small_image():
     img = raster_from_array(np.add.outer(np.arange(32.0), np.arange(32.0)))
     with pytest.raises(DomainError):
         estimate_smart(img, cfg=BENCH_CONFIG)
-
-
-# --- correction calibration -------------------------------------------------------
-
-
-def test_fit_quadratic_correction_exact():
-    raw = np.array([1.0, 2.0, 3.0, 4.0, 7.0])
-    actual = 0.5 * raw**2 + 2.0 * raw - 1.0
-    a, b, c = fit_quadratic_correction(raw, actual)
-    assert (a, b, c) == pytest.approx((0.5, 2.0, -1.0), abs=1e-9)
-
-
-def test_chillsr_identity_correction_is_default(oracle_corpus):
-    img = oracle_corpus[12]["gt"].noisy
-    raw = estimate_chillsrsnr(img, BENCH_CONFIG)
-    assert raw.diagnostics["raw_snr"] == pytest.approx(raw.snr_linear)
-
-
-def test_chillsr_calibration_does_not_hurt(corpus_estimates):
-    fit_pairs, eval_pairs = [], []
-    for i, entry in enumerate(corpus_estimates):
-        est = entry["results"]["chillsr"]
-        if est.status != "ok":
-            continue
-        pair = (est.snr_linear, entry["truth"]["true_snr"])
-        (fit_pairs if i % 2 == 0 else eval_pairs).append(pair)
-    coeffs = fit_quadratic_correction(*map(np.array, zip(*fit_pairs)))
-    raw_errs, cal_errs = [], []
-    for raw, actual in eval_pairs:
-        corrected = coeffs[0] * raw**2 + coeffs[1] * raw + coeffs[2]
-        raw_errs.append(abs(rel_error(raw, actual)))
-        cal_errs.append(abs(rel_error(corrected, actual)))
-    assert np.median(cal_errs) <= np.median(raw_errs) + 1e-9
 
 
 # --- corpus-level behavior --------------------------------------------------------
