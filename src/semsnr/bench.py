@@ -88,13 +88,14 @@ def load_config(path) -> configparser.ConfigParser:
 # its kind), the rest CorpusSpec fields; a key left out keeps its default.
 _CORPUS_KEYS = {
     "scene": str, "width": int, "height": int, "corr_length": float, "n_blobs": int,
-    "blob_sigma": float, "model": str, "seeds_per_level": int,
+    "blob_sigma": float, "spectral_nugget": float, "model": str, "seeds_per_level": int,
     "snr_targets": lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
     "base_seed": int, "dose_min": float, "dose_max": float, "se_yield": float,
     "bse_yield": float, "yield_inflation": float, "detector_gain": float,
     "dc_offset": float, "bit_depth": int,
 }
-_SCENE_KEYS = ("scene", "width", "height", "corr_length", "n_blobs", "blob_sigma")
+_SCENE_KEYS = ("scene", "width", "height", "corr_length", "n_blobs", "blob_sigma",
+               "spectral_nugget")
 
 
 def corpus_spec_from_config(cfg: configparser.ConfigParser,
@@ -299,6 +300,9 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep range is empty")
+    bad = [v for v in values if not (math.isfinite(v) and v > 0.0)]
+    if bad:
+        raise ConfigError(f"sweep --range values must be finite and > 0, got {bad}")
     if sorted(values) != values:
         raise ConfigError("sweep range must be monotone increasing")
     rows: list[dict] = []

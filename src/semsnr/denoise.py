@@ -188,42 +188,62 @@ def gaussian_blur(x: np.ndarray, sigma: float, radius: int | None = None) -> np.
     return _convolve_separable(np.asarray(x, dtype=np.float64), _gaussian_kernel(sigma, radius))
 
 
-_MEDIAN_STRIP = 64  # output rows per partition pass of _median
+_MEDIAN_STRIP = 16  # output rows per partition pass of _median
+_TILE_ROWS = 32  # output rows per pass of _bilateral; its work planes stay in cache
 
 
 def _median(x: np.ndarray, window: int) -> np.ndarray:
     # The window is odd, so its median is the one middle element: partitioning
-    # the window**2 shifted views at that rank gives np.median's value exactly.
-    # A strip of _MEDIAN_STRIP rows at a time bounds the stack's memory.
+    # each pixel's window**2 neighbours at that rank gives np.median's value
+    # exactly.  The neighbours are copied to the last, contiguous axis of a
+    # strip of _MEDIAN_STRIP rows, so the stack stays small and the partition
+    # runs on unit-stride rows.
     padded = _pad(x, window // 2, window // 2)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
     h, w = x.shape
     middle = window * window // 2
-    stack = np.empty((window * window, min(_MEDIAN_STRIP, h), w))
+    stack = np.empty((min(_MEDIAN_STRIP, h), w, window, window))
     out = np.empty((h, w))
     for top in range(0, h, _MEDIAN_STRIP):
         rows = min(_MEDIAN_STRIP, h - top)
-        strip = stack[:, :rows]
-        for i in range(window * window):
-            dy, dx = divmod(i, window)
-            strip[i] = padded[top + dy : top + dy + rows, dx : dx + w]
-        strip.partition(middle, axis=0)
-        out[top : top + rows] = strip[middle]
+        np.copyto(stack[:rows], windows[top : top + rows])
+        strip = stack[:rows].reshape(rows, w, window * window)
+        strip.partition(middle, axis=2)
+        out[top : top + rows] = strip[:, :, middle]
     return out
 
 
 def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
+    # _TILE_ROWS output rows at a time, so the four work planes stay in cache
+    # across all (2 radius + 1)**2 offsets instead of streaming whole planes.
+    # Per pixel the operations and their order are those of the whole-plane
+    # loop: d**2 / (-2 sigma_r**2) equals -(d**2) / (2 sigma_r**2) bit for bit.
     padded = _pad(x, radius, radius)
     h, w = x.shape
-    acc = np.zeros_like(x)
-    norm = np.zeros_like(x)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            spatial = math.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s * sigma_s))
-            nb = padded[radius + dy : radius + dy + h, radius + dx : radius + dx + w]
-            weight = spatial * np.exp(-((nb - x) ** 2) / (2.0 * sigma_r * sigma_r))
-            acc += weight * nb
-            norm += weight
-    return acc / norm
+    range_scale = -(2.0 * sigma_r * sigma_r)
+    work = np.empty((4, min(_TILE_ROWS, h), w))
+    out = np.empty((h, w))
+    for top in range(0, h, _TILE_ROWS):
+        rows = min(_TILE_ROWS, h - top)
+        acc, norm, weight, term = work[:, :rows]
+        centre = x[top : top + rows]
+        acc.fill(0.0)
+        norm.fill(0.0)
+        for dy in range(-radius, radius + 1):
+            for dx in range(-radius, radius + 1):
+                spatial = math.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s * sigma_s))
+                nb = padded[top + radius + dy : top + radius + dy + rows,
+                            radius + dx : radius + dx + w]
+                np.subtract(nb, centre, out=term)
+                np.square(term, out=term)
+                np.divide(term, range_scale, out=term)
+                np.exp(term, out=weight)
+                np.multiply(spatial, weight, out=weight)
+                np.multiply(weight, nb, out=term)
+                acc += term
+                norm += weight
+        np.divide(acc, norm, out=out[top : top + rows])
+    return out
 
 
 def spatial_filter(img: Raster, spec: FilterSpec) -> Raster:
@@ -240,19 +260,23 @@ def spatial_filter(img: Raster, spec: FilterSpec) -> Raster:
     return raster_from_array(out, img.bit_depth)
 
 
-def _transfer(spectrum: np.ndarray, noise_psd) -> np.ndarray:
+def _transfer(spectrum: np.ndarray, pixels: int, noise_psd) -> np.ndarray:
+    # spectrum is the rfft2 half spectrum of a plane of ``pixels`` samples.  A
+    # scalar PSD stays a scalar: no full plane of it or of its zero test is built.
     p_u = np.asarray(noise_psd, dtype=np.float64)
-    if p_u.ndim == 0:
-        p_u = np.full(spectrum.shape, float(p_u))
-    if p_u.shape != spectrum.shape:
-        raise DomainError("noise PSD shape does not match the image")
+    if p_u.ndim and p_u.shape != spectrum.shape:
+        raise DomainError(f"noise PSD shape {p_u.shape} does not match the image's "
+                          f"half spectrum {spectrum.shape}")
     if np.any(p_u < 0.0):
         raise DomainError("noise PSD must be nonnegative everywhere")
-    p_w = np.abs(spectrum) ** 2 / spectrum.size
-    p_f = np.maximum(p_w - p_u, 0.0)
-    denom = p_f + p_u
-    transfer = np.where(denom > 0.0, p_f / np.where(denom > 0.0, denom, 1.0), 1.0)
-    transfer = np.where(p_u == 0.0, 1.0, transfer)
+    p_f = np.abs(spectrum)
+    np.square(p_f, out=p_f)
+    p_f /= pixels  # periodogram
+    p_f -= p_u
+    np.maximum(p_f, 0.0, out=p_f)
+    with np.errstate(invalid="ignore"):  # 0 / 0 only where p_u == 0, set to 1 below
+        transfer = np.divide(p_f, p_f + p_u, out=p_f)
+    np.copyto(transfer, 1.0, where=p_u == 0.0)
     transfer[0, 0] = 1.0
     return transfer
 
@@ -260,17 +284,19 @@ def _transfer(spectrum: np.ndarray, noise_psd) -> np.ndarray:
 def wiener_transfer(img: Raster, noise_psd) -> np.ndarray:
     """Frequency response of the spectral-subtraction Wiener filter.
 
-    ``noise_psd`` is a scalar white-noise variance or a per-frequency array in
+    The response is on the ``rfft2`` half spectrum, shape (height, width // 2 + 1).
+    ``noise_psd`` is a scalar white-noise variance or an array of that shape in
     periodogram units (|FFT|^2 / pixel count).  The response lies in [0, 1]
     and the zero-frequency bin is forced to 1 so the mean passes through.
     """
-    return _transfer(np.fft.fft2(img.data), noise_psd)
+    return _transfer(np.fft.rfft2(img.data), img.data.size, noise_psd)
 
 
 def wiener_global(img: Raster, noise_psd, reference: Raster | None = None) -> DenoiseReport:
     """Frequency-domain Wiener restoration with spectral subtraction."""
-    spectrum = np.fft.fft2(img.data)
-    out = np.fft.ifft2(_transfer(spectrum, noise_psd) * spectrum).real
+    spectrum = np.fft.rfft2(img.data)
+    spectrum *= _transfer(spectrum, img.data.size, noise_psd)
+    out = np.fft.irfft2(spectrum, s=img.data.shape)
     out = np.maximum(out, 0.0)
     return _report(raster_from_array(out, img.bit_depth), reference)
 

@@ -20,8 +20,10 @@ from semsnr.cli import main
 from semsnr.corpus import (
     CorpusSpec,
     SceneSpec,
+    generate_corpus,
     load_corpus,
     read_truth_csv,
+    reference_corpus_spec,
     regenerate_image,
     second_realization,
 )
@@ -146,6 +148,47 @@ def test_bad_corpus_value_is_config_error(tmp_path, capsys, command, line):
     assert main([command, "--config", str(config), "--out", str(out),
                  *(extra if command == "sweep" else [])]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
+REFERENCE_CONFIG = """\
+[corpus]
+scene = spectral
+width = 512
+height = 512
+corr_length = 110
+spectral_nugget = 0.004
+model = additive-gaussian
+snr_targets = 1,2,5,10,20,50
+seeds_per_level = 1
+base_seed = 0
+dose_min = 5000
+dose_max = 30000
+dc_offset = 20000
+bit_depth = 16
+"""
+
+
+def test_generate_config_reproduces_reference_corpus(tmp_path, capsys):
+    config = tmp_path / "reference.cfg"
+    config.write_text(REFERENCE_CONFIG)
+    spec = reference_corpus_spec(seeds_per_level=1)
+    assert corpus_spec_from_config(load_config(config)) == spec
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "cli")]) == 0
+    generate_corpus(spec, tmp_path / "lib")
+    written = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert "truth.csv" in written and len([n for n in written if n.endswith(".pgm")]) == 18
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    config.write_text(REFERENCE_CONFIG.replace("spectral_nugget = 0.004", "spectral_nugget = 1.5"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "spectral_nugget" in err
     assert not out.exists()
     assert not (tmp_path / "out.partial").exists()
 
@@ -309,6 +352,21 @@ def test_sweep_empty_range_is_config_error(tmp_path):
     config.write_text(SMALL_CONFIG)
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "s"),
                  "--parameter", "dose", "--range", " ", "--seeds", "1"]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("parameter", ["dose", "dwell", "contrast"])
+def test_nonpositive_sweep_value_is_config_error(tmp_path, capsys, parameter, value):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(POISSON_CONFIG.replace("scene = spectral", "scene = ar_field"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", parameter,
+                 f"--range={value},2", "--methods", "nn", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--range" in err
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [
