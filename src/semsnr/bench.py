@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,8 @@ from .estimators import (
     estimate_all,
     estimate_nn,
 )
-from .noise import ELECTRON_CHARGE, simulate
-from .raster import Raster, quantize, raster_from_array, save_pgm
+from .noise import ELECTRON_CHARGE, field_types, simulate
+from .raster import Raster, quantize, save_pgm
 
 RESULTS_FIELDS = (
     "image_id",
@@ -84,57 +84,41 @@ def load_config(path) -> configparser.ConfigParser:
     return parser
 
 
-# [corpus] key -> value type.  The _SCENE_KEYS are SceneSpec fields ("scene" is
-# its kind), the rest CorpusSpec fields; a key left out keeps its default.
-_CORPUS_KEYS = {
-    "scene": str, "width": int, "height": int, "corr_length": float, "n_blobs": int,
-    "blob_sigma": float, "spectral_nugget": float, "model": str, "seeds_per_level": int,
-    "snr_targets": lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
-    "base_seed": int, "dose_min": float, "dose_max": float, "se_yield": float,
-    "bse_yield": float, "yield_inflation": float, "detector_gain": float,
-    "dc_offset": float, "bit_depth": int,
-}
-_SCENE_KEYS = ("scene", "width", "height", "corr_length", "n_blobs", "blob_sigma",
-               "spectral_nugget")
+def _read_section(cfg: configparser.ConfigParser, name: str, types: dict) -> dict:
+    """One section's values parsed by ``types``; an unknown key or bad value is a ConfigError."""
+    section = cfg[name]
+    unknown = set(section.keys()) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
+    values = {}
+    for key, text in section.items():
+        try:
+            values[key] = types[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad [{name}] value for {key}: {exc}") from exc
+    return values
 
 
 def corpus_spec_from_config(cfg: configparser.ConfigParser,
                             seed_override: int | None = None) -> CorpusSpec:
+    """The ``[corpus]`` keys are SceneSpec's fields (``kind`` spelled ``scene``) and CorpusSpec's."""
     if not cfg.has_section("corpus"):
         raise ConfigError("config has no [corpus] section")
-    section = cfg["corpus"]
-    unknown = set(section.keys()) - set(_CORPUS_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown [corpus] keys: {sorted(unknown)}")
-    try:
-        values = {key: _CORPUS_KEYS[key](text) for key, text in section.items()}
-        if seed_override is not None:
-            values["base_seed"] = seed_override
-        scene = {("kind" if k == "scene" else k): values.pop(k)
-                 for k in _SCENE_KEYS if k in values}
-        spec = CorpusSpec(scene=SceneSpec(**scene), **values)
-    except ValueError as exc:
-        raise ConfigError(f"bad [corpus] value: {exc}") from exc
-    return spec
+    scene_types = {("scene" if k == "kind" else k): t for k, t in field_types(SceneSpec).items()}
+    values = _read_section(cfg, "corpus", scene_types | field_types(CorpusSpec))
+    if seed_override is not None:
+        values["base_seed"] = seed_override
+    scene = {("kind" if k == "scene" else k): values.pop(k) for k in scene_types if k in values}
+    return CorpusSpec(scene=SceneSpec(**scene), **values)
 
 
 def estimator_config_from_config(cfg: configparser.ConfigParser) -> EstimatorConfig:
     """The ``[estimate]`` keys are EstimatorConfig's fields, typed by their defaults."""
     if not cfg.has_section("estimate"):
         return DEFAULT_CONFIG
-    section = cfg["estimate"]
-    types = {f.name: type(f.default) for f in fields(EstimatorConfig)}
-    unknown = set(section.keys()) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown [estimate] keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, text in section.items():
-        try:
-            kwargs[key] = types[key](text)
-        except ValueError as exc:
-            raise ConfigError(f"bad [estimate] value for {key}: {exc}") from exc
+    values = _read_section(cfg, "estimate", field_types(EstimatorConfig))
     try:
-        return replace(DEFAULT_CONFIG, **kwargs)
+        return replace(DEFAULT_CONFIG, **values)
     except DomainError as exc:
         raise ConfigError(f"bad [estimate] value: {exc}") from exc
 
@@ -335,7 +319,7 @@ def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> li
 
     noisy = gt.noisy
     if parameter == "contrast":
-        noisy = raster_from_array(noisy.data * value, noisy.bit_depth)
+        noisy = noisy.scaled(value)
 
     # moment-based reference on a flat field of the same mid dose (counting models)
     if local.model != "additive-gaussian":

@@ -202,15 +202,19 @@ class CorpusSpec:
             raise ConfigError("doses must satisfy 0 < dose_min <= dose_max")
         try:  # quantize's bit depths and NoiseRecipe's model, yield, gain and offset rules
             quantize(np.zeros((2, 2)), self.bit_depth)
-            NoiseRecipe(dose_map=np.ones((1, 1)), emission_model=self.model,
-                        se_yield=self.se_yield, bse_yield=self.bse_yield,
-                        yield_inflation=self.yield_inflation, detector_gain=self.detector_gain,
-                        dc_offset=self.dc_offset, bit_depth=self.bit_depth)
+            self.recipe(np.ones((1, 1)))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
     def image_count(self) -> int:
         return len(self.snr_targets) * self.seeds_per_level
+
+    def recipe(self, dose_map, gaussian_sigma: float = 0.0, seed: int = 0) -> NoiseRecipe:
+        """The acquisition recipe of one image under this spec's model and detector."""
+        return NoiseRecipe(dose_map=dose_map, emission_model=self.model, se_yield=self.se_yield,
+                           bse_yield=self.bse_yield, yield_inflation=self.yield_inflation,
+                           gaussian_sigma=gaussian_sigma, detector_gain=self.detector_gain,
+                           dc_offset=self.dc_offset, seed=seed, bit_depth=self.bit_depth)
 
 
 @dataclass(frozen=True)
@@ -280,18 +284,7 @@ def acquire(spec: CorpusSpec, stream: int, seed: int, target: float | None):
         sigma_intensity = math.sqrt(float(np.var(spec.detector_gain * dose + spec.dc_offset))
                                     / target)
         sigma = sigma_intensity / spec.detector_gain  # recipe sigma acts on counts
-    recipe = NoiseRecipe(
-        dose_map=dose,
-        emission_model=spec.model,
-        se_yield=spec.se_yield,
-        bse_yield=spec.bse_yield,
-        yield_inflation=spec.yield_inflation,
-        gaussian_sigma=sigma,
-        detector_gain=spec.detector_gain,
-        dc_offset=spec.dc_offset,
-        seed=seed,
-        bit_depth=spec.bit_depth,
-    )
+    recipe = spec.recipe(dose, sigma, seed)
     return basis, (recipe, dose_scale, spec.dose_min), simulate(recipe)
 
 
@@ -397,9 +390,14 @@ def load_corpus(corpus_dir) -> list[CorpusImage]:
 
 
 def _read_recipe(corpus_dir, image_id: str) -> NoiseRecipe:
+    """One image's stored recipe; a malformed one is a DataError naming its file."""
     root = Path(corpus_dir)
-    text = (root / f"{image_id}.recipe.txt").read_text(encoding="ascii")
-    return recipe_from_text(text, dose_loader=lambda name: load_pgm(root / name))
+    path = root / f"{image_id}.recipe.txt"
+    try:
+        return recipe_from_text(path.read_text(encoding="ascii"),
+                                dose_loader=lambda name: load_pgm(root / name))
+    except (DomainError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def regenerate_image(corpus_dir, image_id: str) -> GroundTruth:

@@ -337,8 +337,6 @@ def estimate_noise_variance_ar(img: Raster, ar_order: int) -> float:
     """
     _check_param("ar_order", ar_order)
     max_lag = ar_order + 1
-    if max_lag >= min(img.width, img.height) / 2:
-        raise DomainError("image too small for the requested order")
     curve = autocorrelation(img, max_lag=max_lag, axis="x")
     mu2 = curve.mean**2
     c0 = curve.value(0) - mu2

@@ -26,7 +26,7 @@ energy = population variance of (noisy - clean).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -189,56 +189,58 @@ def total_se_yield(delta_se1: float, zeta: float) -> float:
 
 # --- flat key/value recipe serialization ------------------------------------
 
-_RECIPE_FLOAT_KEYS = (
-    "se_yield",
-    "bse_yield",
-    "yield_inflation",
-    "gaussian_sigma",
-    "detector_gain",
-    "dc_offset",
-    "dose_scale",
-    "dose_offset",
-    "dose_constant",
-)
-_RECIPE_INT_KEYS = ("seed", "bit_depth", "width", "height")
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def field_types(cls) -> dict:
+    """Parser of each text key of a dataclass: every field with a default, typed by it.
+
+    A tuple default reads as a comma list of floats.  The config sections and
+    ``recipe.txt`` are read (and recipes written) through this one rule.
+    """
+    return {f.name: _float_list if isinstance(f.default, tuple) else type(f.default)
+            for f in fields(cls) if f.default is not MISSING}
+
+
+# recipe.txt keys that are not NoiseRecipe fields: the dose map's shape and source
+_DOSE_KEYS = {"width": int, "height": int, "dose_constant": float, "dose_pgm": str,
+              "dose_scale": float, "dose_offset": float}
 
 
 def recipe_to_text(recipe: NoiseRecipe, dose_pgm: str | None = None,
                    dose_scale: float = 1.0, dose_offset: float = 0.0) -> str:
     """Serialize a recipe as flat ``key = value`` lines.
 
-    The dose map is recorded either as ``dose_constant`` (uniform maps) or as
-    an affine transform of a 16-bit PGM named by ``dose_pgm``.
+    The lines are NoiseRecipe's fields in declaration order, then the dose
+    map's ``width`` and ``height`` and either ``dose_constant`` (uniform maps)
+    or an affine transform of a 16-bit PGM named by ``dose_pgm``.  Floats are
+    written by ``repr``, so they read back exactly.
     """
     h, w = recipe.dose_map.shape
-    lines = [
-        f"emission_model = {recipe.emission_model}",
-        f"se_yield = {recipe.se_yield!r}",
-        f"bse_yield = {recipe.bse_yield!r}",
-        f"yield_inflation = {recipe.yield_inflation!r}",
-        f"gaussian_sigma = {recipe.gaussian_sigma!r}",
-        f"detector_gain = {recipe.detector_gain!r}",
-        f"dc_offset = {recipe.dc_offset!r}",
-        f"seed = {recipe.seed}",
-        f"bit_depth = {recipe.bit_depth}",
-        f"width = {w}",
-        f"height = {h}",
-    ]
+    values = {name: getattr(recipe, name) for name in field_types(NoiseRecipe)}
+    values.update(width=w, height=h)
     flat = recipe.dose_map.ravel()
     if dose_pgm is None:
         if not np.all(flat == flat[0]):
             raise DomainError("non-constant dose map needs a dose_pgm reference")
-        lines.append(f"dose_constant = {float(flat[0])!r}")
+        values["dose_constant"] = float(flat[0])
     else:
-        lines.append(f"dose_pgm = {dose_pgm}")
-        lines.append(f"dose_scale = {dose_scale!r}")
-        lines.append(f"dose_offset = {dose_offset!r}")
-    return "\n".join(lines) + "\n"
+        values.update(dose_pgm=dose_pgm, dose_scale=dose_scale, dose_offset=dose_offset)
+    return "".join(f"{key} = {repr(float(value)) if isinstance(value, float) else value}\n"
+                   for key, value in values.items())
 
 
-def parse_recipe_text(text: str) -> dict:
-    """Parse the flat key/value recipe format into a typed dict."""
-    out: dict = {}
+def recipe_from_text(text: str, dose_loader=None) -> NoiseRecipe:
+    """Rebuild a recipe; ``dose_loader(name)`` must return the dose-basis Raster.
+
+    Every NoiseRecipe field, the shape and one dose source are required.  A
+    malformed line, an unknown key, a value that does not parse and a missing
+    key are each a DomainError naming the line or key.
+    """
+    types = field_types(NoiseRecipe) | _DOSE_KEYS
+    kv: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -247,26 +249,27 @@ def parse_recipe_text(text: str) -> dict:
             raise DomainError(f"recipe line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _RECIPE_FLOAT_KEYS:
-            out[key] = float(value)
-        elif key in _RECIPE_INT_KEYS:
-            out[key] = int(value)
-        elif key in ("emission_model", "dose_pgm"):
-            out[key] = value
-        else:
+        if key not in types:
             raise DomainError(f"recipe line {lineno}: unknown key {key!r}")
-    return out
+        try:
+            kv[key] = types[key](value)
+        except ValueError as exc:
+            raise DomainError(f"recipe line {lineno}: bad value for {key}: {exc}") from exc
 
+    def take(key):
+        if key not in kv:
+            raise DomainError(f"recipe has no {key!r} line")
+        return kv.pop(key)
 
-def recipe_from_text(text: str, dose_loader=None) -> NoiseRecipe:
-    """Rebuild a recipe; ``dose_loader(name)`` must return the dose-basis Raster."""
-    kv = parse_recipe_text(text)
-    shape = (kv.pop("height"), kv.pop("width"))
+    recipe_fields = {name: take(name) for name in field_types(NoiseRecipe)}
+    shape = (take("height"), take("width"))
     if "dose_constant" in kv:
         dose = np.full(shape, kv.pop("dose_constant"))
     else:
+        name = take("dose_pgm")
         if dose_loader is None:
             raise DomainError("recipe references a dose PGM but no loader was given")
-        basis = dose_loader(kv.pop("dose_pgm"))
-        dose = kv.pop("dose_scale") * basis.data + kv.pop("dose_offset")
-    return NoiseRecipe(dose_map=dose, **kv)
+        dose = take("dose_scale") * dose_loader(name).data + take("dose_offset")
+    if kv:
+        raise DomainError(f"recipe sets dose_constant and also {sorted(kv)}")
+    return NoiseRecipe(dose_map=dose, **recipe_fields)

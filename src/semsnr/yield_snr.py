@@ -39,14 +39,11 @@ class BeamParams:
 
     i_pe: float  # amperes
     dwell: float  # seconds per pixel
-    dqe: float = 1.0  # detector quantum efficiency in (0, 1]
     b_enhancement: float = 1.0  # non-Poisson yield variance factor k >= 1
 
     def __post_init__(self):
         if self.i_pe <= 0.0 or self.dwell <= 0.0:
             raise DomainError("beam current and dwell time must be positive")
-        if not (0.0 < self.dqe <= 1.0):
-            raise DomainError("dqe must be in (0, 1]")
         if self.b_enhancement < 1.0:
             raise DomainError("b_enhancement must be at least 1")
 

@@ -115,6 +115,20 @@ def test_recipe_regenerates_exactly(small_corpus):
     assert not np.array_equal(other.noisy.data, gt.noisy.data)
 
 
+@pytest.mark.parametrize("reader", [regenerate_image, second_realization])
+@pytest.mark.parametrize("old,new,message", [
+    (b"seed = ", b"seed = x", "recipe line 8: bad value for seed"),
+    (b"bit_depth", b"bit_d\xe9pth", "can't decode byte 0xe9"),
+], ids=["bad_value", "not_ascii"])
+def test_corrupt_recipe_is_data_error(small_corpus, reader, old, new, message):
+    _, corpus_dir = small_corpus
+    path = corpus_dir / "img0000.recipe.txt"
+    path.write_bytes(path.read_bytes().replace(old, new))
+    with pytest.raises(DataError, match=message) as info:
+        reader(corpus_dir, "img0000")
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_unknown_config_key_is_named(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("[corpus]\nwobble = 7\n")
@@ -201,6 +215,33 @@ def test_estimate_keys_are_the_estimator_config_fields(tmp_path):
     config = tmp_path / "est.cfg"
     config.write_text("[estimate]\n" + "".join(f"{k} = {v}\n" for k, v in changed.items()))
     assert estimator_config_from_config(load_config(config)) == EstimatorConfig(**changed)
+
+
+def test_corpus_keys_are_the_spec_fields(tmp_path, capsys):
+    scene = {"kind": "blobs", "width": 48, "height": 40, "corr_length": 5.5,
+             "spectral_nugget": 0.25, "n_blobs": 3, "blob_sigma": 2.5}
+    corpus = {"model": "poisson-se", "snr_targets": (2.0, 3.0), "seeds_per_level": 2,
+              "base_seed": 7, "dose_min": 60.0, "dose_max": 300.0, "se_yield": 0.2,
+              "bse_yield": 0.4, "yield_inflation": 1.5, "detector_gain": 2.0,
+              "dc_offset": 10.0, "bit_depth": 8}
+    spec = CorpusSpec(scene=SceneSpec(**scene), **corpus)
+    assert set(scene) == {f.name for f in fields(SceneSpec)}
+    assert set(corpus) | {"scene"} == {f.name for f in fields(CorpusSpec)}
+    assert all(getattr(spec.scene, f.name) != f.default for f in fields(SceneSpec))
+    assert all(getattr(spec, f.name) != f.default for f in fields(CorpusSpec) if f.name != "scene")
+    values = {("scene" if k == "kind" else k): v for k, v in scene.items()}
+    values.update(corpus, snr_targets="2,3")
+    assert len(values) == 19
+    config = tmp_path / "corpus.cfg"
+    config.write_text("[corpus]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert corpus_spec_from_config(load_config(config)) == spec
+
+    for key in (k for k, v in values.items() if not isinstance(v, str) or k == "snr_targets"):
+        config.write_text("[corpus]\n" + "".join(f"{k} = {'wide' if k == key else v}\n"
+                                                 for k, v in values.items()))
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"bad [corpus] value for {key}: " in capsys.readouterr().err
 
 
 def test_empty_corpus_section_gives_default_spec(tmp_path):
@@ -398,6 +439,13 @@ def test_readme_config_example_loads(tmp_path):
     assert spec.snr_targets == (1.0, 5.0, 20.0)
     est = estimator_config_from_config(cfg)
     assert (est.epsilon_policy, est.n_points) == ("zero", 4)
+
+
+def test_readme_bench_cfg_is_the_reference_corpus(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    config = tmp_path / "bench.cfg"
+    config.write_text(re.findall(r"```ini\n(.*?)```", readme, re.S)[1])
+    assert corpus_spec_from_config(load_config(config)) == reference_corpus_spec()
 
 
 def test_estimation_reads_no_clean_plane(small_corpus, tmp_path, capsys):

@@ -214,7 +214,7 @@ def _median_window_view(x, window):
 
 
 @pytest.mark.parametrize("window", [3, 5, 7])
-@pytest.mark.parametrize("shape", [(130, 97), (12, 33)], ids=["three_strips", "one_strip"])
+@pytest.mark.parametrize("shape", [(130, 97), (12, 33)], ids=["strips_and_remainder", "one_strip"])
 def test_median_matches_window_view_formula(window, shape, rng):
     floats = rng.uniform(0.0, 1000.0, size=shape)
     ties = rng.integers(0, 6, size=shape).astype(np.float64)  # many equal neighbours
@@ -318,6 +318,11 @@ def test_noise_variance_ar_recovers_injected_variance(oracle_corpus):
         if abs(estimate - gt.noise_energy) <= 0.15 * gt.noise_energy:
             hits += 1
     assert total >= 10 and hits == total
+
+
+def test_noise_variance_ar_needs_lags_that_fit():
+    with pytest.raises(DomainError, match="max_lag 3"):  # ar_order 2 reads lags 0..3
+        estimate_noise_variance_ar(raster_from_array(np.ones((5, 5))), 2)
 
 
 def test_noise_variance_ar_white_noise_only():

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -131,23 +133,55 @@ def test_total_se_yield_examples():
         total_se_yield(-0.1, 0.3)
 
 
+# every NoiseRecipe field but the dose map, each away from its default
+RECIPE_FIELDS = dict(emission_model="binomial-bse", se_yield=0.2, bse_yield=0.45,
+                     yield_inflation=1.5, gaussian_sigma=2.25, detector_gain=3.5,
+                     dc_offset=17.0, seed=99, bit_depth=8)
+
+
+def assert_same_recipe(again, recipe):
+    assert set(RECIPE_FIELDS) | {"dose_map"} == {f.name for f in fields(NoiseRecipe)}
+    for f in fields(NoiseRecipe):
+        if f.name == "dose_map":
+            assert np.array_equal(again.dose_map, recipe.dose_map)
+        else:
+            assert getattr(recipe, f.name) != f.default, f.name
+            assert getattr(again, f.name) == getattr(recipe, f.name), f.name
+
+
 def test_recipe_text_round_trip_constant():
-    recipe = flat_recipe(123.5, "poisson-se", size=8, se_yield=0.2, seed=99)
-    text = recipe_to_text(recipe)
-    again = recipe_from_text(text)
-    assert np.array_equal(again.dose_map, recipe.dose_map)
-    for field in ("emission_model", "se_yield", "bse_yield", "yield_inflation",
-                  "gaussian_sigma", "detector_gain", "dc_offset", "seed", "bit_depth"):
-        assert getattr(again, field) == getattr(recipe, field), field
+    recipe = NoiseRecipe(dose_map=np.full((8, 8), 123.5), **RECIPE_FIELDS)
+    assert_same_recipe(recipe_from_text(recipe_to_text(recipe)), recipe)
 
 
 def test_recipe_text_round_trip_pgm_reference():
     basis = raster_from_array(np.arange(16, dtype=float).reshape(4, 4), bit_depth=16)
     dose = 0.5 * basis.data + 10.0
-    recipe = NoiseRecipe(dose_map=dose, emission_model="poisson-pe", seed=4, bit_depth=16)
+    recipe = NoiseRecipe(dose_map=dose, **RECIPE_FIELDS)
     text = recipe_to_text(recipe, dose_pgm="basis.pgm", dose_scale=0.5, dose_offset=10.0)
-    again = recipe_from_text(text, dose_loader=lambda name: basis)
-    assert np.allclose(again.dose_map, recipe.dose_map)
+    assert_same_recipe(recipe_from_text(text, dose_loader=lambda name: basis), recipe)
+
+
+_RECIPE_TEXT = recipe_to_text(NoiseRecipe(dose_map=np.full((4, 4), 50.0), seed=7))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("seed = 7", "seed = abc", "line 8: bad value for seed"),
+    ("width = 4", "width = 3.5", "line 10: bad value for width"),
+    ("se_yield = 0.16", "se_yield = high", "line 2: bad value for se_yield"),
+    ("height = 4\n", "", "no 'height' line"),
+    ("bit_depth = 16\n", "", "no 'bit_depth' line"),
+    ("dose_constant = 50.0\n", "", "no 'dose_pgm' line"),
+    ("dose_constant = 50.0\n", "dose_constant = 50.0\ndose_pgm = basis.pgm\n",
+     "also ['dose_pgm']"),
+    ("seed = 7", "seed 7", "line 8: expected 'key = value'"),
+    ("se_yield = 0.16", "se_yield = 2.0", "se_yield must be in"),
+], ids=["int", "int_shape", "float", "no_height", "no_field", "no_dose", "two_doses",
+        "no_equals", "out_of_rule"])
+def test_malformed_recipe_text_is_domain_error(old, new, message):
+    assert old in _RECIPE_TEXT
+    with pytest.raises(DomainError, match=re.escape(message)):
+        recipe_from_text(_RECIPE_TEXT.replace(old, new, 1))
 
 
 def test_recipe_text_rejects_unknown_key():
