@@ -28,7 +28,7 @@ from .corpus import (  # noqa: F401
     read_truth_csv,
     write_csv,
 )
-from .denoise import FilterSpec, apply_filter, filter_spec_to_string, parse_filter_spec
+from .denoise import FilterSpec, apply_filter, filter_spec_to_string
 from .errors import ConfigError, DomainError, EstimatorError, SingularFitError
 from .estimators import (
     ALL_METHODS,
@@ -99,15 +99,12 @@ def _read_section(cfg: configparser.ConfigParser, name: str, types: dict) -> dic
     return values
 
 
-def corpus_spec_from_config(cfg: configparser.ConfigParser,
-                            seed_override: int | None = None) -> CorpusSpec:
+def corpus_spec_from_config(cfg: configparser.ConfigParser) -> CorpusSpec:
     """The ``[corpus]`` keys are SceneSpec's fields (``kind`` spelled ``scene``) and CorpusSpec's."""
     if not cfg.has_section("corpus"):
         raise ConfigError("config has no [corpus] section")
     scene_types = {("scene" if k == "kind" else k): t for k, t in field_types(SceneSpec).items()}
     values = _read_section(cfg, "corpus", scene_types | field_types(CorpusSpec))
-    if seed_override is not None:
-        values["base_seed"] = seed_override
     scene = {("kind" if k == "scene" else k): values.pop(k) for k in scene_types if k in values}
     return CorpusSpec(scene=SceneSpec(**scene), **values)
 
@@ -396,15 +393,13 @@ def write_sweep_svg(rows, path) -> None:
 # --- denoising runs -------------------------------------------------------------
 
 
-def run_denoise(corpus_dir, spec: FilterSpec | str, out_dir=None) -> list[dict]:
+def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
     """Filter every noisy corpus image and report MSE/PSNR against the clean pair.
 
     Images are read one pair at a time.  When ``out_dir`` is given the filtered
     planes are quantized back to the input bit depth and written as
     ``<id>.filtered.pgm`` next to report.csv.
     """
-    if isinstance(spec, str):
-        spec = parse_filter_spec(spec)
     root = Path(corpus_dir)
     truth = read_truth_csv(root / "truth.csv")
     label = filter_spec_to_string(spec)

@@ -37,7 +37,7 @@ from .bench import (
 from .corpus import generate_corpus
 from .denoise import parse_filter_spec
 from .errors import ConfigError, DataError, DomainError, SemSnrError
-from .estimators import DEFAULT_CONFIG
+from .estimators import DEFAULT_CONFIG, SINGLE_IMAGE_METHODS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a synthetic corpus with oracle truth")
     gen.add_argument("--config", required=True, help="flat key/value config with [corpus]")
     gen.add_argument("--out", required=True, help="corpus output directory")
-    gen.add_argument("--seed", type=int, default=None, help="override the corpus base seed")
 
     est = sub.add_parser("estimate", help="run SNR estimators over a corpus")
     est.add_argument("--corpus", required=True, help="corpus directory from 'generate'")
@@ -80,9 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=_SWEEP_HELP)
     swp.add_argument("--range", required=True,
                      help="comma-separated monotone values, e.g. 25,100,400")
-    swp.add_argument("--methods", default="nn,lsr,acldr")
+    swp.add_argument("--methods", default="nn,lsr,acldr",
+                     help=f"comma list from {','.join(SINGLE_IMAGE_METHODS)}, or 'all' for all of them")
     swp.add_argument("--seeds", type=int, default=3, help="seeds per swept value")
-    swp.add_argument("--seed", type=int, default=None, help="override the base seed")
 
     den = sub.add_parser("denoise", help="filter a corpus and report MSE/PSNR")
     den.add_argument("--corpus", required=True)
@@ -115,7 +114,7 @@ def _staged_out(out_dir):
 
 
 def _cmd_generate(args) -> int:
-    spec = corpus_spec_from_config(load_config(args.config), seed_override=args.seed)
+    spec = corpus_spec_from_config(load_config(args.config))
     with _staged_out(args.out) as out:
         rows = generate_corpus(spec, out)
     print(f"generated {len(rows)} image pair(s) in {args.out}")
@@ -134,15 +133,19 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    methods = parse_methods(args.methods)
+    two_image = [m for m in methods if m not in SINGLE_IMAGE_METHODS]
+    if two_image and args.methods.strip() != "all":
+        raise ConfigError(f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
+                          f"got {two_image}")
     cfg = load_config(args.config)
-    spec = corpus_spec_from_config(cfg, seed_override=args.seed)
+    spec = corpus_spec_from_config(cfg)
     est_cfg = estimator_config_from_config(cfg)
     try:
         values = [float(v) for v in args.range.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --range value: {exc}") from exc
-    rows = run_sweep(args.parameter, values, spec, parse_methods(args.methods),
-                     est_cfg, seeds=args.seeds)
+    rows = run_sweep(args.parameter, values, spec, methods, est_cfg, seeds=args.seeds)
     with _staged_out(args.out) as out:
         write_csv(out / "sweep.csv", SWEEP_FIELDS, rows)
         write_sweep_svg(rows, out / "sweep.svg")

@@ -7,9 +7,11 @@ A corpus directory holds, per image id:
 * ``<id>.clean.pgm``   expected (noise-free) acquisition
 * ``<id>.noisy.pgm``   realized noisy acquisition
 
-plus ``truth.csv`` (one oracle row per image) and ``manifest.txt`` (flat
-key/value run description).  Everything is reproducible from the manifest:
-per-image RNG streams derive from (corpus seed, image index).
+plus ``truth.csv`` (one oracle row per image) and ``manifest.txt``, a flat
+key/value summary of the run (scene kind, size, model, base seed, and each
+image's id, seed and SNR target).  Each image regenerates exactly from its
+``recipe.txt`` and scene PGM; per-image RNG streams derive from (corpus seed,
+image index).
 """
 
 from __future__ import annotations
@@ -390,12 +392,19 @@ def load_corpus(corpus_dir) -> list[CorpusImage]:
 
 
 def _read_recipe(corpus_dir, image_id: str) -> NoiseRecipe:
-    """One image's stored recipe; a malformed one is a DataError naming its file."""
+    """One image's recipe over its own scene plane; any fault is a DataError naming the file."""
     root = Path(corpus_dir)
     path = root / f"{image_id}.recipe.txt"
+    if not path.exists():
+        raise DataError(f"corpus image {image_id} is missing its recipe {path}")
+
+    def scene(name: str) -> Raster:
+        if name != f"{image_id}.scene.pgm":
+            raise DataError(f"{path}: dose_pgm {name!r} is not {image_id}.scene.pgm")
+        return load_plane(root, image_id, "scene")
+
     try:
-        return recipe_from_text(path.read_text(encoding="ascii"),
-                                dose_loader=lambda name: load_pgm(root / name))
+        return recipe_from_text(path.read_text(encoding="ascii"), dose_loader=scene)
     except (DomainError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -24,23 +24,16 @@ AXES = ("x", "y")
 
 @dataclass(frozen=True)
 class AcfCurve:
-    """A 1-D autocorrelation profile r(k) for integer lags 0..K."""
+    """A 1-D autocorrelation profile r(k); ``values[k]`` is lag k, for lags 0..K."""
 
-    lags: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     mean: float = 0.0
-    axis: str = "x"
 
     def __post_init__(self):
-        lags = np.ascontiguousarray(np.asarray(self.lags, dtype=np.int64))
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if lags.shape != values.shape or lags.ndim != 1:
-            raise DomainError("lags and values must be 1-D arrays of equal length")
-        if not np.array_equal(lags, np.arange(lags.size)):
-            raise DomainError("lags must be exactly 0..K")
-        lags.flags.writeable = False
+        if values.ndim != 1:
+            raise DomainError("values must be a 1-D array")
         values.flags.writeable = False
-        object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
 
     def value(self, lag: int) -> float:
@@ -63,8 +56,7 @@ class LagTable:
     def xy(self, max_lag: int) -> AcfCurve:
         """Average of the x and y profiles over lags 0..max_lag (halves tail variance)."""
         n = max_lag + 1
-        return AcfCurve(lags=self.x.lags[:n], values=0.5 * (self.x.values[:n] + self.y.values[:n]),
-                        mean=self.x.mean, axis="xy")
+        return AcfCurve(0.5 * (self.x.values[:n] + self.y.values[:n]), self.x.mean)
 
 
 @dataclass(frozen=True)
@@ -106,9 +98,7 @@ def lag_table(r: Raster, x_lags: int, y_lags: int) -> LagTable:
     mean = float(x.mean())
     r0 = _lag_product(x, 0, "x")
     curves = [
-        AcfCurve(lags=np.arange(n + 1),
-                 values=[r0] + [_lag_product(x, k, axis) for k in range(1, n + 1)],
-                 mean=mean, axis=axis)
+        AcfCurve([r0] + [_lag_product(x, k, axis) for k in range(1, n + 1)], mean)
         for axis, n in (("x", x_lags), ("y", y_lags))
     ]
     return LagTable(*curves)

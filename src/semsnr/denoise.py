@@ -260,42 +260,38 @@ def spatial_filter(img: Raster, spec: FilterSpec) -> Raster:
     return raster_from_array(out, img.bit_depth)
 
 
-def _transfer(spectrum: np.ndarray, pixels: int, noise_psd) -> np.ndarray:
-    # spectrum is the rfft2 half spectrum of a plane of ``pixels`` samples.  A
-    # scalar PSD stays a scalar: no full plane of it or of its zero test is built.
-    p_u = np.asarray(noise_psd, dtype=np.float64)
-    if p_u.ndim and p_u.shape != spectrum.shape:
-        raise DomainError(f"noise PSD shape {p_u.shape} does not match the image's "
-                          f"half spectrum {spectrum.shape}")
-    if np.any(p_u < 0.0):
-        raise DomainError("noise PSD must be nonnegative everywhere")
+def _transfer(spectrum: np.ndarray, pixels: int, noise_var: float) -> np.ndarray:
+    # spectrum is the rfft2 half spectrum of a plane of ``pixels`` samples
+    _check_param("noise_var", noise_var)
+    if noise_var == 0.0:
+        return np.ones(spectrum.shape)  # nothing to subtract: all-pass
     p_f = np.abs(spectrum)
     np.square(p_f, out=p_f)
     p_f /= pixels  # periodogram
-    p_f -= p_u
+    p_f -= noise_var
     np.maximum(p_f, 0.0, out=p_f)
-    with np.errstate(invalid="ignore"):  # 0 / 0 only where p_u == 0, set to 1 below
-        transfer = np.divide(p_f, p_f + p_u, out=p_f)
-    np.copyto(transfer, 1.0, where=p_u == 0.0)
+    transfer = np.divide(p_f, p_f + noise_var, out=p_f)
     transfer[0, 0] = 1.0
     return transfer
 
 
-def wiener_transfer(img: Raster, noise_psd) -> np.ndarray:
+def wiener_transfer(img: Raster, noise_var: float) -> np.ndarray:
     """Frequency response of the spectral-subtraction Wiener filter.
 
     The response is on the ``rfft2`` half spectrum, shape (height, width // 2 + 1).
-    ``noise_psd`` is a scalar white-noise variance or an array of that shape in
-    periodogram units (|FFT|^2 / pixel count).  The response lies in [0, 1]
-    and the zero-frequency bin is forced to 1 so the mean passes through.
+    ``noise_var`` is the white-noise variance, a finite scalar >= 0, which is
+    also its flat PSD in periodogram units (|FFT|^2 / pixel count).  The
+    response lies in [0, 1] and the zero-frequency bin is forced to 1 so the
+    mean passes through.
     """
-    return _transfer(np.fft.rfft2(img.data), img.data.size, noise_psd)
+    return _transfer(np.fft.rfft2(img.data), img.data.size, noise_var)
 
 
-def wiener_global(img: Raster, noise_psd, reference: Raster | None = None) -> DenoiseReport:
+def wiener_global(img: Raster, noise_var: float,
+                  reference: Raster | None = None) -> DenoiseReport:
     """Frequency-domain Wiener restoration with spectral subtraction."""
     spectrum = np.fft.rfft2(img.data)
-    spectrum *= _transfer(spectrum, img.data.size, noise_psd)
+    spectrum *= _transfer(spectrum, img.data.size, noise_var)
     out = np.fft.irfft2(spectrum, s=img.data.shape)
     out = np.maximum(out, 0.0)
     return _report(raster_from_array(out, img.bit_depth), reference)

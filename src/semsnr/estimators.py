@@ -93,37 +93,28 @@ DEFAULT_CONFIG = EstimatorConfig()
 
 @dataclass(frozen=True)
 class SnrEstimate:
-    """One technique's output: linear SNR, dB, peak prediction, diagnostics."""
+    """One technique's output: linear SNR, peak prediction, diagnostics; dB is derived."""
 
     method: str
     status: str = "ok"
     snr_linear: float = math.nan
-    snr_db: float = math.nan
     predicted_nf_peak: float | None = None
     diagnostics: dict = field(default_factory=dict)
     # the method's own time in estimate_all, without the shared lag table
     runtime_ms: float = field(default=math.nan, compare=False)
 
+    @property
+    def snr_db(self) -> float:
+        return snr_db(self.snr_linear)
+
 
 def _ok(method: str, snr: float, peak: float | None = None, **diag) -> SnrEstimate:
-    return SnrEstimate(
-        method=method,
-        status="ok",
-        snr_linear=snr,
-        snr_db=snr_db(snr),
-        predicted_nf_peak=peak,
-        diagnostics=diag,
-    )
+    return SnrEstimate(method=method, status="ok", snr_linear=snr, predicted_nf_peak=peak,
+                       diagnostics=diag)
 
 
 def _infinite(method: str, **diag) -> SnrEstimate:
-    return SnrEstimate(
-        method=method,
-        status="infinite",
-        snr_linear=math.inf,
-        snr_db=math.inf,
-        diagnostics=diag,
-    )
+    return SnrEstimate(method=method, status="infinite", snr_linear=math.inf, diagnostics=diag)
 
 
 # --- curve-level peak predictors ---------------------------------------------
@@ -510,12 +501,12 @@ METHODS = {m.name: m for m in (
     Method("asnn", lambda c: (1, 1), estimate_asnn),
     Method("acldr", lambda c: (c.acldr_order + 1,) * 2, estimate_acldr),
     Method("chillsr", lambda c: (c.chillsr_points, 0), estimate_chillsrsnr),
-    Method("smart", None, estimate_smart),
     Method("frank_alali", None, lambda img, second, cfg: estimate_frank_alali(img, second)
            if second is not None else SnrEstimate("frank_alali", "not_applicable")),
+    Method("smart", None, estimate_smart),
 )}
 SINGLE_IMAGE_METHODS = tuple(name for name, m in METHODS.items() if m.lags is not None)
-ALL_METHODS = SINGLE_IMAGE_METHODS + ("frank_alali", "smart")
+ALL_METHODS = tuple(METHODS)
 
 
 def _attempt(name: str, run, *args) -> SnrEstimate:

@@ -190,23 +190,31 @@ def total_se_yield(delta_se1: float, zeta: float) -> float:
 # --- flat key/value recipe serialization ------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return tuple(_finite_float(v) for v in text.split(",") if v.strip())
 
 
 def field_types(cls) -> dict:
     """Parser of each text key of a dataclass: every field with a default, typed by it.
 
-    A tuple default reads as a comma list of floats.  The config sections and
-    ``recipe.txt`` are read (and recipes written) through this one rule.
+    A float must be finite, and a tuple default reads as a comma list of them.
+    The config sections and ``recipe.txt`` are read (and written) by this rule.
     """
-    return {f.name: _float_list if isinstance(f.default, tuple) else type(f.default)
+    parsers = {float: _finite_float, tuple: _float_list}
+    return {f.name: parsers.get(type(f.default), type(f.default))
             for f in fields(cls) if f.default is not MISSING}
 
 
 # recipe.txt keys that are not NoiseRecipe fields: the dose map's shape and source
-_DOSE_KEYS = {"width": int, "height": int, "dose_constant": float, "dose_pgm": str,
-              "dose_scale": float, "dose_offset": float}
+_DOSE_KEYS = {"width": int, "height": int, "dose_constant": _finite_float, "dose_pgm": str,
+              "dose_scale": _finite_float, "dose_offset": _finite_float}
 
 
 def recipe_to_text(recipe: NoiseRecipe, dose_pgm: str | None = None,

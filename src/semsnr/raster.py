@@ -21,26 +21,22 @@ _VALID_DEPTHS = (8, 16)
 class Raster:
     """A rectangular grayscale image with explicit storage bit depth.
 
-    ``data`` is a (height, width) float64 plane of finite, nonnegative
-    intensities.  The bit depth states how the image is (or will be) stored;
-    working values may exceed the storage maximum until quantized.
+    ``data`` is a (height, width) float64 plane, at least 2x2, of finite,
+    nonnegative intensities.  The bit depth states how the image is (or will
+    be) stored; working values may exceed the storage maximum until quantized.
     """
 
-    width: int
-    height: int
-    bit_depth: int
     data: np.ndarray = field(repr=False)
+    bit_depth: int = 8
 
     def __post_init__(self):
         if self.bit_depth not in _VALID_DEPTHS:
             raise DomainError(f"bit_depth must be one of {_VALID_DEPTHS}, got {self.bit_depth}")
-        if self.width < 2 or self.height < 2:
-            raise DomainError(f"raster must be at least 2x2, got {self.width}x{self.height}")
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.shape != (self.height, self.width):
-            raise DomainError(
-                f"data shape {arr.shape} does not match {self.height}x{self.width}"
-            )
+        if arr.ndim != 2:
+            raise DomainError(f"expected a 2-D array, got ndim={arr.ndim}")
+        if min(arr.shape) < 2:
+            raise DomainError(f"raster must be at least 2x2, got {arr.shape[1]}x{arr.shape[0]}")
         if not np.all(np.isfinite(arr)):
             raise DomainError("working intensities must be finite")
         if arr.min(initial=0.0) < 0.0:
@@ -50,6 +46,14 @@ class Raster:
         object.__setattr__(self, "data", arr)
 
     @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
     def maxval(self) -> int:
         return (1 << self.bit_depth) - 1
 
@@ -57,7 +61,7 @@ class Raster:
         """Return a copy with all intensities multiplied by ``factor`` > 0."""
         if factor <= 0:
             raise DomainError("scale factor must be positive")
-        return Raster(self.width, self.height, self.bit_depth, self.data * factor)
+        return Raster(self.data * factor, self.bit_depth)
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,7 @@ class ImageStats:
 
 
 def raster_from_array(arr, bit_depth: int = 8) -> Raster:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DomainError(f"expected a 2-D array, got ndim={arr.ndim}")
-    h, w = arr.shape
-    return Raster(width=w, height=h, bit_depth=bit_depth, data=arr)
+    return Raster(arr, bit_depth)
 
 
 def stats(r: Raster) -> ImageStats:
@@ -154,7 +154,7 @@ def raster_from_pgm_bytes(blob: bytes) -> Raster:
             f"({width}x{height} at {dtype.itemsize} byte(s)/sample)"
         )
     samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    return Raster(width, height, bit_depth, samples.reshape(height, width))
+    return Raster(samples.reshape(height, width), bit_depth)
 
 
 def pgm_bytes(r: Raster) -> bytes:

@@ -27,8 +27,9 @@ from semsnr.corpus import (
     regenerate_image,
     second_realization,
 )
+from semsnr.denoise import parse_filter_spec
 from semsnr.errors import ConfigError, DataError
-from semsnr.estimators import DEFAULT_CONFIG, EstimatorConfig
+from semsnr.estimators import DEFAULT_CONFIG, SINGLE_IMAGE_METHODS, EstimatorConfig
 from semsnr.raster import load_pgm, raster_from_array, save_pgm
 
 SMALL_CONFIG = """\
@@ -127,6 +128,25 @@ def test_corrupt_recipe_is_data_error(small_corpus, reader, old, new, message):
     with pytest.raises(DataError, match=message) as info:
         reader(corpus_dir, "img0000")
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("reader", [regenerate_image, second_realization])
+@pytest.mark.parametrize("damage,message", [
+    ("img0000.recipe.txt", "corpus image img0000 is missing its recipe"),
+    ("img0000.scene.pgm", "corpus image img0000 is missing its scene plane"),
+    ("dose_pgm", "dose_pgm '../corpus/img0002.scene.pgm' is not img0000.scene.pgm"),
+], ids=["no_recipe", "no_scene", "foreign_dose_pgm"])
+def test_recipe_reads_only_its_own_files(small_corpus, reader, damage, message):
+    _, corpus_dir = small_corpus
+    recipe = corpus_dir / "img0000.recipe.txt"
+    if damage == "dose_pgm":  # another image's scene, reached through the parent directory
+        text = recipe.read_text()
+        assert "dose_pgm = img0000.scene.pgm\n" in text
+        recipe.write_text(text.replace("img0000.scene.pgm", "../corpus/img0002.scene.pgm"))
+    else:
+        (corpus_dir / damage).unlink()
+    with pytest.raises(DataError, match=re.escape(message)):
+        reader(corpus_dir, "img0000")
 
 
 def test_unknown_config_key_is_named(tmp_path):
@@ -248,7 +268,6 @@ def test_empty_corpus_section_gives_default_spec(tmp_path):
     config = tmp_path / "empty.cfg"
     config.write_text("[corpus]\n")
     assert corpus_spec_from_config(load_config(config)) == CorpusSpec()
-    assert corpus_spec_from_config(load_config(config), seed_override=5) == CorpusSpec(base_seed=5)
 
 
 def test_estimate_cli_and_schema(small_corpus, tmp_path):
@@ -408,6 +427,42 @@ def test_nonpositive_sweep_value_is_config_error(tmp_path, capsys, parameter, va
     assert err.startswith("config error: ") and "--range" in err
     assert not out.exists()
     assert not (tmp_path / "out.partial").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("corr_length", "nan"), ("detector_gain", "nan"), ("dc_offset", "inf"), ("dose_max", "inf"),
+    ("snr_targets", "1,nan"),
+])
+def test_non_finite_corpus_float_is_config_error(tmp_path, capsys, key, value):
+    text = re.sub(rf"^{key} = .*\n", "", POISSON_CONFIG, flags=re.M)
+    config = tmp_path / "corpus.cfg"
+    config.write_text(text.replace("[corpus]\n", f"[corpus]\n{key} = {value}\n"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    bad = value.split(",")[-1]
+    assert f"bad [corpus] value for {key}: '{bad}' is not a finite number" in err
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
+@pytest.mark.parametrize("methods,refused", [("smart", "['smart']"),
+                                             ("nn,frank_alali", "['frank_alali']")])
+def test_sweep_refuses_methods_it_cannot_run(tmp_path, capsys, methods, refused):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(POISSON_CONFIG.replace("scene = spectral", "scene = ar_field"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", "dose",
+                 "--range", "100", "--methods", methods, "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep runs single-image methods only") and refused in err
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", "dose",
+                 "--range", "100", "--methods", "all", "--seeds", "1"]) == 0
+    assert [r["method"] for r in read_csv(out / "sweep.csv")] == ["moment", *SINGLE_IMAGE_METHODS]
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -725,7 +780,8 @@ def test_csv_cells_round_trip_exactly(small_corpus, tmp_path):
 
     # a noise-free image under the identity filter gives MSE 0 and PSNR inf
     (corpus_dir / "img0000.noisy.pgm").write_bytes((corpus_dir / "img0000.clean.pgm").read_bytes())
-    rows = run_denoise(corpus_dir, "wiener_local:window=5,noise_var=0", out_dir=tmp_path / "den")
+    rows = run_denoise(corpus_dir, parse_filter_spec("wiener_local:window=5,noise_var=0"),
+                       out_dir=tmp_path / "den")
     cells = _assert_cells_exact(tmp_path / "den" / "report.csv", DENOISE_FIELDS, rows)
     assert "inf" in cells and "" in cells
     for path in (tmp_path / "res" / "results.csv", tmp_path / "den" / "report.csv"):

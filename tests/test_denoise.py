@@ -270,13 +270,12 @@ def test_wiener_global_matches_full_spectrum_formula(shape, rng):
         out = wiener_global(img, noise_var).output.data
         expected = _wiener_global_full_spectrum(arr, noise_var)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
-        transfer = wiener_transfer(img, noise_var)
-        assert transfer.shape == half
-        assert np.array_equal(wiener_transfer(img, np.full(half, noise_var)), transfer)
-    with pytest.raises(DomainError):
-        wiener_transfer(img, np.full(shape, 25.0))  # the full spectrum's shape
-    with pytest.raises(DomainError):
-        wiener_global(img, np.full(shape, 25.0))
+        assert wiener_transfer(img, noise_var).shape == half
+    for bad in (np.full(half, 25.0), -1.0, math.nan):  # the noise variance is one scalar
+        with pytest.raises(DomainError):
+            wiener_transfer(img, bad)
+        with pytest.raises(DomainError):
+            wiener_global(img, bad)
 
 
 def test_wiener_local_reduces_mse_on_oracle(oracle_corpus):

@@ -46,7 +46,7 @@ from semsnr.raster import raster_from_array
 
 def curve_from(values, mean=0.0):
     values = np.asarray(values, dtype=float)
-    return AcfCurve(lags=np.arange(values.size), values=values, mean=mean, axis="x")
+    return AcfCurve(values, mean)
 
 
 # --- Levinson-Durbin ----------------------------------------------------------

@@ -176,8 +176,11 @@ _RECIPE_TEXT = recipe_to_text(NoiseRecipe(dose_map=np.full((4, 4), 50.0), seed=7
      "also ['dose_pgm']"),
     ("seed = 7", "seed 7", "line 8: expected 'key = value'"),
     ("se_yield = 0.16", "se_yield = 2.0", "se_yield must be in"),
+    ("dc_offset = 0.0", "dc_offset = inf",
+     "line 7: bad value for dc_offset: 'inf' is not a finite number"),
+    ("dose_constant = 50.0", "dose_constant = nan", "line 12: bad value for dose_constant"),
 ], ids=["int", "int_shape", "float", "no_height", "no_field", "no_dose", "two_doses",
-        "no_equals", "out_of_rule"])
+        "no_equals", "out_of_rule", "non_finite", "non_finite_dose"])
 def test_malformed_recipe_text_is_domain_error(old, new, message):
     assert old in _RECIPE_TEXT
     with pytest.raises(DomainError, match=re.escape(message)):

@@ -91,7 +91,7 @@ def test_raster_invariants():
     with pytest.raises(DomainError):
         raster_from_array(np.full((4, 4), np.nan))
     with pytest.raises(DomainError):
-        Raster(4, 4, 12, np.zeros((4, 4)))
+        Raster(np.zeros((4, 4)), 12)
     r = raster_from_array(np.ones((3, 3)))
     with pytest.raises(ValueError):
         r.data[0, 0] = 5.0  # the plane is frozen
