@@ -130,20 +130,24 @@ def _spectral_field(h: int, w: int, corr_length: float, nugget: float,
     amplitude = _spectral_amplitude(h, w, corr_length, nugget)
     # Hermitian-symmetric unit phases from a real white field keep the
     # synthesized field real and its amplitude spectrum exactly on target.
-    white = np.fft.rfft2(rng.standard_normal((h, w)))
-    magnitude = np.abs(white)
-    phases = np.where(magnitude > 0.0, white / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
-    field_ = np.fft.irfft2(amplitude * phases, s=(h, w))
+    # The phases are built in the transform's own plane; a zero bin gets phase 1.
+    spectrum = np.fft.rfft2(rng.standard_normal((h, w)))
+    magnitude = np.abs(spectrum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spectrum /= magnitude
+    spectrum[magnitude == 0.0] = 1.0
+    spectrum *= amplitude
+    field_ = np.fft.irfft2(spectrum, s=(h, w))
     # Equalize row and column means: overlap windows of the lagged product
     # sums then share the same mean, which keeps sample autocorrelation tails
     # stable when the intensity offset dwarfs the contrast.
-    field_ = field_ - field_.mean(axis=0, keepdims=True)
-    field_ = field_ - field_.mean(axis=1, keepdims=True)
+    field_ -= field_.mean(axis=0, keepdims=True)
+    field_ -= field_.mean(axis=1, keepdims=True)
     return field_
 
 
 def make_scene(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
-    """Render the scene pattern into [0, 1]; deterministic given the generator."""
+    """Render the scene pattern into [0, 1] in a new plane; deterministic given the generator."""
     h, w = spec.height, spec.width
     if spec.kind == "constant":
         return np.full((h, w), 0.5)
@@ -169,7 +173,9 @@ def make_scene(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     lo, hi = float(field_.min()), float(field_.max())
     if hi - lo < 1e-12:
         return np.full((h, w), 0.5)
-    return (field_ - lo) / (hi - lo)
+    field_ -= lo
+    field_ /= hi - lo
+    return field_
 
 
 @dataclass(frozen=True)
@@ -276,9 +282,12 @@ def acquire(spec: CorpusSpec, stream: int, seed: int, target: float | None):
     ``target`` is the additive-gaussian SNR target, unused by the counting
     models.
     """
-    basis, _ = quantize(make_scene(spec.scene, rng_for(spec.base_seed, stream)) * 65535.0, 16)
+    scene = make_scene(spec.scene, rng_for(spec.base_seed, stream))
+    scene *= 65535.0
+    basis, _ = quantize(scene, 16)
     dose_scale = (spec.dose_max - spec.dose_min) / 65535.0
-    dose = dose_scale * basis.data + spec.dose_min  # basis holds integers 0..65535
+    dose = np.multiply(basis.data, dose_scale, out=scene)  # basis holds integers 0..65535
+    dose += spec.dose_min
     sigma = 0.0
     if spec.model == "additive-gaussian":
         if target is None or target <= 0.0:

@@ -38,7 +38,10 @@ def _check_param(name: str, value) -> None:
     if integral:
         typed = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     else:
-        typed = isinstance(value, numbers.Real) and math.isfinite(value)
+        try:
+            typed = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            typed = False
     if not (typed and holds(value)):
         raise DomainError(f"{name} must be {rule}, got {value!r}")
 

@@ -62,7 +62,8 @@ class NoiseRecipe:
         arr = np.ascontiguousarray(np.asarray(self.dose_map, dtype=np.float64))
         if arr.ndim != 2:
             raise DomainError("dose_map must be 2-D")
-        if not np.all(np.isfinite(arr)) or arr.min() <= 0.0:
+        lo, hi = arr.min(), arr.max()  # nan and +-inf always reach one of them
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0:
             raise DomainError("dose_map must be finite and positive everywhere")
         arr.flags.writeable = False
         object.__setattr__(self, "dose_map", arr)
@@ -100,17 +101,22 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
 
 
-def _expected_counts(recipe: NoiseRecipe) -> np.ndarray:
-    dose = recipe.dose_map
+def _count_yield(recipe: NoiseRecipe) -> float:
+    """Mean counts per primary electron: the expected count plane is this times the dose."""
     if recipe.emission_model == "poisson-se":
-        return recipe.se_yield * dose
+        return recipe.se_yield
     if recipe.emission_model == "binomial-bse":
-        return recipe.bse_yield * dose
-    return dose
+        return recipe.bse_yield
+    return 1.0  # x * 1.0 is x exactly
 
 
 def simulate(recipe: NoiseRecipe) -> GroundTruth:
-    """Realize one acquisition; deterministic under a fixed recipe."""
+    """Realize one acquisition; deterministic under a fixed recipe.
+
+    Integer draws are mapped to intensity without a float copy, and the clean
+    and noisy intensity planes are built in one work plane, which ends up
+    holding (noisy - clean) for the noise energy.
+    """
     rng = rng_for(recipe.seed)
     dose = recipe.dose_map
     model = recipe.emission_model
@@ -118,38 +124,39 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     if model == "none":
         counts = dose
     elif model == "poisson-pe":
-        counts = rng.poisson(dose).astype(np.float64)
+        counts = rng.poisson(dose)
     elif model == "poisson-se":
-        n_pe = rng.poisson(dose).astype(np.float64)
-        mean_se = recipe.se_yield * n_pe
+        mean_se = recipe.se_yield * rng.poisson(dose)
         k = recipe.yield_inflation
         if k == 1.0:
-            counts = rng.poisson(mean_se).astype(np.float64)
+            counts = rng.poisson(mean_se)
         else:
             # negative binomial with mean m and variance k*m (only where m > 0)
             counts = np.zeros_like(mean_se)
             hot = mean_se > 0.0
             m = mean_se[hot]
             r = m / (k - 1.0)
-            counts[hot] = rng.negative_binomial(r, r / (r + m)).astype(np.float64)
+            counts[hot] = rng.negative_binomial(r, r / (r + m))
     elif model == "binomial-bse":
-        n_pe = rng.poisson(dose)
-        counts = rng.binomial(n_pe, recipe.bse_yield).astype(np.float64)
+        counts = rng.binomial(rng.poisson(dose), recipe.bse_yield)
     elif model == "additive-gaussian":
-        counts = dose + rng.normal(0.0, recipe.gaussian_sigma, size=dose.shape)
+        counts = rng.normal(0.0, recipe.gaussian_sigma, size=dose.shape)
+        counts += dose
     else:  # pragma: no cover - guarded by NoiseRecipe
         raise DomainError(f"unknown emission model {model!r}")
 
     gain, offset = recipe.detector_gain, recipe.dc_offset
-    clean_plane = gain * _expected_counts(recipe) + offset
-    noisy_plane = gain * counts + offset
-
-    clean, _ = quantize(clean_plane, recipe.bit_depth)
-    noisy, _ = quantize(noisy_plane, recipe.bit_depth)
+    work = dose * _count_yield(recipe)
+    work *= gain
+    work += offset
+    clean, _ = quantize(work, recipe.bit_depth)
+    np.multiply(counts, gain, out=work)
+    work += offset
+    noisy, _ = quantize(work, recipe.bit_depth)
 
     signal_energy = float(np.var(clean.data))
-    diff = noisy.data - clean.data
-    noise_energy = float(np.var(diff))
+    np.subtract(noisy.data, clean.data, out=work)
+    noise_energy = float(np.var(work))
     true_snr = math.inf if noise_energy == 0.0 else signal_energy / noise_energy
     return GroundTruth(
         clean=clean,

@@ -8,6 +8,7 @@ storage only happens at explicit quantize/save boundaries.  Arrays held by a
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,10 @@ class Raster:
             raise DomainError(f"expected a 2-D array, got ndim={arr.ndim}")
         if min(arr.shape) < 2:
             raise DomainError(f"raster must be at least 2x2, got {arr.shape[1]}x{arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()  # nan and +-inf always reach one of them
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("working intensities must be finite")
-        if arr.min(initial=0.0) < 0.0:
+        if lo < 0.0:
             raise DomainError("working intensities must be nonnegative")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
@@ -93,12 +95,16 @@ def quantize(r: Raster | np.ndarray, bit_depth: int) -> tuple[Raster, int]:
     if bit_depth not in _VALID_DEPTHS:
         raise DomainError(f"bit_depth must be one of {_VALID_DEPTHS}, got {bit_depth}")
     arr = r.data if isinstance(r, Raster) else np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # nan and +-inf always reach the min or the max
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise DomainError("cannot quantize non-finite intensities")
-    rounded = np.sign(arr) * np.floor(np.abs(arr) + 0.5)
-    maxval = (1 << bit_depth) - 1
-    clamped = int(np.count_nonzero((rounded < 0.0) | (rounded > maxval)))
-    out = np.clip(rounded, 0.0, float(maxval))
+    out = np.abs(arr)  # the one plane made here: |x|, then floor(|x| + 0.5) with x's sign
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, arr, out=out)
+    maxval = float((1 << bit_depth) - 1)
+    clamped = int(np.count_nonzero(out < 0.0)) + int(np.count_nonzero(out > maxval))
+    np.clip(out, 0.0, maxval, out=out)
     return raster_from_array(out, bit_depth=bit_depth), clamped
 
 
@@ -157,20 +163,27 @@ def raster_from_pgm_bytes(blob: bytes) -> Raster:
     return Raster(samples.reshape(height, width), bit_depth)
 
 
+def _pgm_parts(r: Raster) -> tuple[bytes, np.ndarray]:
+    """Canonical header and storage-typed payload of an integral plane within maxval."""
+    arr = r.data
+    top = arr.max()
+    if top > r.maxval:  # checked first, so the cast below is defined
+        raise DomainError(f"intensity {top} exceeds maxval {r.maxval}")
+    payload = arr.astype(np.dtype("u1") if r.bit_depth == 8 else np.dtype(">u2"))
+    if not np.array_equal(payload, arr):  # the cast truncated a fraction
+        raise DomainError("raster holds non-integral intensities; quantize before saving")
+    return f"P5\n{r.width} {r.height}\n{r.maxval}\n".encode("ascii"), payload
+
+
 def pgm_bytes(r: Raster) -> bytes:
     """Serialize in canonical form: ``P5\\n<w> <h>\\n<maxval>\\n`` + payload.
 
     16-bit samples are written big-endian.  The working plane must already be
-    integral and inside the storage range (quantize first if unsure).
+    integral and inside the storage range (quantize first if unsure); a plane
+    above maxval is reported as such even when it also holds fractions.
     """
-    arr = r.data
-    if not np.array_equal(arr, np.floor(arr)):
-        raise DomainError("raster holds non-integral intensities; quantize before saving")
-    if arr.max(initial=0.0) > r.maxval:
-        raise DomainError(f"intensity {arr.max()} exceeds maxval {r.maxval}")
-    dtype = np.dtype("u1") if r.bit_depth == 8 else np.dtype(">u2")
-    header = f"P5\n{r.width} {r.height}\n{r.maxval}\n".encode("ascii")
-    return header + arr.astype(dtype).tobytes()
+    header, payload = _pgm_parts(r)
+    return header + payload.tobytes()
 
 
 def load_pgm(path) -> Raster:
@@ -184,5 +197,7 @@ def load_pgm(path) -> Raster:
 
 def save_pgm(r: Raster, path) -> None:
     """Write a binary PGM (P5) file; byte-exact round-trip with load_pgm."""
+    header, payload = _pgm_parts(r)
     with open(path, "wb") as fh:
-        fh.write(pgm_bytes(r))
+        fh.write(header)
+        fh.write(payload)

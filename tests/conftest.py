@@ -14,7 +14,8 @@ DATA_DIR = Path(__file__).parent / "data"
 BENCH_CONFIG = DEFAULT_CONFIG
 
 # filter specs that must fail validation: unknown key, out-of-range or
-# non-integral int, non-finite float, duplicate key, overflowing default
+# non-integral int, non-finite float, duplicate key, overflowing default, an
+# int too large for a float
 MALFORMED_FILTER_SPECS = (
     "gaussian:sigma=1.5,raduis=2",
     "gaussian:sigma=1,radius=-1",
@@ -25,6 +26,7 @@ MALFORMED_FILTER_SPECS = (
     "gaussian:sigma=1.5,radius=2.5",
     "gaussian:sigma=1,sigma=2",
     "gaussian:sigma=1e308",
+    "wiener_global:noise_var=1" + "0" * 400,
 )
 
 

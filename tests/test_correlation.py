@@ -14,6 +14,7 @@ from semsnr.correlation import (
     snr_db,
     snr_from_peaks,
 )
+from semsnr.corpus import iter_corpus, reference_corpus_spec
 from semsnr.errors import DegenerateError, DomainError, NonpositiveSignalError
 from semsnr.raster import raster_from_array, stats
 
@@ -212,14 +213,27 @@ def test_acf_curve_lags_are_zero_to_k():
             curve.value(lag)
 
 
+def _direct_products(arr, x_lags, y_lags):
+    """The product-plane formula, np.mean(a * b) per lag, as x and y value lists."""
+    h, w = arr.shape
+    return ([float(np.mean(arr[:, : w - k] * arr[:, k:])) for k in range(x_lags + 1)],
+            [float(np.mean(arr[: h - k] * arr[k:])) for k in range(y_lags + 1)])
+
+
 def test_lag_table_matches_direct_products(rng):
+    # integer-valued planes, as every stored plane is: the same means exactly
+    _, _, _, gt, _ = next(iter_corpus(reference_corpus_spec(seeds_per_level=1)))
+    for arr in (rng.integers(0, 65536, size=(20, 30)).astype(float), gt.noisy.data):
+        table = lag_table(raster_from_array(arr, 16), 5, 5)
+        assert (table.x.values.tolist(), table.y.values.tolist()) == _direct_products(arr, 5, 5)
+        assert table.mean == float(arr.mean())
+    # a float plane: within rounding of the product-plane means
     arr = rng.uniform(0.0, 50.0, size=(20, 30))
     r = raster_from_array(arr)
     table = lag_table(r, 6, 3)
-    h, w = arr.shape
-    assert table.x.values.tolist() == [float(np.mean(arr[:, : w - k] * arr[:, k:]))
-                                       for k in range(7)]
-    assert table.y.values.tolist() == [float(np.mean(arr[: h - k] * arr[k:])) for k in range(4)]
+    xs, ys = _direct_products(arr, 6, 3)
+    np.testing.assert_allclose(table.x.values, xs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(table.y.values, ys, rtol=1e-12, atol=0.0)
     assert table.mean == float(arr.mean())
     assert table.xy(3).values.tolist() == (0.5 * (table.x.values[:4] + table.y.values)).tolist()
     with pytest.raises(DomainError):

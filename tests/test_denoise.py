@@ -46,6 +46,12 @@ def test_malformed_filter_spec_is_domain_error(text):
         parse_filter_spec(text)
 
 
+def test_huge_int_float_parameter_is_domain_error():
+    # an int too large for a float fails the finite rule instead of overflowing
+    with pytest.raises(DomainError, match="sigma must be finite and > 0"):
+        FilterSpec("gaussian", {"sigma": 10**400})
+
+
 @pytest.mark.parametrize("text,label", [
     # the benchmark's denoise specs and the README example
     ("ar_wiener:ar_order=2,window=7", "ar_wiener:ar_order=2,window=7"),

@@ -109,6 +109,14 @@ def test_recipe_validation():
         flat_recipe(10, "binomial-bse", bse_yield=1.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+def test_dose_map_rejects_nonfinite_and_nonpositive_with_its_message(bad):
+    dose = np.full((4, 4), 10.0)
+    dose[3, 0] = bad
+    with pytest.raises(DomainError, match="^dose_map must be finite and positive everywhere$"):
+        NoiseRecipe(dose_map=dose)
+
+
 def test_shot_noise_power_examples():
     assert shot_noise_power(1e-9, 1e6) == pytest.approx(3.204353268e-22, rel=1e-9)
     assert shot_noise_power(1e-9, 2e6) == pytest.approx(2 * shot_noise_power(1e-9, 1e6))

@@ -97,6 +97,17 @@ def test_raster_invariants():
         r.data[0, 0] = 5.0  # the plane is frozen
 
 
+@pytest.mark.parametrize("bad,message", [
+    (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite"),
+    (-1.0, "must be nonnegative"),
+])
+def test_raster_rejects_nonfinite_and_negative_with_its_message(bad, message):
+    arr = np.ones((4, 4))
+    arr[2, 1] = bad
+    with pytest.raises(DomainError, match=f"^working intensities {message}$"):
+        Raster(arr)
+
+
 def test_stats_constant_and_hand_values():
     r = raster_from_array(np.full((4, 4), 7.0))
     s = stats(r)
@@ -145,3 +156,41 @@ def test_quantize_error_variance_monte_carlo(rng):
     q, _ = quantize(arr, 8)
     err_var = float(np.var(q.data - arr))
     assert abs(err_var - 1.0 / 12.0) <= 0.05 / 12.0
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_quantize_matches_reference_formula(bit_depth):
+    maxval = (1 << bit_depth) - 1
+    arr = np.array([[0.5, -0.5, 1.5, -1.5, -0.0, 7.2],
+                    [maxval - 0.5, maxval + 0.5, -3.0, 1e6, 0.0, 2.5]])
+    before = arr.copy()
+    q, clamped = quantize(arr, bit_depth)
+    rounded = np.sign(arr) * np.floor(np.abs(arr) + 0.5)
+    assert np.array_equal(q.data, np.clip(rounded, 0, maxval))
+    assert clamped == int(np.count_nonzero((rounded < 0.0) | (rounded > maxval))) == 5
+    assert arr.tobytes() == before.tobytes()  # the input is never written
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_nonfinite(bad):
+    arr = np.ones((3, 3))
+    arr[1, 2] = bad
+    with pytest.raises(DomainError, match="^cannot quantize non-finite intensities$"):
+        quantize(arr, 16)
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+def test_save_pgm_writes_pgm_bytes(tmp_path, rng, depth):
+    r = Raster(rng.integers(0, 1 << depth, size=(7, 5)).astype(float), depth)
+    save_pgm(r, tmp_path / "a.pgm")
+    assert (tmp_path / "a.pgm").read_bytes() == pgm_bytes(r)
+
+
+def test_pgm_rejects_fractions_and_values_above_maxval(tmp_path):
+    with pytest.raises(DomainError, match="non-integral"):
+        pgm_bytes(Raster(np.full((2, 2), 3.5), 8))
+    # above maxval is named first, even when the plane also holds fractions
+    for plane in (np.full((2, 2), 256.0), np.full((2, 2), 300.5)):
+        with pytest.raises(DomainError, match="exceeds maxval 255"):
+            save_pgm(Raster(plane, 8), tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()  # checked before the file is opened
