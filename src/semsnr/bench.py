@@ -12,7 +12,6 @@ import configparser
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .corpus import (  # noqa: F401
     load_plane,
     read_csv,
     read_truth_csv,
+    worker_pool,
     write_csv,
 )
 from .denoise import FilterSpec, apply_filter, filter_spec_to_string
@@ -36,6 +36,7 @@ from .estimators import (
     SINGLE_IMAGE_METHODS,
     EstimatorConfig,
     SnrEstimate,
+    check_methods,
     estimate_all,
     estimate_nn,
 )
@@ -121,13 +122,13 @@ def estimator_config_from_config(cfg: configparser.ConfigParser) -> EstimatorCon
 
 
 def parse_methods(text: str) -> tuple[str, ...]:
+    """A ``--methods`` value: ``all`` or a comma list; an unknown name is a ConfigError."""
     if text.strip() == "all":
         return ALL_METHODS
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    unknown = [m for m in methods if m not in ALL_METHODS]
-    if unknown:
-        raise ConfigError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
-    return methods
+    try:
+        return check_methods(m.strip() for m in text.split(",") if m.strip())
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # --- estimation runs ----------------------------------------------------------
@@ -209,17 +210,13 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
     results.csv, summary.csv, and a diagnostics.jsonl sidecar holding, per
     image, one ``shared_ms`` line followed by one line per method.  Each image's
     noisy plane is read by the worker that estimates it, so memory follows
-    ``jobs``, not the corpus size.
+    ``jobs``, not the corpus size.  An unknown method is a DomainError, as in
+    ``estimate_all``.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    methods = check_methods(methods)
     root = Path(corpus_dir)
-    truth = read_truth_csv(root / "truth.csv")
-    methods = tuple(methods)
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ConfigError(f"unknown method {m!r}")
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with worker_pool(jobs) as pool:
+        truth = read_truth_csv(root / "truth.csv")
         per_image = list(pool.map(lambda row: _estimate_one(root, row, methods, est_cfg), truth))
     rows = [row for group, _ in per_image for row in group]
     summary = summarize_results(rows)

@@ -64,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a synthetic corpus with oracle truth")
     gen.add_argument("--config", required=True, help="flat key/value config with [corpus]")
     gen.add_argument("--out", required=True, help="corpus output directory")
+    gen.add_argument("--jobs", type=int, default=1, help="parallel worker threads")
 
     est = sub.add_parser("estimate", help="run SNR estimators over a corpus")
     est.add_argument("--corpus", required=True, help="corpus directory from 'generate'")
@@ -116,7 +117,7 @@ def _staged_out(out_dir):
 def _cmd_generate(args) -> int:
     spec = corpus_spec_from_config(load_config(args.config))
     with _staged_out(args.out) as out:
-        rows = generate_corpus(spec, out)
+        rows = generate_corpus(spec, out, jobs=args.jobs)
     print(f"generated {len(rows)} image pair(s) in {args.out}")
     return EXIT_OK
 

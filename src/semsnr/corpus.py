@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .noise import (
     rng_for,
     simulate,
 )
-from .raster import Raster, load_pgm, quantize, save_pgm
+from .raster import Raster, load_pgm, quantize, save_pgm, variance
 
 SCENE_KINDS = ("ar_field", "spectral", "blobs", "ramp", "constant")
 
@@ -93,13 +94,12 @@ class SceneSpec:
 
 
 def _ar1_both_axes(noise: np.ndarray, phi: float) -> np.ndarray:
-    out = noise.copy()
-    for i in range(1, out.shape[0]):
-        out[i] += phi * out[i - 1]
-    out = out.T.copy()
-    for i in range(1, out.shape[0]):
-        out[i] += phi * out[i - 1]
-    return out.T
+    """First-order recursion down the rows, then along the columns, in ``noise`` itself."""
+    for i in range(1, noise.shape[0]):
+        noise[i] += phi * noise[i - 1]
+    for j in range(1, noise.shape[1]):
+        noise[:, j] += phi * noise[:, j - 1]
+    return noise
 
 
 @functools.lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
@@ -137,6 +137,7 @@ def _spectral_field(h: int, w: int, corr_length: float, nugget: float,
         spectrum /= magnitude
     spectrum[magnitude == 0.0] = 1.0
     spectrum *= amplitude
+    del magnitude
     field_ = np.fft.irfft2(spectrum, s=(h, w))
     # Equalize row and column means: overlap windows of the lagged product
     # sums then share the same mean, which keeps sample autocorrelation tails
@@ -162,7 +163,7 @@ def make_scene(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
         field_ = _spectral_field(h, w, spec.corr_length, spec.spectral_nugget, rng)
     else:  # blobs
         field_ = np.zeros((h, w))
-        ys, xs = np.mgrid[0:h, 0:w]
+        ys, xs = np.ogrid[0:h, 0:w]
         for _ in range(spec.n_blobs):
             cy, cx = rng.uniform(0, h), rng.uniform(0, w)
             amp = rng.uniform(0.3, 1.0)
@@ -286,57 +287,89 @@ def acquire(spec: CorpusSpec, stream: int, seed: int, target: float | None):
     scene *= 65535.0
     basis, _ = quantize(scene, 16)
     dose_scale = (spec.dose_max - spec.dose_min) / 65535.0
-    dose = np.multiply(basis.data, dose_scale, out=scene)  # basis holds integers 0..65535
-    dose += spec.dose_min
     sigma = 0.0
     if spec.model == "additive-gaussian":
         if target is None or target <= 0.0:
             raise ConfigError("the additive-gaussian model needs a positive snr target")
-        sigma_intensity = math.sqrt(float(np.var(spec.detector_gain * dose + spec.dc_offset))
-                                    / target)
+        # the clean intensity plane and its deviations are formed in the scene
+        # plane, which receives the dose map below
+        intensity = np.multiply(basis.data, dose_scale, out=scene)
+        intensity += spec.dose_min
+        intensity *= spec.detector_gain
+        intensity += spec.dc_offset
+        sigma_intensity = math.sqrt(variance(intensity, intensity) / target)
         sigma = sigma_intensity / spec.detector_gain  # recipe sigma acts on counts
+    dose = np.multiply(basis.data, dose_scale, out=scene)  # basis holds integers 0..65535
+    dose += spec.dose_min
     recipe = spec.recipe(dose, sigma, seed)
     return basis, (recipe, dose_scale, spec.dose_min), simulate(recipe)
 
 
-def iter_corpus(spec: CorpusSpec):
-    """Yield (image_id, basis, built, ground_truth, truth_row) in manifest order.
+def corpus_image(spec: CorpusSpec, index: int):
+    """Image ``index`` of the corpus: (image_id, basis, built, ground_truth, truth_row).
 
     ``basis`` is the stored 16-bit scene raster and ``built`` the
-    (recipe, dose_scale, dose_offset) triple of :func:`acquire`.
-
-    Per-image randomness derives from (base_seed, image index), so the corpus
-    is reproducible image by image and safe to generate in parallel.
+    (recipe, dose_scale, dose_offset) triple of :func:`acquire`.  The image's
+    randomness derives from (base_seed, index) alone, so any set of images
+    can be acquired in any order, or at once.
     """
-    index = 0
-    for target in spec.snr_targets:
-        for _ in range(spec.seeds_per_level):
-            image_id = f"img{index:04d}"
-            seed = int(np.random.SeedSequence((spec.base_seed, index)).generate_state(1)[0])
-            basis, built, gt = acquire(spec, index, seed, target)
-            row = {
-                "image_id": image_id,
-                "seed": seed,
-                "model": spec.model,
-                "delta": spec.se_yield,
-                "eta": spec.bse_yield,
-                "gain": spec.detector_gain,
-                "idc": spec.dc_offset,
-                "signal_energy": gt.signal_energy,
-                "noise_energy": gt.noise_energy,
-                "true_snr": gt.true_snr,
-                "scene": spec.scene.kind,
-                "snr_target": float(target),
-            }
-            yield image_id, basis, built, gt, row
-            index += 1
+    target = spec.snr_targets[index // spec.seeds_per_level]
+    seed = int(np.random.SeedSequence((spec.base_seed, index)).generate_state(1)[0])
+    basis, built, gt = acquire(spec, index, seed, target)
+    row = {
+        "image_id": f"img{index:04d}",
+        "seed": seed,
+        "model": spec.model,
+        "delta": spec.se_yield,
+        "eta": spec.bse_yield,
+        "gain": spec.detector_gain,
+        "idc": spec.dc_offset,
+        "signal_energy": gt.signal_energy,
+        "noise_energy": gt.noise_energy,
+        "true_snr": gt.true_snr,
+        "scene": spec.scene.kind,
+        "snr_target": float(target),
+    }
+    return row["image_id"], basis, built, gt, row
 
 
-def generate_corpus(spec: CorpusSpec, out_dir) -> list[dict]:
-    """Write a full corpus; returns the truth rows in manifest order."""
+def iter_corpus(spec: CorpusSpec):
+    """Yield every :func:`corpus_image` tuple in manifest order, one image at a time."""
+    for index in range(spec.image_count()):
+        yield corpus_image(spec, index)
+
+
+def worker_pool(jobs: int) -> ThreadPoolExecutor:
+    """The ``--jobs`` pool of ``jobs`` worker threads; fewer than one is a ConfigError."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    return ThreadPoolExecutor(max_workers=jobs)
+
+
+def _write_image(spec: CorpusSpec, index: int, out: Path) -> dict:
+    """Acquire one image and write its four files; only its truth row outlives the call."""
+    image_id, basis, (recipe, dose_scale, dose_offset), gt, row = corpus_image(spec, index)
+    scene_name = f"{image_id}.scene.pgm"
+    save_pgm(basis, out / scene_name)
+    with open(out / f"{image_id}.recipe.txt", "w", encoding="ascii") as fh:
+        fh.write(recipe_to_text(recipe, dose_pgm=scene_name,
+                                dose_scale=dose_scale, dose_offset=dose_offset))
+    save_pgm(gt.clean, out / f"{image_id}.clean.pgm")
+    save_pgm(gt.noisy, out / f"{image_id}.noisy.pgm")
+    return row
+
+
+def generate_corpus(spec: CorpusSpec, out_dir, jobs: int = 1) -> list[dict]:
+    """Write a full corpus on ``jobs`` threads; returns the truth rows in manifest order.
+
+    Each task acquires and writes one image, so memory follows ``jobs``, not
+    the corpus size; every file is the same for every ``jobs``.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    with worker_pool(jobs) as pool:  # a bad jobs is refused before the directory is made
+        out.mkdir(parents=True, exist_ok=True)
+        rows = list(pool.map(lambda index: _write_image(spec, index, out),
+                             range(spec.image_count())))
     manifest = [
         f"scene_kind = {spec.scene.kind}",
         f"width = {spec.scene.width}",
@@ -345,16 +378,8 @@ def generate_corpus(spec: CorpusSpec, out_dir) -> list[dict]:
         f"base_seed = {spec.base_seed}",
         f"images = {spec.image_count()}",
     ]
-    for image_id, basis, (recipe, dose_scale, dose_offset), gt, row in iter_corpus(spec):
-        scene_name = f"{image_id}.scene.pgm"
-        save_pgm(basis, out / scene_name)
-        with open(out / f"{image_id}.recipe.txt", "w", encoding="ascii") as fh:
-            fh.write(recipe_to_text(recipe, dose_pgm=scene_name,
-                                    dose_scale=dose_scale, dose_offset=dose_offset))
-        save_pgm(gt.clean, out / f"{image_id}.clean.pgm")
-        save_pgm(gt.noisy, out / f"{image_id}.noisy.pgm")
-        rows.append(row)
-        manifest.append(f"image = {image_id} seed = {row['seed']} target = {row['snr_target']!r}")
+    manifest += [f"image = {row['image_id']} seed = {row['seed']} target = {row['snr_target']!r}"
+                 for row in rows]
     write_csv(out / "truth.csv", TRUTH_FIELDS, rows)
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="ascii")
     return rows

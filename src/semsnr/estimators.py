@@ -519,6 +519,15 @@ def _attempt(name: str, run, *args) -> SnrEstimate:
         return SnrEstimate(method=name, status="error", diagnostics={"detail": str(exc)})
 
 
+def check_methods(methods) -> tuple[str, ...]:
+    """``methods`` as a tuple; a name outside the registry is a DomainError."""
+    methods = tuple(methods)
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise DomainError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
+    return methods
+
+
 def estimate_all(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
                  second: Raster | None = None,
                  methods=ALL_METHODS) -> dict[str, SnrEstimate]:
@@ -527,9 +536,7 @@ def estimate_all(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
     The single-image methods read one lag table, sized to the largest lag
     among the selected methods whose own need fits the image.
     """
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise DomainError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
+    methods = check_methods(methods)
     entries = [m for name, m in METHODS.items() if name in methods]
     fits = [e for e in entries if e.lags is not None and lag_fits(img, max(e.lags(cfg)))]
     table = lag_table(img, *map(max, zip(*(e.lags(cfg) for e in fits)))) if fits else None

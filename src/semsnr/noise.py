@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError
-from .raster import Raster, quantize
+from .raster import Raster, quantize, variance
 
 ELECTRON_CHARGE = 1.602176634e-19  # coulombs, 2019 SI exact value
 
@@ -110,12 +110,26 @@ def _count_yield(recipe: NoiseRecipe) -> float:
     return 1.0  # x * 1.0 is x exactly
 
 
+def _secondaries(rng: np.random.Generator, mean_se: np.ndarray, k: float) -> np.ndarray:
+    """Secondary counts about ``mean_se``: Poisson, or for k > 1 a negative
+    binomial with mean m and variance k*m (only where m > 0)."""
+    if k == 1.0:
+        return rng.poisson(mean_se)
+    counts = np.zeros_like(mean_se)
+    hot = mean_se > 0.0
+    m = mean_se[hot]
+    r = m / (k - 1.0)
+    counts[hot] = rng.negative_binomial(r, r / (r + m))
+    return counts
+
+
 def simulate(recipe: NoiseRecipe) -> GroundTruth:
     """Realize one acquisition; deterministic under a fixed recipe.
 
     Integer draws are mapped to intensity without a float copy, and the clean
-    and noisy intensity planes are built in one work plane, which ends up
-    holding (noisy - clean) for the noise energy.
+    and noisy intensity planes are built in one work plane, which also holds
+    both energies' deviations; the draws are released before the noisy plane
+    is made.
     """
     rng = rng_for(recipe.seed)
     dose = recipe.dose_map
@@ -126,17 +140,7 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     elif model == "poisson-pe":
         counts = rng.poisson(dose)
     elif model == "poisson-se":
-        mean_se = recipe.se_yield * rng.poisson(dose)
-        k = recipe.yield_inflation
-        if k == 1.0:
-            counts = rng.poisson(mean_se)
-        else:
-            # negative binomial with mean m and variance k*m (only where m > 0)
-            counts = np.zeros_like(mean_se)
-            hot = mean_se > 0.0
-            m = mean_se[hot]
-            r = m / (k - 1.0)
-            counts[hot] = rng.negative_binomial(r, r / (r + m))
+        counts = _secondaries(rng, recipe.se_yield * rng.poisson(dose), recipe.yield_inflation)
     elif model == "binomial-bse":
         counts = rng.binomial(rng.poisson(dose), recipe.bse_yield)
     elif model == "additive-gaussian":
@@ -151,12 +155,13 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     work += offset
     clean, _ = quantize(work, recipe.bit_depth)
     np.multiply(counts, gain, out=work)
+    del counts
     work += offset
     noisy, _ = quantize(work, recipe.bit_depth)
 
-    signal_energy = float(np.var(clean.data))
+    signal_energy = variance(clean.data, work)
     np.subtract(noisy.data, clean.data, out=work)
-    noise_energy = float(np.var(work))
+    noise_energy = variance(work, work)
     true_snr = math.inf if noise_energy == 0.0 else signal_energy / noise_energy
     return GroundTruth(
         clean=clean,

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semsnr.corpus import iter_corpus, read_csv, reference_corpus_spec
+from semsnr.corpus import corpus_image, read_csv, reference_corpus_spec, worker_pool
 from semsnr.estimators import DEFAULT_CONFIG
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -12,6 +12,9 @@ DATA_DIR = Path(__file__).parent / "data"
 # the estimator configuration used for every benchmark/regression run: the
 # package default, whose line fit has no additive error term
 BENCH_CONFIG = DEFAULT_CONFIG
+
+# worker threads that build the session's oracle corpus
+FIXTURE_JOBS = 2
 
 # filter specs that must fail validation: unknown key, out-of-range or
 # non-integral int, non-finite float, duplicate key, overflowing default, an
@@ -32,12 +35,17 @@ MALFORMED_FILTER_SPECS = (
 
 @pytest.fixture(scope="session")
 def oracle_corpus():
-    """The frozen 54-image oracle corpus, kept in memory for the session."""
+    """The frozen 54-image oracle corpus, kept in memory for the session.
+
+    Built on generate's worker pool: the images are the same for any ``jobs``.
+    """
     spec = reference_corpus_spec()
-    return [
-        {"image_id": image_id, "gt": gt, "truth": row}
-        for image_id, _, _, gt, row in iter_corpus(spec)
-    ]
+    with worker_pool(FIXTURE_JOBS) as pool:
+        return [
+            {"image_id": image_id, "gt": gt, "truth": row}
+            for image_id, _, _, gt, row in pool.map(lambda index: corpus_image(spec, index),
+                                                    range(spec.image_count()))
+        ]
 
 
 @pytest.fixture(scope="session")

@@ -28,8 +28,13 @@ from semsnr.corpus import (
     second_realization,
 )
 from semsnr.denoise import parse_filter_spec
-from semsnr.errors import ConfigError, DataError
-from semsnr.estimators import DEFAULT_CONFIG, SINGLE_IMAGE_METHODS, EstimatorConfig
+from semsnr.errors import ConfigError, DataError, DomainError
+from semsnr.estimators import (
+    ALL_METHODS,
+    DEFAULT_CONFIG,
+    SINGLE_IMAGE_METHODS,
+    EstimatorConfig,
+)
 from semsnr.raster import load_pgm, raster_from_array, save_pgm
 
 SMALL_CONFIG = """\
@@ -326,6 +331,26 @@ def test_bad_methods_exit_code(small_corpus, tmp_path):
                  "--out", str(tmp_path / "o"), "--methods", "psychic"]) == 2
 
 
+def test_unknown_method_is_one_rule_with_a_domain_error_in_the_library(small_corpus):
+    _, corpus_dir = small_corpus
+    with pytest.raises(DomainError) as lib:
+        run_estimation(corpus_dir, ("nn", "psychic"))
+    with pytest.raises(ConfigError) as cli:
+        parse_methods("nn,psychic")
+    assert str(lib.value) == str(cli.value) == (
+        f"unknown methods ['psychic']; expected a subset of {ALL_METHODS}")
+
+
+def test_generate_jobs_writes_the_same_corpus(small_corpus, tmp_path):
+    config, corpus_dir = small_corpus
+    out = tmp_path / "jobs3"
+    assert main(["generate", "--config", str(config), "--out", str(out), "--jobs", "3"]) == 0
+    written = sorted(p.name for p in corpus_dir.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == written
+    for name in written:
+        assert (out / name).read_bytes() == (corpus_dir / name).read_bytes(), name
+
+
 def test_report_subcommand(small_corpus, tmp_path, capsys):
     config, corpus_dir = small_corpus
     out = tmp_path / "res"
@@ -468,14 +493,19 @@ def test_sweep_refuses_methods_it_cannot_run(tmp_path, capsys, methods, refused)
 @pytest.mark.parametrize("command,flag,value", [
     ("estimate", "--jobs", "-5"), ("estimate", "--jobs", "0"),
     ("sweep", "--seeds", "0"), ("sweep", "--seeds", "-1"),
+    ("generate", "--jobs", "-5"), ("generate", "--jobs", "0"),
 ])
 def test_count_below_one_is_config_error(small_corpus, tmp_path, capsys, command, flag, value):
     config, corpus_dir = small_corpus
-    source = ["--corpus", str(corpus_dir)] if command == "estimate" else [
-        "--config", str(config), "--parameter", "dose", "--range", "100"]
+    source = {
+        "estimate": ["--corpus", str(corpus_dir), "--methods", "nn"],
+        "sweep": ["--config", str(config), "--parameter", "dose", "--range", "100",
+                  "--methods", "nn"],
+        "generate": ["--config", str(config)],
+    }[command]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main([command, *source, "--methods", "nn", flag, value, "--out", str(out)]) == 2
+    assert main([command, *source, flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and value in err
     assert not out.exists()

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,10 @@ from semsnr.corpus import (
     _spectral_field,
     generate_corpus,
     make_scene,
+    read_csv,
     reference_corpus_spec,
 )
+from semsnr.errors import ConfigError
 from semsnr.noise import rng_for
 
 
@@ -157,8 +160,56 @@ CORPUS_SHA256 = {
 }
 
 
+def _digests(corpus_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in corpus_dir.iterdir()}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
 def test_generated_corpus_files_are_pinned(tmp_path, name):
     generate_corpus(PINNED_SPECS[name], tmp_path)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert digests == CORPUS_SHA256[name]
+    assert _digests(tmp_path) == CORPUS_SHA256[name]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_generated_corpus_files_are_pinned_for_every_jobs(tmp_path, name, jobs):
+    generate_corpus(PINNED_SPECS[name], tmp_path, jobs=jobs)
+    assert _digests(tmp_path) == CORPUS_SHA256[name]
+
+
+def test_generate_jobs_keep_index_order(tmp_path):
+    spec = replace(_small_spec("spectral", "additive-gaussian", corr_length=9.0),
+                   snr_targets=(2.0, 5.0, 20.0), seeds_per_level=3)
+    ids = [f"img{i:04d}" for i in range(9)]
+    for jobs in (1, 2, 3):
+        rows = generate_corpus(spec, tmp_path / str(jobs), jobs=jobs)
+        assert [row["image_id"] for row in rows] == ids
+        assert [row["image_id"] for row in read_csv(tmp_path / str(jobs) / "truth.csv")] == ids
+        manifest = (tmp_path / str(jobs) / "manifest.txt").read_text(encoding="ascii")
+        assert [line.split()[2] for line in manifest.splitlines()
+                if line.startswith("image = ")] == ids
+        assert _digests(tmp_path / str(jobs)) == _digests(tmp_path / "1")
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_generate_jobs_below_one_is_config_error(tmp_path, jobs):
+    with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
+        generate_corpus(_small_spec("ramp", "poisson-pe"), tmp_path / "out", jobs=jobs)
+    assert not (tmp_path / "out").exists()
+
+
+def test_serial_generate_keeps_one_image_alive(tmp_path):
+    # the kept planes of one image are its basis, dose map, clean and noisy
+    # planes; acquiring an image while the previous one is still referenced
+    # peaks near 2.8 of those
+    spec = CorpusSpec(scene=SceneSpec(kind="spectral", width=128, height=128, corr_length=9.0),
+                      snr_targets=(5.0, 20.0), seeds_per_level=2, base_seed=3)
+    generate_corpus(replace(spec, seeds_per_level=1), tmp_path / "warm")  # fills the caches
+    kept = 4 * spec.scene.width * spec.scene.height * 8
+    tracemalloc.start()
+    try:
+        generate_corpus(spec, tmp_path / "corpus", jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * kept, peak / kept
