@@ -363,7 +363,8 @@ def generate_corpus(spec: CorpusSpec, out_dir, jobs: int = 1) -> list[dict]:
     """Write a full corpus on ``jobs`` threads; returns the truth rows in manifest order.
 
     Each task acquires and writes one image, so memory follows ``jobs``, not
-    the corpus size; every file is the same for every ``jobs``.
+    the corpus size; every file is the same for every ``jobs``.  A failing
+    image ends the pass: ``Executor.map`` cancels the tasks not yet started.
     """
     out = Path(out_dir)
     with worker_pool(jobs) as pool:  # a bad jobs is refused before the directory is made

@@ -110,19 +110,6 @@ def _count_yield(recipe: NoiseRecipe) -> float:
     return 1.0  # x * 1.0 is x exactly
 
 
-def _secondaries(rng: np.random.Generator, mean_se: np.ndarray, k: float) -> np.ndarray:
-    """Secondary counts about ``mean_se``: Poisson, or for k > 1 a negative
-    binomial with mean m and variance k*m (only where m > 0)."""
-    if k == 1.0:
-        return rng.poisson(mean_se)
-    counts = np.zeros_like(mean_se)
-    hot = mean_se > 0.0
-    m = mean_se[hot]
-    r = m / (k - 1.0)
-    counts[hot] = rng.negative_binomial(r, r / (r + m))
-    return counts
-
-
 def simulate(recipe: NoiseRecipe) -> GroundTruth:
     """Realize one acquisition; deterministic under a fixed recipe.
 
@@ -140,7 +127,19 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     elif model == "poisson-pe":
         counts = rng.poisson(dose)
     elif model == "poisson-se":
-        counts = _secondaries(rng, recipe.se_yield * rng.poisson(dose), recipe.yield_inflation)
+        mean_se = recipe.se_yield * rng.poisson(dose)
+        k = recipe.yield_inflation
+        if k == 1.0:
+            counts = rng.poisson(mean_se)
+        else:
+            # negative binomial with mean m and variance k*m (only where m > 0)
+            counts = np.zeros_like(mean_se)
+            hot = mean_se > 0.0
+            m = mean_se[hot]
+            r = m / (k - 1.0)
+            counts[hot] = rng.negative_binomial(r, r / (r + m))
+            del hot, m, r
+        del mean_se
     elif model == "binomial-bse":
         counts = rng.binomial(rng.poisson(dose), recipe.bse_yield)
     elif model == "additive-gaussian":

@@ -95,22 +95,16 @@ def quantize(r: Raster | np.ndarray, bit_depth: int) -> tuple[Raster, int]:
     if bit_depth not in _VALID_DEPTHS:
         raise DomainError(f"bit_depth must be one of {_VALID_DEPTHS}, got {bit_depth}")
     arr = r.data if isinstance(r, Raster) else np.asarray(r, dtype=np.float64)
-    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
-    if not (math.isfinite(lo) and math.isfinite(hi)):  # nan and +-inf always reach one
+    # nan and +-inf always reach the min or the max
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise DomainError("cannot quantize non-finite intensities")
     out = np.abs(arr)  # the one plane made here: |x|, then floor(|x| + 0.5) with x's sign
     out += 0.5
     np.floor(out, out=out)
-    # The sign and clamp passes run only where min and max cannot rule out a
-    # change: a positive min has no sign to restore (a zero may be -0.0), and
-    # rounding is monotone, so a nonnegative plane clamps only if its max does.
-    if lo <= 0.0:
-        np.copysign(out, arr, out=out)
+    np.copysign(out, arr, out=out)
     maxval = float((1 << bit_depth) - 1)
-    clamped = 0
-    if lo < 0.0 or math.floor(hi + 0.5) > maxval:
-        clamped = int(np.count_nonzero(out < 0.0)) + int(np.count_nonzero(out > maxval))
-        np.clip(out, 0.0, maxval, out=out)
+    clamped = int(np.count_nonzero(out < 0.0)) + int(np.count_nonzero(out > maxval))
+    np.clip(out, 0.0, maxval, out=out)
     return raster_from_array(out, bit_depth=bit_depth), clamped
 
 

@@ -1,10 +1,12 @@
 import hashlib
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from semsnr import corpus
 from semsnr.corpus import (
     CorpusSpec,
     SceneSpec,
@@ -15,7 +17,7 @@ from semsnr.corpus import (
     read_csv,
     reference_corpus_spec,
 )
-from semsnr.errors import ConfigError
+from semsnr.errors import ConfigError, DomainError
 from semsnr.noise import rng_for
 
 
@@ -196,6 +198,25 @@ def test_generate_jobs_below_one_is_config_error(tmp_path, jobs):
     with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
         generate_corpus(_small_spec("ramp", "poisson-pe"), tmp_path / "out", jobs=jobs)
     assert not (tmp_path / "out").exists()
+
+
+def test_failing_image_stops_the_generate_pass(tmp_path, monkeypatch):
+    spec = replace(_small_spec("ramp", "poisson-pe"), seeds_per_level=6)  # 12 images
+    started = []
+    real_image = corpus.corpus_image
+
+    def image(spec_, index):
+        started.append(index)
+        if index == 0:
+            raise DomainError("bad image")
+        time.sleep(0.05)  # leaves the main thread time to cancel the rest
+        return real_image(spec_, index)
+
+    monkeypatch.setattr(corpus, "corpus_image", image)
+    with pytest.raises(DomainError, match="^bad image$"):
+        generate_corpus(spec, tmp_path, jobs=1)
+    assert len(started) <= 3, started  # not the 12 a pass that ran every task would acquire
+    assert not (tmp_path / "truth.csv").exists()
 
 
 def test_serial_generate_keeps_one_image_alive(tmp_path):

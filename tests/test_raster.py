@@ -172,31 +172,6 @@ def test_quantize_matches_reference_formula(bit_depth):
     assert arr.tobytes() == before.tobytes()  # the input is never written
 
 
-def _quantize_every_pass(arr, bit_depth):
-    """quantize with its sign and clamp passes always run: the reference for skipping them."""
-    maxval = float((1 << bit_depth) - 1)
-    out = np.copysign(np.floor(np.abs(arr) + 0.5), arr)
-    clamped = int(np.count_nonzero(out < 0.0)) + int(np.count_nonzero(out > maxval))
-    return np.clip(out, 0.0, maxval), clamped
-
-
-@pytest.mark.parametrize("bit_depth", [8, 16])
-def test_quantize_skipped_passes_change_no_bit(bit_depth):
-    maxval = (1 << bit_depth) - 1
-    planes = [
-        [[3.2, 7.5], [1.0, 9.49]],  # positive and in range: neither pass runs
-        [[0.0, -0.0], [0.4, 2.5]],  # a zero min may stand for -0.0: the sign pass runs
-        [[-0.4, 5.0], [0.0, 2.0]],  # rounds to -0.0
-        [[1.0, np.nextafter(maxval + 0.5, 0.0)], [2.0, 3.0]],  # rounds to maxval
-        [[1.0, maxval + 0.5], [2.0, 3.0]],  # rounds past maxval: clamped
-    ]
-    for plane in planes:
-        arr = np.array(plane)
-        q, clamped = quantize(arr, bit_depth)
-        ref, ref_clamped = _quantize_every_pass(arr, bit_depth)
-        assert (q.data.tobytes(), clamped) == (ref.tobytes(), ref_clamped), plane
-
-
 def test_variance_equals_np_var_bit_for_bit(rng):
     planes = [
         rng.integers(0, 65536, size=(300, 300)),  # integer dtype: np.var sums in float64
