@@ -122,7 +122,7 @@ def estimator_config_from_config(cfg: configparser.ConfigParser) -> EstimatorCon
 
 
 def parse_methods(text: str) -> tuple[str, ...]:
-    """A ``--methods`` value: ``all`` or a comma list; an unknown name is a ConfigError."""
+    """A ``--methods`` value, ``all`` or a comma list; a check_methods refusal is a ConfigError."""
     if text.strip() == "all":
         return ALL_METHODS
     try:
@@ -172,24 +172,13 @@ def _estimate_one(root, truth_row, methods, est_cfg) -> tuple[list[dict], float]
 
 
 def summarize_results(rows) -> list[dict]:
-    by_method: dict[str, list] = {}
-    totals: dict[str, int] = {}
-    for row in rows:
-        method = row["method"]
-        totals[method] = totals.get(method, 0) + 1
-        if row["status"] == "ok" and row["rel_error"] not in (None, ""):
-            by_method.setdefault(method, []).append(abs(float(row["rel_error"])))
     summary = []
-    for method in sorted(totals):
-        errs = by_method.get(method, [])
-        summary.append(
-            {
-                "method": method,
-                "n_ok": len(errs),
-                "n_total": totals[method],
-                "median_abs_rel_error": float(np.median(errs)) if errs else None,
-            }
-        )
+    for method in sorted({row["method"] for row in rows}):
+        mine = [row for row in rows if row["method"] == method]
+        errs = [abs(float(row["rel_error"])) for row in mine
+                if row["status"] == "ok" and row["rel_error"] not in (None, "")]
+        summary.append({"method": method, "n_ok": len(errs), "n_total": len(mine),
+                        "median_abs_rel_error": float(np.median(errs)) if errs else None})
     return summary
 
 

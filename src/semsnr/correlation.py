@@ -92,16 +92,11 @@ def lag_fits(r: Raster, max_lag: int) -> bool:
     return 0 <= max_lag < min(r.width, r.height) / 2
 
 
-def check_max_lag(r: Raster, max_lag: int) -> None:
-    if not lag_fits(r, max_lag):
-        raise DomainError(
-            f"max_lag {max_lag} must satisfy 0 <= max_lag < min(width, height)/2"
-        )
-
-
 def lag_table(r: Raster, x_lags: int, y_lags: int) -> LagTable:
     """Raw-product x profile to lag ``x_lags`` and y profile to ``y_lags``, one r(0)."""
-    check_max_lag(r, max(x_lags, y_lags))
+    max_lag = max(x_lags, y_lags)
+    if not lag_fits(r, max_lag):
+        raise DomainError(f"max_lag {max_lag} must satisfy 0 <= max_lag < min(width, height)/2")
     x = r.data
     mean = float(x.mean())
     r0 = _lag_product(x, 0, "x")

@@ -1,5 +1,7 @@
 """Classical denoising: spatial filters, Wiener restoration, and the blind
-autoregressive noise-variance estimator that feeds it.
+autoregressive noise-variance estimator that feeds it.  That estimate is the
+``acldr`` estimator's rule on the image's shared x/y lag table, plus a 5%
+structure-free rule.
 
 All filters use mirror (symmetric) edge padding and operate on the real-valued
 working plane.  The frequency-domain Wiener filter closes the unknown signal
@@ -16,16 +18,18 @@ from typing import Callable
 
 import numpy as np
 
-from .correlation import autocorrelation
+from .correlation import lag_table
 from .errors import DomainError, EstimatorError
-from .estimators import acldr_peak
+from .estimators import acldr_covariance_peak
 from .raster import Raster, raster_from_array
 
-# parameter -> (int-valued?, rule, test of the rule); every value must also be finite
+# parameter -> (int-valued?, rule, test of the rule); every value must also be finite,
+# and a sigma's 2 sigma**2, which filters divide by, must not underflow to 0
+_SIGMA = (False, "finite and > 0 with 2 sigma**2 > 0", lambda v: v > 0.0 and 2.0 * v * v > 0.0)
 _PARAMS = {
-    "sigma": (False, "finite and > 0", lambda v: v > 0.0),
-    "sigma_s": (False, "finite and > 0", lambda v: v > 0.0),
-    "sigma_r": (False, "finite and > 0", lambda v: v > 0.0),
+    "sigma": _SIGMA,
+    "sigma_s": _SIGMA,
+    "sigma_r": _SIGMA,
     "noise_var": (False, "finite and >= 0", lambda v: v >= 0.0),
     "window": (True, "an odd int >= 3", lambda v: v >= 3 and v % 2 == 1),
     "radius": (True, "an int >= 0", lambda v: v >= 0),
@@ -326,29 +330,27 @@ def wiener_local(img: Raster, window: int, noise_variance: float,
 
 
 def estimate_noise_variance_ar(img: Raster, ar_order: int) -> float:
-    """Blind white-noise variance from the autocorrelation curve.
+    """Blind white-noise variance: acldr's rule on the image's x/y lag table.
 
-    Fits an autoregression to the mean-removed autocorrelation tail and
-    interpolates the missing zero-lag sample; the excess of the measured
-    zero-lag value over the interpolation is the noise variance (floored at
-    zero).  Tails whose first-lag correlation is below 5% of the total
-    variance count as structure-free and attribute everything to noise.
+    The zero-lag covariance c0 = r(0) - mean^2 less the covariance peak that
+    ``acldr`` extrapolates from the mean-removed x/y tail at ``ar_order`` is
+    the noise variance, clamped to [0, c0].  A first-lag covariance below 5%
+    of c0 counts as structure-free, and so does a typed estimator failure:
+    both attribute everything to noise.
     """
     _check_param("ar_order", ar_order)
-    max_lag = ar_order + 1
-    curve = autocorrelation(img, max_lag=max_lag, axis="x")
-    mu2 = curve.mean**2
-    c0 = curve.value(0) - mu2
+    table = lag_table(img, ar_order + 1, ar_order + 1)
+    mu2 = table.mean**2
+    c0 = table.x.value(0) - mu2
     if c0 <= 0.0:
         return 0.0
-    tail = np.array([curve.value(k) - mu2 for k in range(1, max_lag + 1)])
-    if tail[0] <= 0.05 * c0:
+    if table.xy(1).value(1) - mu2 <= 0.05 * c0:
         return c0  # effectively uncorrelated content: everything is noise
     try:
-        interpolated, _ = acldr_peak(tail, ar_order)
+        cov_peak, _ = acldr_covariance_peak(table, ar_order)
     except (EstimatorError, DomainError):
         return c0
-    return float(min(max(c0 - interpolated, 0.0), c0))
+    return float(min(max(c0 - cov_peak, 0.0), c0))
 
 
 def ar_wiener(img: Raster, spec: FilterSpec, reference: Raster | None = None) -> DenoiseReport:

@@ -354,29 +354,34 @@ def estimate_asnn(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG)
                slope=ASNN_SLOPE, intercept=ASNN_INTERCEPT)
 
 
-def estimate_acldr(img: Raster | LagTable,
-                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
-    """Autoregressive backward extrapolation of the autocorrelation tail.
+def acldr_covariance_peak(table: LagTable, order: int) -> tuple[float, dict]:
+    """acldr's rule: the covariance peak extrapolated back from the lag table's tail.
 
     The recursion runs on mean-removed samples (the squared mean dominates raw
     products and pins the first reflection coefficient onto the unit circle)
-    from the average of the two axis profiles.  If the sampled tail is still
-    too noisy for the requested order, the order is stepped down before giving
-    up; the effective order is recorded in the diagnostics.
+    of the average of the two axis profiles.  A tail too noisy for ``order``
+    steps the order down before giving up; the diagnostics start with the
+    effective ``order``.  ``estimate_acldr`` and the blind noise variance of
+    :mod:`semsnr.denoise` both run this rule.
     """
-    t = _table(img, "acldr", cfg)
-    order = cfg.acldr_order
-    mu2 = t.mean**2
-    tail = t.xy(order + 1).values[1:] - mu2
+    tail = table.xy(order + 1).values[1:] - table.mean**2
     if tail[0] <= 0.0:
         raise DegenerateError("no covariance structure above the squared mean")
     for effective in range(order, 0, -1):
         try:
             cov_peak, diag = acldr_peak(tail[: effective + 1], effective)
-            return _from_peak("acldr", t, cov_peak + mu2, order=effective, **diag)
+            return cov_peak, {"order": effective, **diag}
         except NonStationaryError:
             if effective == 1:
                 raise
+
+
+def estimate_acldr(img: Raster | LagTable,
+                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+    """Autoregressive backward extrapolation of the tail, :func:`acldr_covariance_peak`."""
+    t = _table(img, "acldr", cfg)
+    cov_peak, diag = acldr_covariance_peak(t, cfg.acldr_order)
+    return _from_peak("acldr", t, cov_peak + t.mean**2, **diag)
 
 
 def estimate_chillsrsnr(img: Raster | LagTable,
@@ -520,11 +525,13 @@ def _attempt(name: str, run, *args) -> SnrEstimate:
 
 
 def check_methods(methods) -> tuple[str, ...]:
-    """``methods`` as a tuple; a name outside the registry is a DomainError."""
+    """``methods`` as a tuple; an unknown or repeated name, or none, is a DomainError."""
     methods = tuple(methods)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DomainError(f"unknown methods {unknown}; expected a subset of {ALL_METHODS}")
+    if not methods or len(set(methods)) < len(methods):
+        raise DomainError(f"methods must name at least one method, each once; got {list(methods)}")
     return methods
 
 

@@ -18,7 +18,7 @@ FIXTURE_JOBS = 2
 
 # filter specs that must fail validation: unknown key, out-of-range or
 # non-integral int, non-finite float, duplicate key, overflowing default, an
-# int too large for a float
+# int too large for a float, a sigma whose 2 sigma**2 underflows to 0
 MALFORMED_FILTER_SPECS = (
     "gaussian:sigma=1.5,raduis=2",
     "gaussian:sigma=1,radius=-1",
@@ -30,6 +30,9 @@ MALFORMED_FILTER_SPECS = (
     "gaussian:sigma=1,sigma=2",
     "gaussian:sigma=1e308",
     "wiener_global:noise_var=1" + "0" * 400,
+    "bilateral:sigma_s=1e-200,sigma_r=1",
+    "gaussian:sigma=1e-200",
+    "bilateral:sigma_s=1,sigma_r=1e-200",
 )
 
 

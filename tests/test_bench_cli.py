@@ -34,6 +34,7 @@ from semsnr.estimators import (
     DEFAULT_CONFIG,
     SINGLE_IMAGE_METHODS,
     EstimatorConfig,
+    estimate_all,
 )
 from semsnr.raster import load_pgm, raster_from_array, save_pgm
 
@@ -325,10 +326,17 @@ def test_estimate_missing_corpus_exit_code(tmp_path):
                  "--out", str(tmp_path / "o"), "--methods", "nn"]) == 3
 
 
-def test_bad_methods_exit_code(small_corpus, tmp_path):
-    _, corpus_dir = small_corpus
-    assert main(["estimate", "--corpus", str(corpus_dir),
-                 "--out", str(tmp_path / "o"), "--methods", "psychic"]) == 2
+def test_bad_methods_exit_code(small_corpus, tmp_path, capsys):
+    config, corpus_dir = small_corpus
+    for methods in ("psychic", "nn,nn", ","):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["estimate", "--corpus", str(corpus_dir),
+                     "--out", str(out), "--methods", methods]) == 2, methods
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--methods", methods,
+                     "--parameter", "dose", "--range", "400", "--seeds", "1"]) == 2, methods
+        assert capsys.readouterr().err.count("config error: ") == 2, methods
+        assert not out.exists()
 
 
 def test_unknown_method_is_one_rule_with_a_domain_error_in_the_library(small_corpus):
@@ -339,6 +347,19 @@ def test_unknown_method_is_one_rule_with_a_domain_error_in_the_library(small_cor
         parse_methods("nn,psychic")
     assert str(lib.value) == str(cli.value) == (
         f"unknown methods ['psychic']; expected a subset of {ALL_METHODS}")
+
+
+@pytest.mark.parametrize("methods", [("nn", "lsr", "nn"), ()])
+def test_repeated_or_no_method_is_a_domain_error_in_the_library(small_corpus, methods):
+    _, corpus_dir = small_corpus
+    with pytest.raises(DomainError) as lib:
+        run_estimation(corpus_dir, methods)
+    with pytest.raises(DomainError) as one:
+        estimate_all(raster_from_array(np.ones((16, 16))), methods=methods)
+    with pytest.raises(ConfigError) as cli:
+        parse_methods(",".join(methods) or ",")
+    assert str(lib.value) == str(one.value) == str(cli.value) == (
+        f"methods must name at least one method, each once; got {list(methods)}")
 
 
 def test_generate_jobs_writes_the_same_corpus(small_corpus, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS
+from semsnr.correlation import lag_table
 from semsnr.denoise import (
     DenoiseReport,
     FilterSpec,
@@ -21,6 +22,7 @@ from semsnr.denoise import (
     wiener_transfer,
 )
 from semsnr.errors import DomainError
+from semsnr.estimators import EstimatorConfig, estimate_acldr
 from semsnr.raster import raster_from_array
 
 
@@ -333,10 +335,24 @@ def test_noise_variance_ar_needs_lags_that_fit():
 def test_noise_variance_ar_white_noise_only():
     from semsnr.noise import rng_for
 
-    arr = rng_for(3, 1).uniform(50.0, 150.0, size=(256, 256))
-    img = raster_from_array(arr)
-    estimate = estimate_noise_variance_ar(img, 2)
-    assert estimate == pytest.approx(float(np.var(arr)), rel=1e-6)
+    # without the 5% structure-free rule the two 128^2 Gaussian fields read
+    # 0.92 and 0.98 of their variance
+    fields = [rng_for(3, 1).uniform(50.0, 150.0, size=(256, 256))]
+    fields += [rng_for(s, 7).normal(100.0, 10.0, (128, 128)) for s in (7, 10)]
+    for arr in fields:
+        estimate = estimate_noise_variance_ar(raster_from_array(arr), 2)
+        assert estimate == pytest.approx(float(np.var(arr)), rel=1e-6), arr.shape
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_noise_variance_ar_is_acldr_on_the_lag_table(oracle_corpus, order):
+    # one path: the blind variance is r(0) less acldr's predicted peak
+    for entry in (oracle_corpus[0], oracle_corpus[12], oracle_corpus[53]):
+        noisy = entry["gt"].noisy
+        est = estimate_acldr(noisy, EstimatorConfig(acldr_order=order))
+        assert est.status == "ok"
+        expected = lag_table(noisy, 0, 0).x.value(0) - est.predicted_nf_peak
+        assert estimate_noise_variance_ar(noisy, order) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ar_wiener_composition(oracle_corpus):
