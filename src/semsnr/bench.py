@@ -272,6 +272,12 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
         raise ConfigError(f"sweep --range values must be finite and > 0, got {bad}")
     if sorted(values) != values:
         raise ConfigError("sweep range must be monotone increasing")
+    # two-image names drop out quietly, so ALL_METHODS sweeps the single-image ones
+    methods = check_methods(methods)
+    single = [m for m in methods if m in SINGLE_IMAGE_METHODS]
+    if not single:
+        raise ConfigError(f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
+                          f"got {list(methods)}")
     rows: list[dict] = []
     for value in values:
         if parameter == "dose":
@@ -282,12 +288,12 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
             dose_mid = 0.5 * (spec.dose_min + spec.dose_max)
         for seed in range(seeds):
             rows.extend(
-                _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed)
+                _sweep_point(parameter, value, dose_mid, spec, single, est_cfg, seed)
             )
     return rows
 
 
-def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> list[dict]:
+def _sweep_point(parameter, value, dose_mid, spec, single, est_cfg, seed) -> list[dict]:
     rows = []
     local = spec
     if parameter in ("dose", "dwell"):
@@ -320,7 +326,6 @@ def _sweep_point(parameter, value, dose_mid, spec, methods, est_cfg, seed) -> li
             }
         )
 
-    single = [m for m in methods if m in SINGLE_IMAGE_METHODS]
     results = estimate_all(noisy, est_cfg, methods=single)
     for method in single:
         est = results[method]

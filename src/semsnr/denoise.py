@@ -172,7 +172,9 @@ def _pad(x: np.ndarray, ry: int, rx: int) -> np.ndarray:
 
 def _gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+    # a tiny sigma overflows the exponent to -inf, whose exp 0 is the right weight
+    with np.errstate(over="ignore"):
+        k = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
     return k / k.sum()
 
 
@@ -220,6 +222,8 @@ def _median(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+# a tiny sigma_r overflows the range exponent to -inf, whose exp 0 is the right weight
+@np.errstate(over="ignore")
 def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
     # _TILE_ROWS output rows at a time, so the four work planes stay in cache
     # across all (2 radius + 1)**2 offsets instead of streaming whole planes.

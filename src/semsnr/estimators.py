@@ -69,7 +69,6 @@ class EstimatorConfig:
     lag_start: int = 1
     nllsr_lag_start: int = 2
     acldr_order: int = 2
-    chillsr_points: int = 4
     epsilon_policy: str = "zero"
     smart_shift: int = 4
 
@@ -80,8 +79,6 @@ class EstimatorConfig:
             raise DomainError("lag_start must be at least 1")
         if self.acldr_order < 1:
             raise DomainError("orders must be at least 1")
-        if self.chillsr_points < 4:
-            raise DomainError("the spline needs at least 4 lags")
         if self.epsilon_policy not in EPSILON_POLICIES:
             raise DomainError(f"epsilon_policy must be one of {EPSILON_POLICIES}")
         if self.smart_shift < 1:
@@ -232,6 +229,8 @@ def acldr_peak(tail_values, order: int) -> tuple[float, dict]:
     The tail r(1..K) is fed to the order recursion as a lagged sequence; the
     fitted autoregression is then inverted at its first Yule-Walker equation,
     where the unknown lag-0 sample appears, to predict the noise-free peak.
+    The default order 2 predicts r(1)²/r(2), order 1's peak: its phi_1 and
+    1 - phi_2 share the factor r(1) - r(3), which cancels.
     """
     tail = np.asarray(tail_values, dtype=np.float64)
     if tail.size < order + 1:
@@ -251,46 +250,26 @@ def acldr_peak(tail_values, order: int) -> tuple[float, dict]:
     }
 
 
-def _pchip_tangents(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Shape-preserving (monotone) cubic Hermite tangents, one-sided at the ends."""
-    h = np.diff(xs)
-    delta = np.diff(ys) / h
-    n = xs.size
-    d = np.zeros(n)
-    for i in range(1, n - 1):
-        if delta[i - 1] * delta[i] <= 0.0:
-            d[i] = 0.0
-        else:
-            w1 = 2.0 * h[i] + h[i - 1]
-            w2 = h[i] + 2.0 * h[i - 1]
-            d[i] = (w1 + w2) / (w1 / delta[i - 1] + w2 / delta[i])
+def chillsr_peak(r1: float, r2: float, r3: float) -> tuple[float, dict]:
+    """Shape-preserving cubic Hermite spline through lags 1..3 evaluated at lag 0.
 
-    def edge(h0, h1, d0, d1):
-        t = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-        if t * d0 <= 0.0:
-            return 0.0
-        if d0 * d1 < 0.0 and abs(t) > 3.0 * abs(d0):
-            return 3.0 * d0
-        return t
-
-    d[0] = edge(h[0], h[1], delta[0], delta[1])
-    d[-1] = edge(h[-1], h[-2], delta[-1], delta[-2])
-    return d
-
-
-def chillsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG) -> tuple[float, dict]:
-    """Shape-preserving cubic Hermite spline through lags 1..K evaluated at lag 0.
-
-    The first segment of the spline, whose end tangent comes from the
-    one-sided shape-preserving rule, is extrapolated across the mirror point
-    at lag 1 down to lag 0.
+    Only the spline's first segment [1, 2] is extrapolated, across the mirror
+    point at lag 1 down to lag 0, and its two tangents read r(1..3) alone.
+    They are the monotone tangents of Fritsch & Carlson (1980) on unit lag
+    spacing: ``end`` at lag 1 from the one-sided three-point rule, limited to
+    keep the segment's shape, and ``mid`` at lag 2 the harmonic mean of the
+    two secants, zero where they change sign.
     """
-    lags = np.arange(1, cfg.chillsr_points + 1, dtype=np.float64)
-    ys = np.array([curve.value(int(k)) for k in lags])
-    d = _pchip_tangents(lags, ys)
+    a, b = r2 - r1, r3 - r2
+    mid = 0.0 if a * b <= 0.0 else (3.0 + 3.0) / (3.0 / a + 3.0 / b)
+    end = (3.0 * a - b) / 2.0
+    if end * a <= 0.0:
+        end = 0.0
+    elif a * b < 0.0 and abs(end) > 3.0 * abs(a):
+        end = 3.0 * a
     # the cubic Hermite basis of the unit segment [1, 2] at lag 0 (t = -1) is (-4, -4, 5, -2)
-    peak = float(-4.0 * ys[0] - 4.0 * d[0] + 5.0 * ys[1] - 2.0 * d[1])
-    return peak, {"tangents": d.tolist()}
+    peak = -4.0 * r1 - 4.0 * end + 5.0 * r2 - 2.0 * mid
+    return peak, {"tangents": [end, mid]}
 
 
 def asnn_correct(snr_base: float) -> float:
@@ -386,9 +365,9 @@ def estimate_acldr(img: Raster | LagTable,
 
 def estimate_chillsrsnr(img: Raster | LagTable,
                         cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
-    """Cubic Hermite spline extrapolation of the x profile."""
+    """Cubic Hermite spline extrapolation of the x profile, :func:`chillsr_peak`."""
     t = _table(img, "chillsr", cfg)
-    peak, diag = chillsr_peak(t.x, cfg)
+    peak, diag = chillsr_peak(t.x.value(1), t.x.value(2), t.x.value(3))
     return _from_peak("chillsr", t, peak, **diag)
 
 
@@ -505,7 +484,7 @@ METHODS = {m.name: m for m in (
     Method("nllsr", lambda c: (c.nllsr_lag_start + c.n_points - 1,) * 2, estimate_nllsr),
     Method("asnn", lambda c: (1, 1), estimate_asnn),
     Method("acldr", lambda c: (c.acldr_order + 1,) * 2, estimate_acldr),
-    Method("chillsr", lambda c: (c.chillsr_points, 0), estimate_chillsrsnr),
+    Method("chillsr", lambda c: (3, 0), estimate_chillsrsnr),
     Method("frank_alali", None, lambda img, second, cfg: estimate_frank_alali(img, second)
            if second is not None else SnrEstimate("frank_alali", "not_applicable")),
     Method("smart", None, estimate_smart),

@@ -255,8 +255,9 @@ def recipe_from_text(text: str, dose_loader=None) -> NoiseRecipe:
     """Rebuild a recipe; ``dose_loader(name)`` must return the dose-basis Raster.
 
     Every NoiseRecipe field, the shape and one dose source are required.  A
-    malformed line, an unknown key, a value that does not parse and a missing
-    key are each a DomainError naming the line or key.
+    malformed line, an unknown or repeated key, a value that does not parse and
+    a missing key are each a DomainError naming the line or key, and so is a
+    dose PGM whose shape is not the recipe's.
     """
     types = field_types(NoiseRecipe) | _DOSE_KEYS
     kv: dict = {}
@@ -270,6 +271,8 @@ def recipe_from_text(text: str, dose_loader=None) -> NoiseRecipe:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise DomainError(f"recipe line {lineno}: unknown key {key!r}")
+        if key in kv:
+            raise DomainError(f"recipe line {lineno}: key {key!r} is given twice")
         try:
             kv[key] = types[key](value)
         except ValueError as exc:
@@ -288,7 +291,11 @@ def recipe_from_text(text: str, dose_loader=None) -> NoiseRecipe:
         name = take("dose_pgm")
         if dose_loader is None:
             raise DomainError("recipe references a dose PGM but no loader was given")
-        dose = take("dose_scale") * dose_loader(name).data + take("dose_offset")
+        basis = dose_loader(name).data
+        if basis.shape != shape:
+            raise DomainError(f"recipe shape {shape[1]}x{shape[0]} (width x height) does not "
+                              f"match the dose PGM's {basis.shape[1]}x{basis.shape[0]}")
+        dose = take("dose_scale") * basis + take("dose_offset")
     if kv:
         raise DomainError(f"recipe sets dose_constant and also {sorted(kv)}")
     return NoiseRecipe(dose_map=dose, **recipe_fields)

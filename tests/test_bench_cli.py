@@ -126,7 +126,8 @@ def test_recipe_regenerates_exactly(small_corpus):
 @pytest.mark.parametrize("old,new,message", [
     (b"seed = ", b"seed = x", "recipe line 8: bad value for seed"),
     (b"bit_depth", b"bit_d\xe9pth", "can't decode byte 0xe9"),
-], ids=["bad_value", "not_ascii"])
+    (b"seed = ", b"seed = 1\nseed = ", "recipe line 9: key 'seed' is given twice"),
+], ids=["bad_value", "not_ascii", "repeated_key"])
 def test_corrupt_recipe_is_data_error(small_corpus, reader, old, new, message):
     _, corpus_dir = small_corpus
     path = corpus_dir / "img0000.recipe.txt"
@@ -235,7 +236,7 @@ def test_generate_config_reproduces_reference_corpus(tmp_path, capsys):
 
 def test_estimate_keys_are_the_estimator_config_fields(tmp_path):
     changed = {"n_points": 5, "lag_start": 2, "nllsr_lag_start": 3, "acldr_order": 3,
-               "chillsr_points": 5, "epsilon_policy": "half_gap", "smart_shift": 6}
+               "epsilon_policy": "half_gap", "smart_shift": 6}
     assert set(changed) == {f.name for f in fields(EstimatorConfig)}
     assert all(getattr(DEFAULT_CONFIG, key) != value for key, value in changed.items())
     config = tmp_path / "est.cfg"
@@ -511,6 +512,22 @@ def test_sweep_refuses_methods_it_cannot_run(tmp_path, capsys, methods, refused)
     assert [r["method"] for r in read_csv(out / "sweep.csv")] == ["moment", *SINGLE_IMAGE_METHODS]
 
 
+def test_sweep_of_two_image_methods_only_is_config_error_in_the_library(small_corpus, monkeypatch):
+    import semsnr.bench as bench
+    from semsnr.bench import run_sweep
+
+    def not_acquired(*args, **kwargs):
+        raise AssertionError("the sweep acquired an image before refusing its methods")
+
+    monkeypatch.setattr(bench, "acquire", not_acquired)
+    config, _ = small_corpus
+    spec = corpus_spec_from_config(load_config(config))
+    with pytest.raises(ConfigError) as info:
+        run_sweep("dose", [400.0], spec, ("smart", "frank_alali"), seeds=1)
+    assert str(info.value) == (f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
+                               "got ['smart', 'frank_alali']")
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("estimate", "--jobs", "-5"), ("estimate", "--jobs", "0"),
     ("sweep", "--seeds", "0"), ("sweep", "--seeds", "-1"),
@@ -656,7 +673,7 @@ def test_denoise_internal_error_exit_code(small_corpus, tmp_path):
 
 @pytest.mark.parametrize("line", ["epsilon_polcy = zero", "n_points = many",
                                   "epsilon_policy = sometimes", "asnn_slope = 1.0",
-                                  "chillsr_correction = 0,1,0"])
+                                  "chillsr_correction = 0,1,0", "chillsr_points = 4"])
 def test_bad_estimate_config_exit_code(small_corpus, tmp_path, capsys, line):
     _, corpus_dir = small_corpus
     config = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def test_filter_labels_are_pinned(text, label):
     spec = parse_filter_spec(text)
     assert filter_spec_to_string(spec) == label
     assert parse_filter_spec(label) == spec
+
+
+@pytest.mark.parametrize("text", ["gaussian:sigma=1e-160", "bilateral:sigma_s=1,sigma_r=1e-155",
+                                  "bilateral:sigma_s=1,sigma_r=1e-151"])
+def test_tiny_sigma_weights_underflow_to_zero_without_warnings(text):
+    # neighbours 16-bit apart by far more than 1900 overflow even the 1e-151 range exponent
+    data = np.random.default_rng(3).integers(0, 65536, size=(16, 16)).astype(np.float64)
+    img = raster_from_array(data, bit_depth=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = spatial_filter(img, parse_filter_spec(text))
+    # only the centre tap (and, at the edges, its mirror copies) keeps weight
+    if text.startswith("gaussian"):
+        assert np.array_equal(out.data, data)
+    else:
+        np.testing.assert_allclose(out.data, data, rtol=1e-14)
 
 
 def test_filter_kind_guards():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_CONFIG, rel_error
-from semsnr.correlation import AcfCurve, autocorrelation, snr_from_peaks
+from semsnr.correlation import AcfCurve, LagTable, autocorrelation, lag_table, snr_from_peaks
 from semsnr.errors import (
     DegenerateError,
     DomainError,
@@ -19,6 +19,7 @@ from semsnr.errors import (
 from semsnr.estimators import (
     ASNN_INTERCEPT,
     ASNN_SLOPE,
+    METHODS,
     SINGLE_IMAGE_METHODS,
     EstimatorConfig,
     acldr_peak,
@@ -173,10 +174,36 @@ def test_acldr_flat_tail_reduces_to_nearest_offset():
 
 
 def test_chillsr_quadratic_oracle():
-    # analytic curve r(k) = 100 - k^2 sampled at lags 1..4
-    values = [999.0] + [100.0 - k * k for k in range(1, 5)]
-    peak, _ = chillsr_peak(curve_from(values), EstimatorConfig())
+    # analytic curve r(k) = 100 - k^2 sampled at lags 1..3
+    peak, _ = chillsr_peak(*(100.0 - k * k for k in range(1, 4)))
     assert abs(peak - 100.0) <= 1.0
+
+
+@pytest.mark.parametrize("lags,tangents,peak", [
+    ((10.0, 8.0, 7.0), [-2.5, -4.0 / 3.0], 38.0 / 3.0),  # monotone tail
+    ((10.0, 8.0, 9.0), [-3.5, 0.0], 14.0),  # secants change sign: mid = 0
+    ((5.0, 5.0, 4.0), [0.0, 0.0], 5.0),  # a flat first secant zeroes both tangents
+    ((1.0, 2.0, 6.0), [0.0, 1.6], 2.8),  # end tangent against its secant: clipped to 0
+    ((5.0, 6.0, 2.0), [3.0, 0.0], -2.0),  # end tangent over 3a on a sign change: clipped to 3a
+    ((10.0, 8.0, 11.0), [-4.5, 0.0], 18.0),  # a sign change with |t| under 3|a| keeps t
+], ids=["monotone", "mid_zero", "flat", "end_zero", "end_3a", "end_under_3a"])
+def test_chillsr_branches_by_hand(lags, tangents, peak):
+    got, diag = chillsr_peak(*lags)
+    assert got == pytest.approx(peak, rel=1e-12)
+    assert diag["tangents"] == pytest.approx(tangents, rel=1e-12)
+
+
+def test_chillsr_reads_only_lags_1_to_3():
+    assert METHODS["chillsr"].lags(EstimatorConfig()) == (3, 0)
+    x = [120.0, 110.0, 104.0, 101.0, 99.0, 98.0, 97.5]
+    table = LagTable(curve_from(x, mean=9.0), curve_from(x[:2], mean=9.0))
+    base = estimate_chillsrsnr(table)
+    assert base.status == "ok"
+    for lag in range(4, len(x)):
+        changed = list(x)
+        changed[lag] = -1e6
+        moved = LagTable(curve_from(changed, mean=9.0), table.y)
+        assert estimate_chillsrsnr(moved) == base, lag
 
 
 def test_asnn_affine_constants():
@@ -409,6 +436,17 @@ def test_acldr_error_variance_not_worse_than_nn(corpus_estimates):
     nn = [rel_error(e["results"]["nn"].snr_linear, e["truth"]["true_snr"])
           for e in corpus_estimates]
     assert np.var(acldr) <= np.var(nn)
+
+
+def test_acldr_order_2_is_order_1_and_order_3_is_not(oracle_corpus):
+    # order 2 predicts r(1)^2 / r(2) of the covariance tail, as order 1 does
+    same = differs = 0
+    for entry in oracle_corpus:
+        table = lag_table(entry["gt"].noisy, 4, 4)
+        one, two, three = (estimate_acldr(table, EstimatorConfig(acldr_order=k)) for k in (1, 2, 3))
+        same += (one.status, one.snr_linear) == (two.status, two.snr_linear)
+        differs += (three.status, three.snr_linear) != (one.status, one.snr_linear)
+    assert (same, differs) == (len(oracle_corpus), len(oracle_corpus)) == (54, 54)
 
 
 def test_estimator_medians_match_baseline(corpus_estimates, estimator_baseline):

@@ -187,12 +187,22 @@ _RECIPE_TEXT = recipe_to_text(NoiseRecipe(dose_map=np.full((4, 4), 50.0), seed=7
     ("dc_offset = 0.0", "dc_offset = inf",
      "line 7: bad value for dc_offset: 'inf' is not a finite number"),
     ("dose_constant = 50.0", "dose_constant = nan", "line 12: bad value for dose_constant"),
+    ("seed = 7", "seed = 7\nseed = 8", "line 9: key 'seed' is given twice"),
 ], ids=["int", "int_shape", "float", "no_height", "no_field", "no_dose", "two_doses",
-        "no_equals", "out_of_rule", "non_finite", "non_finite_dose"])
+        "no_equals", "out_of_rule", "non_finite", "non_finite_dose", "repeated_key"])
 def test_malformed_recipe_text_is_domain_error(old, new, message):
     assert old in _RECIPE_TEXT
     with pytest.raises(DomainError, match=re.escape(message)):
         recipe_from_text(_RECIPE_TEXT.replace(old, new, 1))
+
+
+def test_recipe_shape_must_match_the_dose_pgm():
+    basis = raster_from_array(np.arange(15, dtype=float).reshape(5, 3), bit_depth=16)
+    text = recipe_to_text(NoiseRecipe(dose_map=np.full((4, 4), 50.0), **RECIPE_FIELDS),
+                          dose_pgm="basis.pgm", dose_scale=0.5, dose_offset=10.0)
+    with pytest.raises(DomainError, match=re.escape(
+            "recipe shape 4x4 (width x height) does not match the dose PGM's 3x5")):
+        recipe_from_text(text, dose_loader=lambda name: basis)
 
 
 def test_recipe_text_rejects_unknown_key():
