@@ -17,13 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-# read_csv is re-exported next to write_csv, for readers of the harness's CSVs
-from .corpus import (  # noqa: F401
+from .corpus import (
     CorpusSpec,
     SceneSpec,
     acquire,
     load_plane,
-    read_csv,
     read_truth_csv,
     worker_pool,
     write_csv,
@@ -40,8 +38,9 @@ from .estimators import (
     estimate_all,
     estimate_nn,
 )
-from .noise import ELECTRON_CHARGE, field_types, simulate
+from .noise import field_types, simulate
 from .raster import Raster, quantize, save_pgm
+from .yield_snr import BeamParams, dose_per_pixel
 
 RESULTS_FIELDS = (
     "image_id",
@@ -283,7 +282,7 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
         if parameter == "dose":
             dose_mid = value
         elif parameter == "dwell":
-            dose_mid = SWEEP_BEAM_CURRENT * value / ELECTRON_CHARGE
+            dose_mid = dose_per_pixel(BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value))
         else:
             dose_mid = 0.5 * (spec.dose_min + spec.dose_max)
         for seed in range(seeds):
@@ -299,11 +298,7 @@ def _sweep_point(parameter, value, dose_mid, spec, single, est_cfg, seed) -> lis
     if parameter in ("dose", "dwell"):
         # scale the whole dose range so the configured contrast ratio is kept
         scale = dose_mid / (0.5 * (spec.dose_min + spec.dose_max))
-        local = replace(
-            spec,
-            dose_min=max(spec.dose_min * scale, 1e-6),
-            dose_max=spec.dose_max * scale,
-        )
+        local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
     _, (recipe, _, _), gt = acquire(local, seed, seed + 1, local.snr_targets[0])
 
     noisy = gt.noisy
@@ -340,45 +335,6 @@ def _sweep_point(parameter, value, dose_mid, spec, single, est_cfg, seed) -> lis
             }
         )
     return rows
-
-
-def write_sweep_svg(rows, path) -> None:
-    """Minimal dependency-free SVG scatter of estimates against the swept value."""
-    pts = [
-        (float(r["value"]), float(r["estimate"]))
-        for r in rows
-        if r.get("estimate") is not None and math.isfinite(float(r["estimate"]))
-    ]
-    width, height, margin = 480, 320, 40
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if pts:
-        xs, ys = zip(*pts)
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-        x_span = (x_hi - x_lo) or 1.0
-        y_span = (y_hi - y_lo) or 1.0
-
-        def sx(x):
-            return margin + (x - x_lo) / x_span * (width - 2 * margin)
-
-        def sy(y):
-            return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
-
-        for x, y in pts:
-            lines.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="steelblue"/>')
-        lines.append(
-            f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-            f'y2="{height - margin}" stroke="black"/>'
-        )
-        lines.append(
-            f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-            f'y2="{height - margin}" stroke="black"/>'
-        )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 # --- denoising runs -------------------------------------------------------------

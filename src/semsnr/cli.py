@@ -26,15 +26,12 @@ from .bench import (
     load_config,
     parse_methods,
     print_summary,
-    read_csv,
     run_denoise,
     run_estimation,
     run_sweep,
     summarize_results,
-    write_csv,
-    write_sweep_svg,
 )
-from .corpus import generate_corpus
+from .corpus import generate_corpus, read_csv, write_csv
 from .denoise import parse_filter_spec
 from .errors import ConfigError, DataError, DomainError, SemSnrError
 from .estimators import DEFAULT_CONFIG, SINGLE_IMAGE_METHODS
@@ -75,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="sensitivity sweep; " + _SWEEP_HELP)
     swp.add_argument("--config", required=True, help="config with [corpus] (+ optional [estimate])")
-    swp.add_argument("--out", required=True, help="output directory for sweep.csv/sweep.svg")
+    swp.add_argument("--out", required=True, help="output directory for sweep.csv")
     swp.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS,
                      help=_SWEEP_HELP)
     swp.add_argument("--range", required=True,
@@ -99,19 +96,17 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _staged_out(out_dir):
     """Yield a fresh ``<out>.partial/`` to write into; move its files into ``out_dir``
-    when the block succeeds and remove it when the block raises."""
+    when the block succeeds and remove it when the block or the move raises."""
     out = Path(os.path.abspath(out_dir))
     stage = out.with_name(out.name + ".partial")
     stage.mkdir(parents=True)  # an existing one is not ours to overwrite
     try:
         yield stage
-    except BaseException:
+        out.mkdir(exist_ok=True)
+        for path in stage.iterdir():
+            path.replace(out / path.name)
+    finally:
         shutil.rmtree(stage, ignore_errors=True)
-        raise
-    out.mkdir(exist_ok=True)
-    for path in stage.iterdir():
-        path.replace(out / path.name)
-    stage.rmdir()
 
 
 def _cmd_generate(args) -> int:
@@ -149,7 +144,6 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(args.parameter, values, spec, methods, est_cfg, seeds=args.seeds)
     with _staged_out(args.out) as out:
         write_csv(out / "sweep.csv", SWEEP_FIELDS, rows)
-        write_sweep_svg(rows, out / "sweep.svg")
     print(f"wrote {len(rows)} sweep rows to {Path(args.out) / 'sweep.csv'}")
     return EXIT_OK
 

@@ -224,40 +224,33 @@ def field_types(cls) -> dict:
 
 
 # recipe.txt keys that are not NoiseRecipe fields: the dose map's shape and source
-_DOSE_KEYS = {"width": int, "height": int, "dose_constant": _finite_float, "dose_pgm": str,
+_DOSE_KEYS = {"width": int, "height": int, "dose_pgm": str,
               "dose_scale": _finite_float, "dose_offset": _finite_float}
 
 
-def recipe_to_text(recipe: NoiseRecipe, dose_pgm: str | None = None,
-                   dose_scale: float = 1.0, dose_offset: float = 0.0) -> str:
+def recipe_to_text(recipe: NoiseRecipe, dose_pgm: str, dose_scale: float,
+                   dose_offset: float) -> str:
     """Serialize a recipe as flat ``key = value`` lines.
 
     The lines are NoiseRecipe's fields in declaration order, then the dose
-    map's ``width`` and ``height`` and either ``dose_constant`` (uniform maps)
-    or an affine transform of a 16-bit PGM named by ``dose_pgm``.  Floats are
-    written by ``repr``, so they read back exactly.
+    map's ``width`` and ``height`` and the affine transform
+    ``dose_scale * basis + dose_offset`` of the 16-bit PGM named by
+    ``dose_pgm``.  Floats are written by ``repr``, so they read back exactly.
     """
     h, w = recipe.dose_map.shape
     values = {name: getattr(recipe, name) for name in field_types(NoiseRecipe)}
-    values.update(width=w, height=h)
-    flat = recipe.dose_map.ravel()
-    if dose_pgm is None:
-        if not np.all(flat == flat[0]):
-            raise DomainError("non-constant dose map needs a dose_pgm reference")
-        values["dose_constant"] = float(flat[0])
-    else:
-        values.update(dose_pgm=dose_pgm, dose_scale=dose_scale, dose_offset=dose_offset)
+    values.update(width=w, height=h, dose_pgm=dose_pgm, dose_scale=dose_scale,
+                  dose_offset=dose_offset)
     return "".join(f"{key} = {repr(float(value)) if isinstance(value, float) else value}\n"
                    for key, value in values.items())
 
 
-def recipe_from_text(text: str, dose_loader=None) -> NoiseRecipe:
+def recipe_from_text(text: str, dose_loader) -> NoiseRecipe:
     """Rebuild a recipe; ``dose_loader(name)`` must return the dose-basis Raster.
 
-    Every NoiseRecipe field, the shape and one dose source are required.  A
-    malformed line, an unknown or repeated key, a value that does not parse and
-    a missing key are each a DomainError naming the line or key, and so is a
-    dose PGM whose shape is not the recipe's.
+    Every key is required.  A malformed line, an unknown or repeated key, a
+    value that does not parse and a missing key are each a DomainError naming
+    the line or key, and so is a dose PGM whose shape is not the recipe's.
     """
     types = field_types(NoiseRecipe) | _DOSE_KEYS
     kv: dict = {}
@@ -281,21 +274,13 @@ def recipe_from_text(text: str, dose_loader=None) -> NoiseRecipe:
     def take(key):
         if key not in kv:
             raise DomainError(f"recipe has no {key!r} line")
-        return kv.pop(key)
+        return kv[key]
 
     recipe_fields = {name: take(name) for name in field_types(NoiseRecipe)}
     shape = (take("height"), take("width"))
-    if "dose_constant" in kv:
-        dose = np.full(shape, kv.pop("dose_constant"))
-    else:
-        name = take("dose_pgm")
-        if dose_loader is None:
-            raise DomainError("recipe references a dose PGM but no loader was given")
-        basis = dose_loader(name).data
-        if basis.shape != shape:
-            raise DomainError(f"recipe shape {shape[1]}x{shape[0]} (width x height) does not "
-                              f"match the dose PGM's {basis.shape[1]}x{basis.shape[0]}")
-        dose = take("dose_scale") * basis + take("dose_offset")
-    if kv:
-        raise DomainError(f"recipe sets dose_constant and also {sorted(kv)}")
+    basis = dose_loader(take("dose_pgm")).data
+    if basis.shape != shape:
+        raise DomainError(f"recipe shape {shape[1]}x{shape[0]} (width x height) does not "
+                          f"match the dose PGM's {basis.shape[1]}x{basis.shape[0]}")
+    dose = take("dose_scale") * basis + take("dose_offset")
     return NoiseRecipe(dose_map=dose, **recipe_fields)

@@ -13,8 +13,8 @@ from semsnr.bench import (
     estimator_config_from_config,
     load_config,
     parse_methods,
-    read_csv,
     run_estimation,
+    run_sweep,
 )
 from semsnr.cli import main
 from semsnr.corpus import (
@@ -22,6 +22,7 @@ from semsnr.corpus import (
     SceneSpec,
     generate_corpus,
     load_corpus,
+    read_csv,
     read_truth_csv,
     reference_corpus_spec,
     regenerate_image,
@@ -127,7 +128,9 @@ def test_recipe_regenerates_exactly(small_corpus):
     (b"seed = ", b"seed = x", "recipe line 8: bad value for seed"),
     (b"bit_depth", b"bit_d\xe9pth", "can't decode byte 0xe9"),
     (b"seed = ", b"seed = 1\nseed = ", "recipe line 9: key 'seed' is given twice"),
-], ids=["bad_value", "not_ascii", "repeated_key"])
+    (b"dose_pgm = ", b"dose_constant = 50.0\ndose_pgm = ",
+     "recipe line 12: unknown key 'dose_constant'"),
+], ids=["bad_value", "not_ascii", "repeated_key", "dose_constant"])
 def test_corrupt_recipe_is_data_error(small_corpus, reader, old, new, message):
     _, corpus_dir = small_corpus
     path = corpus_dir / "img0000.recipe.txt"
@@ -402,7 +405,6 @@ def test_sweep_dose_scaling_law(tmp_path, capsys):
                  "--methods", "nn,lsr,acldr", "--seeds", "3"])
     assert code == 0
     rows = read_csv(out / "sweep.csv")
-    assert (out / "sweep.svg").exists()
     # moment-based flat-field rows follow the square-root law within 5%
     for value in (25.0, 100.0, 400.0):
         moments = [float(r["estimate"]) for r in rows
@@ -452,6 +454,49 @@ def test_sweep_contrast_invariance(tmp_path):
                     if r["method"] == method and r["seed"] == seed]
             assert len(vals) == 3
             assert max(vals) - min(vals) <= 1e-6 * abs(np.mean(vals))
+
+
+SWEEP_SPEC = CorpusSpec(scene=SceneSpec(kind="ar_field", width=64, height=64, corr_length=6.0),
+                        model="poisson-pe", dose_min=200.0, dose_max=2000.0, dc_offset=100.0,
+                        base_seed=5)
+
+
+def test_tiny_dose_sweep_keeps_the_configured_dose_ratio(monkeypatch):
+    import semsnr.bench as bench
+
+    seen = []
+    real_acquire = bench.acquire
+
+    def recording(local, *args):
+        seen.append(local)
+        return real_acquire(local, *args)
+
+    monkeypatch.setattr(bench, "acquire", recording)
+    # 1e-6 puts the scaled dose_min under 1e-6 and dose_max over it; 1e-9 puts both under
+    values = [1e-9, 1e-6]
+    rows = run_sweep("dose", values, SWEEP_SPEC, ("nn",), seeds=1)
+    assert [(r["value"], r["method"]) for r in rows] == [
+        (value, method) for value in values for method in ("moment", "nn")]
+    assert len(seen) == len(values)
+    for value, local in zip(values, seen):
+        assert 0.5 * (local.dose_min + local.dose_max) == pytest.approx(value, rel=1e-12)
+        assert local.dose_max / local.dose_min == pytest.approx(10.0, rel=1e-12)
+
+
+def test_dwell_sweep_is_the_dose_sweep_at_the_dwell_dose():
+    from semsnr.bench import SWEEP_BEAM_CURRENT
+    from semsnr.yield_snr import BeamParams, dose_per_pixel
+
+    dwell = 2e-6
+    dose = dose_per_pixel(BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=dwell))
+    by_dwell = run_sweep("dwell", [dwell], SWEEP_SPEC, ("nn", "lsr"), seeds=2)
+    by_dose = run_sweep("dose", [dose], SWEEP_SPEC, ("nn", "lsr"), seeds=2)
+
+    def columns(rows):
+        return [(r["seed"], r["method"], r["estimate"], r["reference"]) for r in rows]
+
+    assert len(by_dwell) == 6 and all(r["estimate"] is not None for r in by_dwell)
+    assert columns(by_dwell) == columns(by_dose)
 
 
 def test_sweep_empty_range_is_config_error(tmp_path):
@@ -775,13 +820,16 @@ def test_out_is_filled_on_success_and_staging_is_never_reused(small_corpus, tmp_
     assert (stale / "mine.txt").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("command", ["generate", "estimate", "sweep", "denoise", "report"])
-def test_unwritable_out_is_data_error(small_corpus, tmp_path, capsys, command):
+COMMANDS = ["generate", "estimate", "sweep", "denoise", "report"]
+
+
+def _command_args(command, small_corpus, tmp_path) -> list[str]:
+    """A working ``command`` line over the small corpus, all but its ``--out``."""
     config, corpus_dir = small_corpus
     results = tmp_path / "res"
     assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(results),
                  "--methods", "nn"]) == 0
-    args = {
+    return {
         "generate": ["--config", str(config)],
         "estimate": ["--corpus", str(corpus_dir), "--methods", "nn"],
         "sweep": ["--config", str(config), "--parameter", "contrast", "--range", "1",
@@ -789,11 +837,52 @@ def test_unwritable_out_is_data_error(small_corpus, tmp_path, capsys, command):
         "denoise": ["--corpus", str(corpus_dir), "--filter", "gaussian:sigma=1.0"],
         "report": ["--results", str(results / "results.csv")],
     }[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unwritable_out_is_data_error(small_corpus, tmp_path, capsys, command):
+    args = _command_args(command, small_corpus, tmp_path)
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file, not a directory\n")
     capsys.readouterr()
     assert main([command, *args, "--out", str(blocker / "out")]) == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_that_is_a_file_is_data_error_and_leaves_no_stage(small_corpus, tmp_path, capsys,
+                                                               command):
+    args = _command_args(command, small_corpus, tmp_path)
+    out = tmp_path / "outfile"
+    out.write_text("a regular file, not a directory\n")
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "outfile.partial").exists()
+    assert out.read_text() == "a regular file, not a directory\n"
+    out.unlink()
+    assert main([command, *args, "--out", str(out)]) == 0
+    assert out.is_dir()
+
+
+def _readme_out_files() -> dict:
+    """README's ``--out`` file list per command, ``<id>`` standing for each image id."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("`--out` holds exactly these files", 1)[1].split("\n\n", 2)[1]
+    return {command: re.findall(r"`([^`]+)`", names)
+            for command, names in re.findall(r"^\* `(\w+)`: (.*)$", block, re.M)}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_holds_exactly_the_files_readme_lists(small_corpus, tmp_path, command):
+    args = _command_args(command, small_corpus, tmp_path)
+    ids = [row["image_id"] for row in read_truth_csv(small_corpus[1] / "truth.csv")]
+    listed = _readme_out_files()
+    assert sorted(listed) == sorted(COMMANDS)
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 0
+    expected = {name.replace("<id>", image_id) for name in listed[command] for image_id in ids}
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
 @pytest.mark.parametrize("name,blob,message", [
@@ -839,7 +928,8 @@ def _assert_cells_exact(path, fields, rows):
 
 
 def test_csv_cells_round_trip_exactly(small_corpus, tmp_path):
-    from semsnr.bench import DENOISE_FIELDS, RESULTS_FIELDS, run_denoise, write_csv
+    from semsnr.bench import DENOISE_FIELDS, RESULTS_FIELDS, run_denoise
+    from semsnr.corpus import write_csv
 
     _, corpus_dir = small_corpus
     rows, _ = run_estimation(corpus_dir, ("nn", "lsr", "frank_alali"), out_dir=tmp_path / "res")

@@ -157,20 +157,17 @@ def assert_same_recipe(again, recipe):
             assert getattr(again, f.name) == getattr(recipe, f.name), f.name
 
 
-def test_recipe_text_round_trip_constant():
-    recipe = NoiseRecipe(dose_map=np.full((8, 8), 123.5), **RECIPE_FIELDS)
-    assert_same_recipe(recipe_from_text(recipe_to_text(recipe)), recipe)
+_BASIS = raster_from_array(np.arange(16, dtype=float).reshape(4, 4), bit_depth=16)
 
 
 def test_recipe_text_round_trip_pgm_reference():
-    basis = raster_from_array(np.arange(16, dtype=float).reshape(4, 4), bit_depth=16)
-    dose = 0.5 * basis.data + 10.0
-    recipe = NoiseRecipe(dose_map=dose, **RECIPE_FIELDS)
+    recipe = NoiseRecipe(dose_map=0.5 * _BASIS.data + 10.0, **RECIPE_FIELDS)
     text = recipe_to_text(recipe, dose_pgm="basis.pgm", dose_scale=0.5, dose_offset=10.0)
-    assert_same_recipe(recipe_from_text(text, dose_loader=lambda name: basis), recipe)
+    assert_same_recipe(recipe_from_text(text, dose_loader=lambda name: _BASIS), recipe)
 
 
-_RECIPE_TEXT = recipe_to_text(NoiseRecipe(dose_map=np.full((4, 4), 50.0), seed=7))
+_RECIPE_TEXT = recipe_to_text(NoiseRecipe(dose_map=0.5 * _BASIS.data + 10.0, seed=7),
+                              dose_pgm="basis.pgm", dose_scale=0.5, dose_offset=10.0)
 
 
 @pytest.mark.parametrize("old,new,message", [
@@ -179,21 +176,23 @@ _RECIPE_TEXT = recipe_to_text(NoiseRecipe(dose_map=np.full((4, 4), 50.0), seed=7
     ("se_yield = 0.16", "se_yield = high", "line 2: bad value for se_yield"),
     ("height = 4\n", "", "no 'height' line"),
     ("bit_depth = 16\n", "", "no 'bit_depth' line"),
-    ("dose_constant = 50.0\n", "", "no 'dose_pgm' line"),
-    ("dose_constant = 50.0\n", "dose_constant = 50.0\ndose_pgm = basis.pgm\n",
-     "also ['dose_pgm']"),
+    ("dose_pgm = basis.pgm\n", "", "no 'dose_pgm' line"),
+    ("dose_pgm = basis.pgm\n", "dose_constant = 50.0\ndose_pgm = basis.pgm\n",
+     "line 12: unknown key 'dose_constant'"),
     ("seed = 7", "seed 7", "line 8: expected 'key = value'"),
     ("se_yield = 0.16", "se_yield = 2.0", "se_yield must be in"),
     ("dc_offset = 0.0", "dc_offset = inf",
      "line 7: bad value for dc_offset: 'inf' is not a finite number"),
-    ("dose_constant = 50.0", "dose_constant = nan", "line 12: bad value for dose_constant"),
+    ("dose_scale = 0.5", "dose_scale = nan", "line 13: bad value for dose_scale"),
     ("seed = 7", "seed = 7\nseed = 8", "line 9: key 'seed' is given twice"),
-], ids=["int", "int_shape", "float", "no_height", "no_field", "no_dose", "two_doses",
-        "no_equals", "out_of_rule", "non_finite", "non_finite_dose", "repeated_key"])
+], ids=["int", "int_shape", "float", "no_height", "no_field", "no_dose",
+        "dose_constant_is_unknown", "no_equals", "out_of_rule", "non_finite", "non_finite_dose",
+        "repeated_key"])
 def test_malformed_recipe_text_is_domain_error(old, new, message):
     assert old in _RECIPE_TEXT
+    assert recipe_from_text(_RECIPE_TEXT, dose_loader=lambda name: _BASIS).seed == 7
     with pytest.raises(DomainError, match=re.escape(message)):
-        recipe_from_text(_RECIPE_TEXT.replace(old, new, 1))
+        recipe_from_text(_RECIPE_TEXT.replace(old, new, 1), dose_loader=lambda name: _BASIS)
 
 
 def test_recipe_shape_must_match_the_dose_pgm():
@@ -207,4 +206,4 @@ def test_recipe_shape_must_match_the_dose_pgm():
 
 def test_recipe_text_rejects_unknown_key():
     with pytest.raises(DomainError, match="unknown key"):
-        recipe_from_text("emission_model = none\nwobble = 3\n")
+        recipe_from_text("emission_model = none\nwobble = 3\n", dose_loader=lambda name: _BASIS)
