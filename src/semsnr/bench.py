@@ -23,6 +23,7 @@ from .corpus import (
     acquire,
     load_plane,
     read_truth_csv,
+    scene_basis,
     worker_pool,
     write_csv,
 )
@@ -249,7 +250,7 @@ SWEEP_BEAM_CURRENT = 1e-10  # amperes; a dwell sweep's seconds -> electrons per 
 
 def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
               est_cfg: EstimatorConfig = DEFAULT_CONFIG, seeds: int = 3) -> list[dict]:
-    """Synthetic analogs of instrument factor studies.
+    """Synthetic analogs of instrument factor studies on one specimen per seed.
 
     ``dose`` scales the mean electrons per pixel (the scan-rate/beam-current
     analog: SNR of a counting acquisition grows like sqrt(dose)).  ``dwell``
@@ -258,6 +259,10 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     autocorrelation based estimates unchanged.  Counting models add a
     ``moment`` row per point: mean over standard deviation of a flat field at
     the mid dose under the same recipe.
+
+    Seed ``i``'s scene (stream ``i`` of the base seed) is synthesized once and
+    shared by all of its points; a contrast sweep also acquires it once and
+    rescales that acquisition per value.  Rows come in value-major order.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
@@ -269,72 +274,74 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     bad = [v for v in values if not (math.isfinite(v) and v > 0.0)]
     if bad:
         raise ConfigError(f"sweep --range values must be finite and > 0, got {bad}")
-    if sorted(values) != values:
-        raise ConfigError("sweep range must be monotone increasing")
+    if any(lo >= hi for lo, hi in zip(values, values[1:])):
+        raise ConfigError(f"sweep --range values must be strictly increasing, got {values}")
     # two-image names drop out quietly, so ALL_METHODS sweeps the single-image ones
     methods = check_methods(methods)
     single = [m for m in methods if m in SINGLE_IMAGE_METHODS]
     if not single:
         raise ConfigError(f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
                           f"got {list(methods)}")
-    rows: list[dict] = []
+    per_seed = [_seed_rows(parameter, values, spec, scene_basis(spec, seed), seed, single, est_cfg)
+                for seed in range(seeds)]
+    return [row for i in range(len(values)) for by_value in per_seed for row in by_value[i]]
+
+
+def _seed_rows(parameter, values, spec, basis, seed, single, est_cfg) -> list[list[dict]]:
+    """Each value's rows for one seed; every point acquires the seed's scene ``basis``.
+
+    ``dose`` and ``dwell`` acquire it once per value under the scaled spec;
+    ``contrast`` acquires it once and estimates a rescaled copy per value.
+    """
+    mid = 0.5 * (spec.dose_min + spec.dose_max)
+    if parameter == "contrast":
+        point = _acquire_point(spec, basis, seed, mid)
+        return [_point_rows(parameter, value, seed, point, value, single, est_cfg)
+                for value in values]
+    rows = []
     for value in values:
-        if parameter == "dose":
-            dose_mid = value
-        elif parameter == "dwell":
-            dose_mid = dose_per_pixel(BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value))
-        else:
-            dose_mid = 0.5 * (spec.dose_min + spec.dose_max)
-        for seed in range(seeds):
-            rows.extend(
-                _sweep_point(parameter, value, dose_mid, spec, single, est_cfg, seed)
-            )
+        dose_mid = value if parameter == "dose" else dose_per_pixel(
+            BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value))
+        # scale the whole dose range so the configured contrast ratio is kept
+        scale = dose_mid / mid
+        local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
+        # no name holds the acquisition, so it is freed before the next one is made
+        rows.append(_point_rows(parameter, value, seed,
+                                _acquire_point(local, basis, seed, dose_mid),
+                                None, single, est_cfg))
     return rows
 
 
-def _sweep_point(parameter, value, dose_mid, spec, single, est_cfg, seed) -> list[dict]:
-    rows = []
-    local = spec
-    if parameter in ("dose", "dwell"):
-        # scale the whole dose range so the configured contrast ratio is kept
-        scale = dose_mid / (0.5 * (spec.dose_min + spec.dose_max))
-        local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
-    _, (recipe, _, _), gt = acquire(local, seed, seed + 1, local.snr_targets[0])
+def _acquire_point(spec, basis, seed, dose_mid):
+    """Acquire ``basis`` with noise seed ``seed + 1``: (ground truth, moment SNR or None).
 
-    noisy = gt.noisy
-    if parameter == "contrast":
-        noisy = noisy.scaled(value)
+    The moment SNR (counting models only) is (mean - dc_offset) / sd of a
+    64x64 flat field at ``dose_mid`` under the acquisition's recipe.
+    """
+    (recipe, _, _), gt = acquire(spec, basis, seed + 1, spec.snr_targets[0])
+    if spec.model == "additive-gaussian":
+        return gt, None
+    flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
+    sd = float(flat.std())
+    return gt, ((float(flat.mean()) - spec.dc_offset) / sd if sd > 0 else math.inf)
 
-    # moment-based reference on a flat field of the same mid dose (counting models)
-    if local.model != "additive-gaussian":
-        flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
-        sd = float(flat.std())
-        moment_snr = (float(flat.mean()) - local.dc_offset) / sd if sd > 0 else math.inf
-        rows.append(
-            {
-                "parameter": parameter,
-                "value": value,
-                "seed": seed,
-                "method": "moment",
-                "estimate": moment_snr,
-                "reference": gt.true_snr,
-            }
-        )
 
+def _point_rows(parameter, value, seed, point, contrast, single, est_cfg) -> list[dict]:
+    """One point's rows: the moment row (counting models), then one per method.
+
+    ``point`` is an :func:`_acquire_point` pair; a ``contrast`` factor rescales
+    its noisy plane before estimation.
+    """
+    gt, moment = point
+    noisy = gt.noisy if contrast is None else gt.noisy.scaled(contrast)
+    estimates = {} if moment is None else {"moment": moment}
     results = estimate_all(noisy, est_cfg, methods=single)
     for method in single:
         est = results[method]
-        rows.append(
-            {
-                "parameter": parameter,
-                "value": value,
-                "seed": seed,
-                "method": method,
-                "estimate": est.snr_linear if est.status == "ok" else None,
-                "reference": gt.true_snr,
-            }
-        )
-    return rows
+        estimates[method] = est.snr_linear if est.status == "ok" else None
+    return [{"parameter": parameter, "value": value, "seed": seed, "method": method,
+             "estimate": estimate, "reference": gt.true_snr}
+            for method, estimate in estimates.items()]
 
 
 # --- denoising runs -------------------------------------------------------------

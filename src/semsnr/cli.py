@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS,
                      help=_SWEEP_HELP)
     swp.add_argument("--range", required=True,
-                     help="comma-separated monotone values, e.g. 25,100,400")
+                     help="comma-separated strictly increasing values, e.g. 25,100,400")
     swp.add_argument("--methods", default="nn,lsr,acldr",
                      help=f"comma list from {','.join(SINGLE_IMAGE_METHODS)}, or 'all' for all of them")
     swp.add_argument("--seeds", type=int, default=3, help="seeds per swept value")

@@ -274,48 +274,52 @@ def read_truth_csv(path) -> list[dict]:
     return rows
 
 
-def acquire(spec: CorpusSpec, stream: int, seed: int, target: float | None):
-    """One acquisition: (basis, (recipe, dose_scale, dose_offset), ground_truth).
-
-    ``basis`` is the 16-bit quantized scene; the dose map is an affine map of
-    it, so a serialized recipe regenerates the acquisition exactly.  The scene
-    comes from RNG stream (base_seed, ``stream``), the noise from ``seed``;
-    ``target`` is the additive-gaussian SNR target, unused by the counting
-    models.
-    """
+def scene_basis(spec: CorpusSpec, stream: int) -> Raster:
+    """The 16-bit quantized scene of RNG stream (base_seed, ``stream``): what a dose map maps."""
     scene = make_scene(spec.scene, rng_for(spec.base_seed, stream))
     scene *= 65535.0
-    basis, _ = quantize(scene, 16)
+    return quantize(scene, 16)[0]
+
+
+def acquire(spec: CorpusSpec, basis: Raster, seed: int, target: float | None):
+    """One acquisition of ``basis``: ((recipe, dose_scale, dose_offset), ground_truth).
+
+    The dose map is an affine map of the :func:`scene_basis` raster, so a
+    serialized recipe regenerates the acquisition exactly, and one basis can
+    be acquired under any number of specs or seeds (it is read, never
+    written).  The noise comes from ``seed``; ``target`` is the
+    additive-gaussian SNR target, unused by the counting models.
+    """
     dose_scale = (spec.dose_max - spec.dose_min) / 65535.0
+    work = np.empty_like(basis.data)  # the clean intensity plane, then the dose map
     sigma = 0.0
     if spec.model == "additive-gaussian":
         if target is None or target <= 0.0:
             raise ConfigError("the additive-gaussian model needs a positive snr target")
-        # the clean intensity plane and its deviations are formed in the scene
-        # plane, which receives the dose map below
-        intensity = np.multiply(basis.data, dose_scale, out=scene)
+        intensity = np.multiply(basis.data, dose_scale, out=work)
         intensity += spec.dose_min
         intensity *= spec.detector_gain
         intensity += spec.dc_offset
         sigma_intensity = math.sqrt(variance(intensity, intensity) / target)
         sigma = sigma_intensity / spec.detector_gain  # recipe sigma acts on counts
-    dose = np.multiply(basis.data, dose_scale, out=scene)  # basis holds integers 0..65535
+    dose = np.multiply(basis.data, dose_scale, out=work)  # basis holds integers 0..65535
     dose += spec.dose_min
     recipe = spec.recipe(dose, sigma, seed)
-    return basis, (recipe, dose_scale, spec.dose_min), simulate(recipe)
+    return (recipe, dose_scale, spec.dose_min), simulate(recipe)
 
 
 def corpus_image(spec: CorpusSpec, index: int):
     """Image ``index`` of the corpus: (image_id, basis, built, ground_truth, truth_row).
 
-    ``basis`` is the stored 16-bit scene raster and ``built`` the
-    (recipe, dose_scale, dose_offset) triple of :func:`acquire`.  The image's
-    randomness derives from (base_seed, index) alone, so any set of images
-    can be acquired in any order, or at once.
+    ``basis`` is the stored 16-bit scene raster of :func:`scene_basis` and
+    ``built`` the (recipe, dose_scale, dose_offset) triple of :func:`acquire`.
+    The image's randomness derives from (base_seed, index) alone, so any set
+    of images can be acquired in any order, or at once.
     """
     target = spec.snr_targets[index // spec.seeds_per_level]
     seed = int(np.random.SeedSequence((spec.base_seed, index)).generate_state(1)[0])
-    basis, built, gt = acquire(spec, index, seed, target)
+    basis = scene_basis(spec, index)
+    built, gt = acquire(spec, basis, seed, target)
     row = {
         "image_id": f"img{index:04d}",
         "seed": seed,

@@ -197,7 +197,12 @@ def ccf_surface(a: np.ndarray, b: np.ndarray) -> CcfResult:
 
     mask = np.ones_like(surface, dtype=bool)
     mask[np.ix_(np.arange(my - 2, my + 3) % h, np.arange(mx - 2, mx + 3) % w)] = False
-    background = float(np.median(surface[mask]))
+    # np.median's arithmetic from one in-place selection of the masked copy
+    values = surface[mask]
+    k = values.size // 2
+    odd = values.size % 2
+    values.partition(k if odd else (k - 1, k))
+    background = float(values[k] if odd else (values[k - 1] + values[k]) / 2)
 
     profile = np.roll(surface[my, :], w // 2 - mx)
     neighbours = (surface[my, (mx + 1) % w] + surface[my, (mx - 1) % w]

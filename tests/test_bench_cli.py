@@ -499,6 +499,88 @@ def test_dwell_sweep_is_the_dose_sweep_at_the_dwell_dose():
     assert columns(by_dwell) == columns(by_dose)
 
 
+SWEEP_VALUES = {"dose": [25.0, 100.0, 400.0], "dwell": [1e-7, 1e-6, 4e-6],
+                "contrast": [0.5, 1.0, 3.0]}
+
+
+def _sweep_point_from_scratch(parameter, value, spec, seed, methods) -> list[dict]:
+    """One sweep point rebuilt alone: its own scene, acquisition, flat field and estimates."""
+    from dataclasses import replace
+
+    from semsnr.bench import SWEEP_BEAM_CURRENT
+    from semsnr.corpus import acquire, scene_basis
+    from semsnr.noise import simulate
+    from semsnr.yield_snr import BeamParams, dose_per_pixel
+
+    mid = 0.5 * (spec.dose_min + spec.dose_max)
+    dose_mid = {"dose": value, "contrast": mid}.get(parameter) or dose_per_pixel(
+        BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value))
+    scale = dose_mid / mid
+    local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
+    (recipe, _, _), gt = acquire(local, scene_basis(local, seed), seed + 1, 1.0)
+    flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
+    estimates = {"moment": (float(flat.mean()) - local.dc_offset) / float(flat.std())}
+    noisy = gt.noisy.scaled(value) if parameter == "contrast" else gt.noisy
+    results = estimate_all(noisy, DEFAULT_CONFIG, methods=methods)
+    estimates |= {m: results[m].snr_linear if results[m].status == "ok" else None
+                  for m in methods}
+    return [{"parameter": parameter, "value": value, "seed": seed, "method": method,
+             "estimate": estimate, "reference": gt.true_snr}
+            for method, estimate in estimates.items()]
+
+
+@pytest.mark.parametrize("parameter", ["dose", "dwell", "contrast"])
+def test_sweep_rows_equal_points_rebuilt_from_scratch(parameter):
+    methods = ("nn", "lsr", "acldr", "chillsr")
+    values = SWEEP_VALUES[parameter]
+    rows = run_sweep(parameter, values, SWEEP_SPEC, methods, seeds=3)
+    assert rows == [row for value in values for seed in range(3)
+                    for row in _sweep_point_from_scratch(parameter, value, SWEEP_SPEC, seed,
+                                                         methods)]
+
+
+@pytest.mark.parametrize("parameter", ["dose", "dwell", "contrast"])
+def test_sweep_builds_each_scene_once_and_a_contrast_acquisition_once(monkeypatch, parameter):
+    import semsnr.bench as bench
+
+    calls = {"scene_basis": 0, "acquire": 0}
+
+    def counted(name):
+        real = getattr(bench, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bench, name, counted(name))
+    values, seeds = SWEEP_VALUES[parameter], 2
+    run_sweep(parameter, values, SWEEP_SPEC, ("nn",), seeds=seeds)
+    per_seed = 1 if parameter == "contrast" else len(values)
+    assert calls == {"scene_basis": seeds, "acquire": per_seed * seeds}
+
+
+@pytest.mark.parametrize("values", [[100.0, 100.0], [25.0, 100.0, 100.0], [400.0, 100.0]])
+def test_sweep_range_must_be_strictly_increasing_in_the_library(values):
+    with pytest.raises(ConfigError) as info:
+        run_sweep("dose", values, SWEEP_SPEC, ("nn",), seeds=1)
+    assert str(info.value) == f"sweep --range values must be strictly increasing, got {values}"
+
+
+def test_repeated_sweep_range_value_is_config_error(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(POISSON_CONFIG.replace("scene = spectral", "scene = ar_field"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", "dose",
+                 "--range", "100,100", "--methods", "nn", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep --range values must be strictly increasing")
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
 def test_sweep_empty_range_is_config_error(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(SMALL_CONFIG)

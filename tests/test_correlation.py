@@ -160,7 +160,7 @@ def test_cross_correlate_recovers_known_snr(oracle_corpus):
     # two realizations of one scene at a known oracle SNR close to 4
     from dataclasses import replace
 
-    from semsnr.corpus import CorpusSpec, SceneSpec, acquire
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquire, scene_basis
     from semsnr.noise import simulate
 
     spec = CorpusSpec(
@@ -171,7 +171,7 @@ def test_cross_correlate_recovers_known_snr(oracle_corpus):
     )
     rels = []
     for s in range(5):
-        _, (recipe, _, _), g1 = acquire(spec, s, 100 + s, 4.0)
+        (recipe, _, _), g1 = acquire(spec, scene_basis(spec, s), 100 + s, 4.0)
         g2 = simulate(replace(recipe, seed=7000 + s))
         res = cross_correlate(g1.noisy, g2.noisy)
         assert res.peak_offset == (0, 0)
@@ -255,3 +255,17 @@ def test_ccf_surface_reads_brute_force_surface(rng):
     mask[np.ix_(np.arange(-1, 4) % 24, np.arange(0, 5) % 32)] = False
     assert res.background == pytest.approx(np.median(brute[mask]), abs=1e-9 * brute[1, 2])
     assert math.isnan(res.correlation)  # only cross_correlate aligns and correlates
+
+
+@pytest.mark.parametrize("size,count", [(256, 65511), (17, 264)], ids=["odd", "even"])
+def test_ccf_background_is_np_median_outside_the_peak_block(size, count):
+    gen = np.random.default_rng(size)
+    a = gen.normal(100.0, 5.0, size=(size, size))
+    b = np.roll(a, (3, -2), axis=(0, 1)) + gen.normal(0.0, 2.0, size=(size, size))
+    xa, xb = a - a.mean(), b - b.mean()
+    surface = np.fft.irfft2(np.conj(np.fft.rfft2(xa)) * np.fft.rfft2(xb), s=xa.shape) / xa.size
+    my, mx = np.unravel_index(int(np.argmax(surface)), surface.shape)
+    mask = np.ones_like(surface, dtype=bool)
+    mask[np.ix_(np.arange(my - 2, my + 3) % size, np.arange(mx - 2, mx + 3) % size)] = False
+    assert int(mask.sum()) == count
+    assert ccf_surface(a, b).background == float(np.median(surface[mask]))

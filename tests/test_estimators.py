@@ -322,7 +322,7 @@ def test_frank_alali_independent_noise_error(rng):
 
 
 def test_frank_alali_recovers_oracle():
-    from semsnr.corpus import CorpusSpec, SceneSpec, acquire
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquire, scene_basis
     from semsnr.noise import simulate
 
     spec = CorpusSpec(
@@ -333,7 +333,7 @@ def test_frank_alali_recovers_oracle():
     )
     rels = []
     for s in range(6):
-        _, (recipe, _, _), g1 = acquire(spec, s, 40 + s, 5.0)
+        (recipe, _, _), g1 = acquire(spec, scene_basis(spec, s), 40 + s, 5.0)
         g2 = simulate(replace(recipe, seed=900 + s))
         est = estimate_frank_alali(g1.noisy, g2.noisy)
         rels.append(rel_error(est.snr_linear, 0.5 * (g1.true_snr + g2.true_snr)))
@@ -377,7 +377,7 @@ def test_smart_white_noise_error_path():
 
 
 def test_smart_single_image_oracle_accuracy():
-    from semsnr.corpus import CorpusSpec, SceneSpec, acquire
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquire, scene_basis
 
     spec = CorpusSpec(
         scene=SceneSpec(kind="spectral", width=512, height=512, corr_length=110.0,
@@ -387,7 +387,7 @@ def test_smart_single_image_oracle_accuracy():
     )
     rels = []
     for s in range(11):
-        _, _, gt = acquire(spec, s, 800 + s, 4.0)
+        _, gt = acquire(spec, scene_basis(spec, s), 800 + s, 4.0)
         est = estimate_smart(gt.noisy, cfg=BENCH_CONFIG)
         rels.append(rel_error(est.snr_linear, gt.true_snr))
     assert abs(np.median(rels)) <= 0.20
