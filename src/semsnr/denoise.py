@@ -178,27 +178,46 @@ def _gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-def _convolve_separable(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    radius = kernel.size // 2
-    padded = _pad(x, 0, radius)
-    out = np.zeros_like(x)
-    for i, w in enumerate(kernel):
-        out += w * padded[:, i : i + x.shape[1]]
-    padded = _pad(out, radius, 0)
-    out = np.zeros_like(x)
-    for i, w in enumerate(kernel):
-        out += w * padded[i : i + x.shape[0], :]
+_MEDIAN_STRIP = 16  # output rows per partition pass of _median
+# output rows per pass of _bilateral, gaussian_blur and wiener_local: their work
+# buffers stay in cache, and their size does not grow with the image height
+_TILE_ROWS = 32
+
+
+def _bands(x: np.ndarray, radius: int):
+    """Yield (top, rows, source) per band of _TILE_ROWS output rows; source is
+    made band by band: the rows + 2 radius rows of _pad(x, radius, radius) it reads."""
+    h = x.shape[0]
+    source_row = np.pad(np.arange(h), radius, mode="symmetric")  # padded row -> row of x
+    for top in range(0, h, _TILE_ROWS):
+        rows = min(_TILE_ROWS, h - top)
+        yield top, rows, _pad(x.take(source_row[top : top + rows + 2 * radius], axis=0),
+                              0, radius)
+
+
+def _convolve_band(source: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # Horizontal over the band's source rows, then vertical over that result.
+    # Symmetric padding is per axis and the horizontal pass per row, so each pixel
+    # gets the whole-plane passes' products, summed from zero in the same order.
+    rows, w = (n - kernel.size + 1 for n in source.shape)
+    across = np.zeros((source.shape[0], w))
+    for i, k in enumerate(kernel):
+        across += k * source[:, i : i + w]
+    out = np.zeros((rows, w))
+    for i, k in enumerate(kernel):
+        out += k * across[i : i + rows]
     return out
 
 
 def gaussian_blur(x: np.ndarray, sigma: float, radius: int | None = None) -> np.ndarray:
-    """Separable normalized Gaussian smoothing of a bare array; radius ceil(3 sigma) if None."""
+    """Separable normalized Gaussian smoothing of a bare array, with mirror
+    edges, in bands of _TILE_ROWS rows; radius ceil(3 sigma) if None."""
     radius = math.ceil(3.0 * sigma) if radius is None else radius
-    return _convolve_separable(np.asarray(x, dtype=np.float64), _gaussian_kernel(sigma, radius))
-
-
-_MEDIAN_STRIP = 16  # output rows per partition pass of _median
-_TILE_ROWS = 32  # output rows per pass of _bilateral; its work planes stay in cache
+    kernel = _gaussian_kernel(sigma, radius)
+    out = np.empty(np.shape(x))
+    for top, rows, source in _bands(np.asarray(x, dtype=np.float64), radius):
+        out[top : top + rows] = _convolve_band(source, kernel)
+    return out
 
 
 def _median(x: np.ndarray, window: int) -> np.ndarray:
@@ -304,7 +323,8 @@ def wiener_global(img: Raster, noise_var: float,
     spectrum = np.fft.rfft2(img.data)
     spectrum *= _transfer(spectrum, img.data.size, noise_var)
     out = np.fft.irfft2(spectrum, s=img.data.shape)
-    out = np.maximum(out, 0.0)
+    del spectrum
+    np.maximum(out, 0.0, out=out)
     return _report(raster_from_array(out, img.bit_depth), reference)
 
 
@@ -314,7 +334,8 @@ def wiener_local(img: Raster, window: int, noise_variance: float,
 
     The window mean and mean square come from flat separable convolutions of
     the plane minus its global mean, so the cost does not grow with the
-    window area and a DC offset does not cancel digits in the variance.
+    window area and a DC offset does not cancel digits in the variance.  It runs
+    in bands of _TILE_ROWS rows: beside its output it holds only band buffers.
     """
     _check_param("window", window)
     _check_param("noise_var", noise_variance)
@@ -324,12 +345,16 @@ def wiener_local(img: Raster, window: int, noise_variance: float,
     if noise_variance == 0.0:
         return _report(raster_from_array(x.copy(), img.bit_depth), reference)
     mean = x.mean()
-    c = x - mean
     flat = np.full(window, 1.0 / window)
-    m = _convolve_separable(c, flat)
-    v = _convolve_separable(c * c, flat) - m * m
-    gain = np.maximum(v - noise_variance, 0.0) / np.maximum(v, noise_variance)
-    out = np.maximum(mean + m + gain * (c - m), 0.0)
+    radius = window // 2
+    out = np.empty(x.shape)
+    for top, rows, c in _bands(x, radius):
+        c -= mean
+        m = _convolve_band(c, flat)
+        v = _convolve_band(c * c, flat) - m * m
+        gain = np.maximum(v - noise_variance, 0.0) / np.maximum(v, noise_variance)
+        centre = c[radius : radius + rows, radius : radius + img.width]
+        np.maximum(mean + m + gain * (centre - m), 0.0, out=out[top : top + rows])
     return _report(raster_from_array(out, img.bit_depth), reference)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from semsnr.correlation import lag_table
 from semsnr.denoise import (
     DenoiseReport,
     FilterSpec,
+    _gaussian_kernel,
     apply_filter,
     ar_wiener,
     estimate_noise_variance_ar,
@@ -275,6 +277,80 @@ def test_bilateral_matches_whole_plane_loop(radius, shape, rng):
         spec = parse_filter_spec(f"bilateral:sigma_s=1.5,sigma_r={sigma_r},radius={radius}")
         out = spatial_filter(raster_from_array(arr), spec).data
         assert np.array_equal(out, _bilateral_whole_plane(arr, 1.5, sigma_r, radius))
+
+
+def _convolve_separable_whole_plane(x, kernel):
+    """The whole-plane passes: horizontal over the plane, then vertical over its padded result."""
+    radius = kernel.size // 2
+    padded = np.pad(x, ((0, 0), (radius, radius)), mode="symmetric")
+    out = np.zeros_like(x)
+    for i, w in enumerate(kernel):
+        out += w * padded[:, i : i + x.shape[1]]
+    padded = np.pad(out, ((radius, radius), (0, 0)), mode="symmetric")
+    out = np.zeros_like(x)
+    for i, w in enumerate(kernel):
+        out += w * padded[i : i + x.shape[0], :]
+    return out
+
+
+def _wiener_local_whole_plane(x, window, noise_var):
+    """The whole-plane formula: box sums of the mean-removed plane and its square."""
+    mean = x.mean()
+    c = x - mean
+    flat = np.full(window, 1.0 / window)
+    m = _convolve_separable_whole_plane(c, flat)
+    v = _convolve_separable_whole_plane(c * c, flat) - m * m
+    gain = np.maximum(v - noise_var, 0.0) / np.maximum(v, noise_var)
+    return np.maximum(mean + m + gain * (c - m), 0.0)
+
+
+BAND_SHAPES = {"bands_and_remainder": (130, 97), "one_short_band": (20, 33),
+               "two_bands": (64, 64), "narrower_than_the_padding": (6, 40),
+               "few_columns": (33, 2), "few_rows_and_columns": (3, 9)}
+
+
+def _band_planes(shape, rng):
+    floats = rng.uniform(0.0, 1000.0, size=shape)
+    ties = rng.integers(0, 6, size=shape).astype(np.float64)  # many equal neighbours
+    return floats, ties
+
+
+@pytest.mark.parametrize("shape", BAND_SHAPES.values(), ids=BAND_SHAPES.keys())
+def test_gaussian_blur_matches_whole_plane_passes(shape, rng):
+    for arr in _band_planes(shape, rng):
+        for sigma in (0.5, 1.5, 3.0):
+            kernel = _gaussian_kernel(sigma, math.ceil(3.0 * sigma))
+            assert np.array_equal(gaussian_blur(arr, sigma),
+                                  _convolve_separable_whole_plane(arr, kernel))
+
+
+@pytest.mark.parametrize("shape", BAND_SHAPES.values(), ids=BAND_SHAPES.keys())
+def test_wiener_local_matches_whole_plane_formula(shape, rng):
+    for arr in _band_planes(shape, rng):
+        img = raster_from_array(arr)
+        for window in (w for w in (3, 5, 7) if w <= min(shape)):
+            for noise_var in (0.5, 150.0, 1e6):
+                out = wiener_local(img, window, noise_var).output.data
+                assert np.array_equal(out, _wiener_local_whole_plane(arr, window, noise_var))
+
+
+@pytest.mark.parametrize("kind, limit", [("wiener_local", 3.0), ("gaussian_blur", 2.5)])
+def test_band_filters_keep_few_planes(kind, limit, rng):
+    # the whole-plane passes peaked near 6.1 (wiener_local) and 3.2
+    # (gaussian_blur) planes on 256 x 256; the band loops hold their output
+    # plane and band buffers
+    arr = rng.uniform(0.0, 1000.0, size=(256, 256))
+    img = raster_from_array(arr)
+    run = {"wiener_local": lambda: wiener_local(img, 7, 150.0),
+           "gaussian_blur": lambda: gaussian_blur(arr, 1.5)}[kind]
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit * arr.nbytes, peak / arr.nbytes
 
 
 def _wiener_global_full_spectrum(x, noise_var):
