@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -178,10 +180,13 @@ def _gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-_MEDIAN_STRIP = 16  # output rows per partition pass of _median
-# output rows per pass of _bilateral, gaussian_blur and wiener_local: their work
-# buffers stay in cache, and their size does not grow with the image height
+# output rows per partition pass of _median; each core holds one such stack,
+# and 8-row strips run as fast as 16-row ones
+_MEDIAN_STRIP = 8
+# output rows per pass of gaussian_blur and wiener_local: their work buffers
+# stay in cache, and their size does not grow with the image height
 _TILE_ROWS = 32
+_BILATERAL_ROWS = 64  # per tile of _bilateral: on two cores, fewer lock-holding calls than 32
 
 
 def _bands(x: np.ndarray, radius: int):
@@ -220,59 +225,89 @@ def gaussian_blur(x: np.ndarray, sigma: float, radius: int | None = None) -> np.
     return out
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _on_cores(step: int, h: int, shape: tuple[int, ...], run: Callable) -> None:
+    """Call run(lo, hi, buf) on contiguous blocks of whole step-row tiles that
+    cover rows 0..h, one block per core the process may use (never more than
+    tiles), each on its own thread with its own np.empty(shape), made here: a
+    worker that allocates grows a malloc arena of its own.  One block runs here."""
+    tiles = -(-h // step)
+    parts = min(_cores(), tiles)
+    edges = [min(h, i * tiles // parts * step) for i in range(parts + 1)]
+    buffers = [np.empty(shape) for _ in range(parts)]
+    if parts == 1:
+        return run(0, h, buffers[0])
+    with ThreadPoolExecutor(parts) as pool:
+        list(pool.map(run, edges[:-1], edges[1:], buffers))  # raises a worker's error
+
+
 def _median(x: np.ndarray, window: int) -> np.ndarray:
     # The window is odd, so its median is the one middle element: partitioning
     # each pixel's window**2 neighbours at that rank gives np.median's value
     # exactly.  The neighbours are copied to the last, contiguous axis of a
     # strip of _MEDIAN_STRIP rows, so the stack stays small and the partition
-    # runs on unit-stride rows.
+    # runs on unit-stride rows.  The strips run in row blocks on every core
+    # (_on_cores); each pixel's copy and partition are the same on any core count.
     padded = _pad(x, window // 2, window // 2)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
     h, w = x.shape
     middle = window * window // 2
-    stack = np.empty((min(_MEDIAN_STRIP, h), w, window, window))
     out = np.empty((h, w))
-    for top in range(0, h, _MEDIAN_STRIP):
-        rows = min(_MEDIAN_STRIP, h - top)
-        np.copyto(stack[:rows], windows[top : top + rows])
-        strip = stack[:rows].reshape(rows, w, window * window)
-        strip.partition(middle, axis=2)
-        out[top : top + rows] = strip[:, :, middle]
+
+    def run(lo: int, hi: int, stack: np.ndarray) -> None:
+        for top in range(lo, hi, _MEDIAN_STRIP):
+            rows = min(_MEDIAN_STRIP, hi - top)
+            np.copyto(stack[:rows], windows[top : top + rows])
+            strip = stack[:rows].reshape(rows, w, window * window)
+            strip.partition(middle, axis=2)
+            out[top : top + rows] = strip[:, :, middle]
+
+    _on_cores(_MEDIAN_STRIP, h, (min(_MEDIAN_STRIP, h), w, window, window), run)
     return out
 
 
-# a tiny sigma_r overflows the range exponent to -inf, whose exp 0 is the right weight
-@np.errstate(over="ignore")
 def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
-    # _TILE_ROWS output rows at a time, so the four work planes stay in cache
-    # across all (2 radius + 1)**2 offsets instead of streaming whole planes.
-    # Per pixel the operations and their order are those of the whole-plane
-    # loop: d**2 / (-2 sigma_r**2) equals -(d**2) / (2 sigma_r**2) bit for bit.
+    # _BILATERAL_ROWS output rows at a time, so the four work planes stay in cache
+    # across all (2 radius + 1)**2 offsets instead of streaming whole planes;
+    # the tiles run in row blocks on every core (_on_cores).  Per pixel the
+    # operations and their order are those of the whole-plane loop, on any
+    # core count: d**2 / (-2 sigma_r**2) equals -(d**2) / (2 sigma_r**2) bit for bit.
     padded = _pad(x, radius, radius)
     h, w = x.shape
     range_scale = -(2.0 * sigma_r * sigma_r)
-    work = np.empty((4, min(_TILE_ROWS, h), w))
     out = np.empty((h, w))
-    for top in range(0, h, _TILE_ROWS):
-        rows = min(_TILE_ROWS, h - top)
-        acc, norm, weight, term = work[:, :rows]
-        centre = x[top : top + rows]
-        acc.fill(0.0)
-        norm.fill(0.0)
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                spatial = math.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s * sigma_s))
-                nb = padded[top + radius + dy : top + radius + dy + rows,
-                            radius + dx : radius + dx + w]
-                np.subtract(nb, centre, out=term)
-                np.square(term, out=term)
-                np.divide(term, range_scale, out=term)
-                np.exp(term, out=weight)
-                np.multiply(spatial, weight, out=weight)
-                np.multiply(weight, nb, out=term)
-                acc += term
-                norm += weight
-        np.divide(acc, norm, out=out[top : top + rows])
+
+    # a tiny sigma_r overflows the range exponent to -inf, whose exp 0 is the
+    # right weight; errstate is per thread, so it is set in each worker
+    @np.errstate(over="ignore")
+    def run(lo: int, hi: int, work: np.ndarray) -> None:
+        for top in range(lo, hi, _BILATERAL_ROWS):
+            rows = min(_BILATERAL_ROWS, hi - top)
+            acc, norm, weight, term = work[:, :rows]
+            centre = x[top : top + rows]
+            acc.fill(0.0)
+            norm.fill(0.0)
+            for dy in range(-radius, radius + 1):
+                for dx in range(-radius, radius + 1):
+                    spatial = math.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s * sigma_s))
+                    nb = padded[top + radius + dy : top + radius + dy + rows,
+                                radius + dx : radius + dx + w]
+                    np.subtract(nb, centre, out=term)
+                    np.square(term, out=term)
+                    np.divide(term, range_scale, out=term)
+                    np.exp(term, out=weight)
+                    np.multiply(spatial, weight, out=weight)
+                    np.multiply(weight, nb, out=term)
+                    acc += term
+                    norm += weight
+            np.divide(acc, norm, out=out[top : top + rows])
+
+    _on_cores(_BILATERAL_ROWS, h, (4, min(_BILATERAL_ROWS, h), w), run)
     return out
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS
+from semsnr import denoise
 from semsnr.correlation import lag_table
 from semsnr.denoise import (
     DenoiseReport,
@@ -240,15 +241,24 @@ def _median_window_view(x, window):
                      axis=(2, 3))
 
 
+# core counts the row-block tests patch in: one block, two, three, and more
+# cores than the 12x33 and 20x33 planes have tiles
+SPLITS = (1, 2, 3, 8)
+
+
+# at 8 rows a strip, "one_strip" (12 x 33) is one whole strip and a 4-row remainder
 @pytest.mark.parametrize("window", [3, 5, 7])
 @pytest.mark.parametrize("shape", [(130, 97), (12, 33)], ids=["strips_and_remainder", "one_strip"])
-def test_median_matches_window_view_formula(window, shape, rng):
+def test_median_matches_window_view_formula(window, shape, rng, monkeypatch):
     floats = rng.uniform(0.0, 1000.0, size=shape)
     ties = rng.integers(0, 6, size=shape).astype(np.float64)  # many equal neighbours
     for arr in (floats, ties):
         spec = parse_filter_spec(f"median:window={window}")
-        out = spatial_filter(raster_from_array(arr), spec).data
-        assert np.array_equal(out, _median_window_view(arr, window))
+        expected = _median_window_view(arr, window)
+        for cores in SPLITS:
+            monkeypatch.setattr(denoise, "_cores", lambda: cores)
+            out = spatial_filter(raster_from_array(arr), spec).data
+            assert np.array_equal(out, expected), cores
 
 
 def _bilateral_whole_plane(x, sigma_s, sigma_r, radius):
@@ -267,16 +277,59 @@ def _bilateral_whole_plane(x, sigma_s, sigma_r, radius):
     return acc / norm
 
 
+# at 64 rows a tile, "two_tiles" (64 x 64) is one whole tile and "two_whole_tiles" two
 @pytest.mark.parametrize("radius", [0, 1, 4])
-@pytest.mark.parametrize("shape", [(130, 97), (20, 33), (64, 64)],
-                         ids=["tiles_and_remainder", "one_short_tile", "two_tiles"])
-def test_bilateral_matches_whole_plane_loop(radius, shape, rng):
+@pytest.mark.parametrize("shape", [(130, 97), (20, 33), (64, 64), (128, 40)],
+                         ids=["tiles_and_remainder", "one_short_tile", "two_tiles",
+                              "two_whole_tiles"])
+def test_bilateral_matches_whole_plane_loop(radius, shape, rng, monkeypatch):
     floats = rng.uniform(0.0, 1000.0, size=shape)
     ties = rng.integers(0, 6, size=shape).astype(np.float64)  # many equal neighbours
     for arr, sigma_r in ((floats, 300.0), (ties, 2.0)):
         spec = parse_filter_spec(f"bilateral:sigma_s=1.5,sigma_r={sigma_r},radius={radius}")
-        out = spatial_filter(raster_from_array(arr), spec).data
-        assert np.array_equal(out, _bilateral_whole_plane(arr, 1.5, sigma_r, radius))
+        expected = _bilateral_whole_plane(arr, 1.5, sigma_r, radius)
+        for cores in SPLITS:
+            monkeypatch.setattr(denoise, "_cores", lambda: cores)
+            out = spatial_filter(raster_from_array(arr), spec).data
+            assert np.array_equal(out, expected), cores
+
+
+def test_tiny_sigma_r_does_not_warn_on_worker_threads(monkeypatch):
+    # np.errstate is per thread: a worker that did not set its own would warn
+    data = np.random.default_rng(3).integers(0, 65536, size=(130, 16)).astype(np.float64)
+    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = denoise._bilateral(data, 1.0, 1e-155, 1)
+    np.testing.assert_allclose(out, data, rtol=1e-14)
+
+
+@pytest.mark.parametrize("h", [1, 31, 32, 33, 130])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_on_cores_covers_the_rows_once_in_whole_tiles(h, cores, monkeypatch):
+    monkeypatch.setattr(denoise, "_cores", lambda: cores)
+    calls = []
+    denoise._on_cores(32, h, (2, 3), lambda lo, hi, buf: calls.append((lo, hi, buf)))
+    blocks = sorted((lo, hi) for lo, hi, _ in calls)
+    assert len(blocks) == min(cores, -(-h // 32))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == h
+    assert all(lo % 32 == 0 and hi > lo and (hi % 32 == 0 or hi == h) for lo, hi in blocks)
+    buffers = [buf for _, _, buf in calls]
+    assert all(buf.shape == (2, 3) for buf in buffers)
+    assert len({id(buf) for buf in buffers}) == len(buffers)  # one buffer per block
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_on_cores_raises_an_error_from_a_worker(cores, monkeypatch):
+    monkeypatch.setattr(denoise, "_cores", lambda: cores)
+
+    def run(lo, hi, buf):
+        if lo > 0:
+            raise ZeroDivisionError(f"block at row {lo}")
+
+    with pytest.raises(ZeroDivisionError, match="block at row 32"):
+        denoise._on_cores(32, 96, (1,), run)
 
 
 def _convolve_separable_whole_plane(x, kernel):
@@ -343,6 +396,27 @@ def test_band_filters_keep_few_planes(kind, limit, rng):
     img = raster_from_array(arr)
     run = {"wiener_local": lambda: wiener_local(img, 7, 150.0),
            "gaussian_blur": lambda: gaussian_blur(arr, 1.5)}[kind]
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit * arr.nbytes, peak / arr.nbytes
+
+
+@pytest.mark.parametrize("kind, limit", [("bilateral", 4.5), ("median", 4.0)])
+def test_row_block_filters_keep_one_tile_buffer_per_core(kind, limit, rng, monkeypatch):
+    # on 256 x 256 and two cores: the output plane, the padded plane and two
+    # tile buffers make 1 + 1.06 + 2 x 1.0 = 4.06 planes for the bilateral
+    # (radius 4, 4 x 64-row buffers) and 1 + 1.03 + 2 x 0.78 = 3.59 for the
+    # median (window 5, 8-row stacks of 25 neighbours); np.pad's and the
+    # ufuncs' scratch add the rest, but not a third tile buffer
+    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    arr = rng.uniform(0.0, 1000.0, size=(256, 256))
+    run = {"bilateral": lambda: denoise._bilateral(arr, 2.0, 300.0, 4),
+           "median": lambda: denoise._median(arr, 5)}[kind]
     run()
     tracemalloc.start()
     try:
