@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import denoise
 from .corpus import (
     CorpusSpec,
     SceneSpec,
@@ -262,7 +263,11 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
 
     Seed ``i``'s scene (stream ``i`` of the base seed) is synthesized once and
     shared by all of its points; a contrast sweep also acquires it once and
-    rescales that acquisition per value.  Rows come in value-major order.
+    rescales that acquisition per value.  Each seed is one task on a pool of
+    ``min(cores, seeds)`` threads, where cores is every core the process may
+    use (``taskset -c 0`` runs the sweep serially, on the calling thread), so
+    memory holds that many seeds' planes.  Rows come in value-major order and
+    are the same for every core count.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
@@ -282,8 +287,16 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     if not single:
         raise ConfigError(f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
                           f"got {list(methods)}")
-    per_seed = [_seed_rows(parameter, values, spec, scene_basis(spec, seed), seed, single, est_cfg)
-                for seed in range(seeds)]
+
+    def seed_rows(seed):
+        return _seed_rows(parameter, values, spec, scene_basis(spec, seed), seed, single, est_cfg)
+
+    jobs = min(denoise._cores(), seeds)
+    if jobs == 1:
+        per_seed = [seed_rows(seed) for seed in range(seeds)]
+    else:
+        with worker_pool(jobs) as pool:
+            per_seed = list(pool.map(seed_rows, range(seeds)))  # raises a worker's error
     return [row for i in range(len(values)) for by_value in per_seed for row in by_value[i]]
 
 

@@ -344,7 +344,11 @@ def iter_corpus(spec: CorpusSpec):
 
 
 def worker_pool(jobs: int) -> ThreadPoolExecutor:
-    """The ``--jobs`` pool of ``jobs`` worker threads; fewer than one is a ConfigError."""
+    """A pool of ``jobs`` worker threads; fewer than one is a ConfigError.
+
+    ``--jobs`` sizes it for corpus generation and estimation; a sweep sizes it
+    to ``min(cores, seeds)``.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     return ThreadPoolExecutor(max_workers=jobs)

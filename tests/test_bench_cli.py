@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -543,13 +544,14 @@ def test_sweep_rows_equal_points_rebuilt_from_scratch(parameter):
 def test_sweep_builds_each_scene_once_and_a_contrast_acquisition_once(monkeypatch, parameter):
     import semsnr.bench as bench
 
-    calls = {"scene_basis": 0, "acquire": 0}
+    # seeds run on worker threads: list.append is atomic, ``+= 1`` on a shared count is not
+    calls = {"scene_basis": [], "acquire": []}
 
     def counted(name):
         real = getattr(bench, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name].append(None)
             return real(*args)
         return wrapper
 
@@ -558,7 +560,81 @@ def test_sweep_builds_each_scene_once_and_a_contrast_acquisition_once(monkeypatc
     values, seeds = SWEEP_VALUES[parameter], 2
     run_sweep(parameter, values, SWEEP_SPEC, ("nn",), seeds=seeds)
     per_seed = 1 if parameter == "contrast" else len(values)
-    assert calls == {"scene_basis": seeds, "acquire": per_seed * seeds}
+    assert {name: len(made) for name, made in calls.items()} == {
+        "scene_basis": seeds, "acquire": per_seed * seeds}
+
+
+@pytest.mark.parametrize("parameter", ["dose", "contrast"])
+def test_sweep_rows_are_the_same_for_every_core_count(parameter, monkeypatch):
+    import semsnr.denoise as denoise
+
+    methods, values = ("nn", "lsr"), SWEEP_VALUES[parameter]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the workers switch often, so a lost update would show
+    try:
+        # 5 seeds is more than 2 and 3 cores, 1 and 2 seeds fewer than 3 and 8
+        for seeds in (1, 2, 5):
+            expected = [row for value in values for seed in range(seeds)
+                        for row in _sweep_point_from_scratch(parameter, value, SWEEP_SPEC, seed,
+                                                             methods)]
+            for cores in (1, 2, 3, 8):
+                monkeypatch.setattr(denoise, "_cores", lambda: cores)
+                rows = run_sweep(parameter, values, SWEEP_SPEC, methods, seeds=seeds)
+                assert rows == expected, (seeds, cores)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_in_one_seed_reaches_the_sweep_caller(tmp_path, capsys, monkeypatch):
+    import threading
+
+    import semsnr.bench as bench
+    import semsnr.denoise as denoise
+
+    real, raised_on = bench.acquire, []
+
+    def acquire(spec, basis, seed, target):
+        if seed == 2:  # the noise seed of seed index 1
+            raised_on.append(threading.current_thread())
+            raise DomainError(f"no acquisition for noise seed {seed}")
+        return real(spec, basis, seed, target)
+
+    monkeypatch.setattr(bench, "acquire", acquire)
+    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    with pytest.raises(DomainError, match="no acquisition for noise seed 2"):
+        run_sweep("dose", [100.0, 400.0], SWEEP_SPEC, ("nn",), seeds=3)
+    assert raised_on and threading.main_thread() not in raised_on  # it came from a worker
+    config = tmp_path / "sweep.cfg"
+    config.write_text(POISSON_CONFIG.replace("scene = spectral", "scene = ar_field"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", "dose",
+                 "--range", "100,400", "--methods", "nn", "--seeds", "3"]) == 4
+    assert "no acquisition for noise seed 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
+def test_sweep_memory_follows_cores_not_seeds(monkeypatch):
+    import tracemalloc
+
+    import semsnr.denoise as denoise
+
+    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    spec = CorpusSpec(scene=SceneSpec(kind="ar_field", width=128, height=128),
+                      model="poisson-se", base_seed=7)
+
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            run_sweep("dose", [25.0, 100.0, 400.0], spec, ALL_METHODS, seeds=seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # fills lazily built state
+    two, eight = peak(2), peak(8)
+    assert eight <= 1.25 * two, eight / two
 
 
 @pytest.mark.parametrize("values", [[100.0, 100.0], [25.0, 100.0, 100.0], [400.0, 100.0]])
