@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import denoise
+from . import parallel
 from .corpus import (
     CorpusSpec,
     SceneSpec,
@@ -25,7 +25,6 @@ from .corpus import (
     load_plane,
     read_truth_csv,
     scene_basis,
-    worker_pool,
     write_csv,
 )
 from .denoise import FilterSpec, apply_filter, filter_spec_to_string
@@ -193,19 +192,20 @@ def print_summary(summary) -> None:
 
 
 def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFIG,
-                   out_dir=None, jobs: int = 1) -> tuple[list[dict], list[dict]]:
+                   out_dir=None, jobs: int | None = None) -> tuple[list[dict], list[dict]]:
     """Estimate every corpus image with every requested method.
 
     Returns (result rows, summary rows) and, when ``out_dir`` is given, writes
     results.csv, summary.csv, and a diagnostics.jsonl sidecar holding, per
-    image, one ``shared_ms`` line followed by one line per method.  Each image's
-    noisy plane is read by the worker that estimates it, so memory follows
-    ``jobs``, not the corpus size.  An unknown method is a DomainError, as in
-    ``estimate_all``.
+    image, one ``shared_ms`` line followed by one line per method.  Images run
+    on a pool of ``jobs`` worker threads (None: every core the process may
+    use); each image's noisy plane is read by the worker that estimates it,
+    so memory follows ``jobs``, not the corpus size.  An unknown method is a
+    DomainError, as in ``estimate_all``.
     """
     methods = check_methods(methods)
     root = Path(corpus_dir)
-    with worker_pool(jobs) as pool:
+    with parallel.worker_pool(jobs) as pool:
         truth = read_truth_csv(root / "truth.csv")
         per_image = list(pool.map(lambda row: _estimate_one(root, row, methods, est_cfg), truth))
     rows = [row for group, _ in per_image for row in group]
@@ -291,11 +291,11 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     def seed_rows(seed):
         return _seed_rows(parameter, values, spec, scene_basis(spec, seed), seed, single, est_cfg)
 
-    jobs = min(denoise._cores(), seeds)
+    jobs = min(parallel.cores(), seeds)
     if jobs == 1:
         per_seed = [seed_rows(seed) for seed in range(seeds)]
     else:
-        with worker_pool(jobs) as pool:
+        with parallel.worker_pool(jobs) as pool:
             per_seed = list(pool.map(seed_rows, range(seeds)))  # raises a worker's error
     return [row for i in range(len(values)) for by_value in per_seed for row in by_value[i]]
 

@@ -61,14 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a synthetic corpus with oracle truth")
     gen.add_argument("--config", required=True, help="flat key/value config with [corpus]")
     gen.add_argument("--out", required=True, help="corpus output directory")
-    gen.add_argument("--jobs", type=int, default=1, help="parallel worker threads")
+    gen.add_argument("--jobs", type=int, default=None,
+                     help="worker threads, the calling one included (default: every core "
+                          "the process may use)")
 
     est = sub.add_parser("estimate", help="run SNR estimators over a corpus")
     est.add_argument("--corpus", required=True, help="corpus directory from 'generate'")
     est.add_argument("--out", required=True, help="output directory for results.csv")
     est.add_argument("--methods", default="all", help="comma list or 'all'")
     est.add_argument("--config", default=None, help="optional config with [estimate]")
-    est.add_argument("--jobs", type=int, default=1, help="parallel worker threads")
+    est.add_argument("--jobs", type=int, default=None,
+                     help="worker threads (default: every core the process may use)")
 
     swp = sub.add_parser("sweep", help="sensitivity sweep; " + _SWEEP_HELP)
     swp.add_argument("--config", required=True, help="config with [corpus] (+ optional [estimate])")

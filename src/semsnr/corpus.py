@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,7 +34,8 @@ from .noise import (
     rng_for,
     simulate,
 )
-from .raster import Raster, load_pgm, quantize, save_pgm, variance
+from .parallel import job_count, map_on_cores
+from .raster import Raster, load_pgm, quantize, quantize_in_place, save_pgm, variance
 
 SCENE_KINDS = ("ar_field", "spectral", "blobs", "ramp", "constant")
 
@@ -278,17 +278,18 @@ def scene_basis(spec: CorpusSpec, stream: int) -> Raster:
     """The 16-bit quantized scene of RNG stream (base_seed, ``stream``): what a dose map maps."""
     scene = make_scene(spec.scene, rng_for(spec.base_seed, stream))
     scene *= 65535.0
-    return quantize(scene, 16)[0]
+    return quantize_in_place(scene, 16)[0]
 
 
-def acquire(spec: CorpusSpec, basis: Raster, seed: int, target: float | None):
-    """One acquisition of ``basis``: ((recipe, dose_scale, dose_offset), ground_truth).
+def acquisition_recipe(spec: CorpusSpec, basis: Raster, seed: int, target: float | None):
+    """The recipe of one acquisition of ``basis``: (recipe, dose_scale, dose_offset).
 
     The dose map is an affine map of the :func:`scene_basis` raster, so a
     serialized recipe regenerates the acquisition exactly, and one basis can
     be acquired under any number of specs or seeds (it is read, never
-    written).  The noise comes from ``seed``; ``target`` is the
-    additive-gaussian SNR target, unused by the counting models.
+    written, and the recipe does not refer to it).  The noise comes from
+    ``seed``; ``target`` is the additive-gaussian SNR target, unused by the
+    counting models.
     """
     dose_scale = (spec.dose_max - spec.dose_min) / 65535.0
     work = np.empty_like(basis.data)  # the clean intensity plane, then the dose map
@@ -304,8 +305,19 @@ def acquire(spec: CorpusSpec, basis: Raster, seed: int, target: float | None):
         sigma = sigma_intensity / spec.detector_gain  # recipe sigma acts on counts
     dose = np.multiply(basis.data, dose_scale, out=work)  # basis holds integers 0..65535
     dose += spec.dose_min
-    recipe = spec.recipe(dose, sigma, seed)
-    return (recipe, dose_scale, spec.dose_min), simulate(recipe)
+    return spec.recipe(dose, sigma, seed), dose_scale, spec.dose_min
+
+
+def acquire(spec: CorpusSpec, basis: Raster, seed: int, target: float | None):
+    """One acquisition of ``basis``: (:func:`acquisition_recipe`'s triple, ground_truth)."""
+    built = acquisition_recipe(spec, basis, seed, target)
+    return built, simulate(built[0])
+
+
+def _image_noise(spec: CorpusSpec, index: int) -> tuple[float, int]:
+    """Image ``index``'s (snr target, noise seed); they derive from (base_seed, index) alone."""
+    target = spec.snr_targets[index // spec.seeds_per_level]
+    return target, int(np.random.SeedSequence((spec.base_seed, index)).generate_state(1)[0])
 
 
 def corpus_image(spec: CorpusSpec, index: int):
@@ -316,11 +328,14 @@ def corpus_image(spec: CorpusSpec, index: int):
     The image's randomness derives from (base_seed, index) alone, so any set
     of images can be acquired in any order, or at once.
     """
-    target = spec.snr_targets[index // spec.seeds_per_level]
-    seed = int(np.random.SeedSequence((spec.base_seed, index)).generate_state(1)[0])
+    target, seed = _image_noise(spec, index)
     basis = scene_basis(spec, index)
     built, gt = acquire(spec, basis, seed, target)
-    row = {
+    return f"img{index:04d}", basis, built, gt, _truth_row(spec, index, seed, target, gt)
+
+
+def _truth_row(spec: CorpusSpec, index: int, seed: int, target: float, gt: GroundTruth) -> dict:
+    return {
         "image_id": f"img{index:04d}",
         "seed": seed,
         "model": spec.model,
@@ -334,7 +349,6 @@ def corpus_image(spec: CorpusSpec, index: int):
         "scene": spec.scene.kind,
         "snr_target": float(target),
     }
-    return row["image_id"], basis, built, gt, row
 
 
 def iter_corpus(spec: CorpusSpec):
@@ -343,42 +357,42 @@ def iter_corpus(spec: CorpusSpec):
         yield corpus_image(spec, index)
 
 
-def worker_pool(jobs: int) -> ThreadPoolExecutor:
-    """A pool of ``jobs`` worker threads; fewer than one is a ConfigError.
-
-    ``--jobs`` sizes it for corpus generation and estimation; a sweep sizes it
-    to ``min(cores, seeds)``.
-    """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    return ThreadPoolExecutor(max_workers=jobs)
-
-
 def _write_image(spec: CorpusSpec, index: int, out: Path) -> dict:
-    """Acquire one image and write its four files; only its truth row outlives the call."""
-    image_id, basis, (recipe, dose_scale, dose_offset), gt, row = corpus_image(spec, index)
+    """Acquire one image and write its four files; only its truth row outlives the call.
+
+    The scene PGM is written, and the basis dropped, before the noise is
+    simulated, so the image holds at most four planes at once.
+    """
+    image_id = f"img{index:04d}"
+    target, seed = _image_noise(spec, index)
+    basis = scene_basis(spec, index)
     scene_name = f"{image_id}.scene.pgm"
     save_pgm(basis, out / scene_name)
+    recipe, dose_scale, dose_offset = acquisition_recipe(spec, basis, seed, target)
+    del basis
     with open(out / f"{image_id}.recipe.txt", "w", encoding="ascii") as fh:
         fh.write(recipe_to_text(recipe, dose_pgm=scene_name,
                                 dose_scale=dose_scale, dose_offset=dose_offset))
+    gt = simulate(recipe)
     save_pgm(gt.clean, out / f"{image_id}.clean.pgm")
     save_pgm(gt.noisy, out / f"{image_id}.noisy.pgm")
-    return row
+    return _truth_row(spec, index, seed, target, gt)
 
 
-def generate_corpus(spec: CorpusSpec, out_dir, jobs: int = 1) -> list[dict]:
-    """Write a full corpus on ``jobs`` threads; returns the truth rows in manifest order.
+def generate_corpus(spec: CorpusSpec, out_dir, jobs: int | None = None) -> list[dict]:
+    """Write a full corpus; returns the truth rows in manifest order.
 
-    Each task acquires and writes one image, so memory follows ``jobs``, not
-    the corpus size; every file is the same for every ``jobs``.  A failing
-    image ends the pass: ``Executor.map`` cancels the tasks not yet started.
+    Each image is one item of :func:`parallel.map_on_cores` on ``jobs``
+    threads, the calling thread one of them (None: every core the process
+    may use), so memory follows ``jobs``, not the corpus size; every file is
+    the same for every ``jobs``.  A failing image ends the pass: no image
+    starts after it.
     """
+    jobs = job_count(jobs)  # a bad jobs is refused before the directory is made
     out = Path(out_dir)
-    with worker_pool(jobs) as pool:  # a bad jobs is refused before the directory is made
-        out.mkdir(parents=True, exist_ok=True)
-        rows = list(pool.map(lambda index: _write_image(spec, index, out),
-                             range(spec.image_count())))
+    out.mkdir(parents=True, exist_ok=True)
+    rows = map_on_cores(lambda index: _write_image(spec, index, out),
+                        range(spec.image_count()), jobs)
     manifest = [
         f"scene_kind = {spec.scene.kind}",
         f"width = {spec.scene.width}",

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -23,6 +21,7 @@ import numpy as np
 from .correlation import lag_table
 from .errors import DomainError, EstimatorError
 from .estimators import acldr_covariance_peak
+from .parallel import on_cores
 from .raster import Raster, raster_from_array
 
 # parameter -> (int-valued?, rule, test of the rule); every value must also be finite,
@@ -225,34 +224,13 @@ def gaussian_blur(x: np.ndarray, sigma: float, radius: int | None = None) -> np.
     return out
 
 
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _on_cores(step: int, h: int, shape: tuple[int, ...], run: Callable) -> None:
-    """Call run(lo, hi, buf) on contiguous blocks of whole step-row tiles that
-    cover rows 0..h, one block per core the process may use (never more than
-    tiles), each on its own thread with its own np.empty(shape), made here: a
-    worker that allocates grows a malloc arena of its own.  One block runs here."""
-    tiles = -(-h // step)
-    parts = min(_cores(), tiles)
-    edges = [min(h, i * tiles // parts * step) for i in range(parts + 1)]
-    buffers = [np.empty(shape) for _ in range(parts)]
-    if parts == 1:
-        return run(0, h, buffers[0])
-    with ThreadPoolExecutor(parts) as pool:
-        list(pool.map(run, edges[:-1], edges[1:], buffers))  # raises a worker's error
-
-
 def _median(x: np.ndarray, window: int) -> np.ndarray:
     # The window is odd, so its median is the one middle element: partitioning
     # each pixel's window**2 neighbours at that rank gives np.median's value
     # exactly.  The neighbours are copied to the last, contiguous axis of a
     # strip of _MEDIAN_STRIP rows, so the stack stays small and the partition
     # runs on unit-stride rows.  The strips run in row blocks on every core
-    # (_on_cores); each pixel's copy and partition are the same on any core count.
+    # (on_cores); each pixel's copy and partition are the same on any core count.
     padded = _pad(x, window // 2, window // 2)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
     h, w = x.shape
@@ -267,14 +245,14 @@ def _median(x: np.ndarray, window: int) -> np.ndarray:
             strip.partition(middle, axis=2)
             out[top : top + rows] = strip[:, :, middle]
 
-    _on_cores(_MEDIAN_STRIP, h, (min(_MEDIAN_STRIP, h), w, window, window), run)
+    on_cores(_MEDIAN_STRIP, h, (min(_MEDIAN_STRIP, h), w, window, window), run)
     return out
 
 
 def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
     # _BILATERAL_ROWS output rows at a time, so the four work planes stay in cache
     # across all (2 radius + 1)**2 offsets instead of streaming whole planes;
-    # the tiles run in row blocks on every core (_on_cores).  Per pixel the
+    # the tiles run in row blocks on every core (on_cores).  Per pixel the
     # operations and their order are those of the whole-plane loop, on any
     # core count: d**2 / (-2 sigma_r**2) equals -(d**2) / (2 sigma_r**2) bit for bit.
     padded = _pad(x, radius, radius)
@@ -307,7 +285,7 @@ def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np
                     norm += weight
             np.divide(acc, norm, out=out[top : top + rows])
 
-    _on_cores(_BILATERAL_ROWS, h, (4, min(_BILATERAL_ROWS, h), w), run)
+    on_cores(_BILATERAL_ROWS, h, (4, min(_BILATERAL_ROWS, h), w), run)
     return out
 
 

@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError
-from .raster import Raster, quantize, variance
+from .raster import Raster, quantize_in_place, variance
 
 ELECTRON_CHARGE = 1.602176634e-19  # coulombs, 2019 SI exact value
 
@@ -113,10 +113,10 @@ def _count_yield(recipe: NoiseRecipe) -> float:
 def simulate(recipe: NoiseRecipe) -> GroundTruth:
     """Realize one acquisition; deterministic under a fixed recipe.
 
-    Integer draws are mapped to intensity without a float copy, and the clean
-    and noisy intensity planes are built in one work plane, which also holds
-    both energies' deviations; the draws are released before the noisy plane
-    is made.
+    The clean plane is quantized in the work plane it was built in, and the
+    noisy plane in the float counts plane (integer draws are first mapped
+    into a new float plane and released); one more plane then holds both
+    energies' deviations.  With the dose map that is four planes at most.
     """
     rng = rng_for(recipe.seed)
     dose = recipe.dose_map
@@ -152,12 +152,17 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     work = dose * _count_yield(recipe)
     work *= gain
     work += offset
-    clean, _ = quantize(work, recipe.bit_depth)
-    np.multiply(counts, gain, out=work)
+    clean, _ = quantize_in_place(work, recipe.bit_depth)
+    if counts is dose or counts.dtype != np.float64:
+        # integer draws, or the frozen dose, into a new float plane
+        counts = np.multiply(counts, gain, out=np.empty(dose.shape))
+    else:
+        counts *= gain  # a float plane of this call's own (additive, inflated poisson-se)
+    counts += offset
+    noisy, _ = quantize_in_place(counts, recipe.bit_depth)
     del counts
-    work += offset
-    noisy, _ = quantize(work, recipe.bit_depth)
 
+    work = np.empty_like(clean.data)
     signal_energy = variance(clean.data, work)
     np.subtract(noisy.data, clean.data, out=work)
     noise_energy = variance(work, work)
@@ -282,5 +287,6 @@ def recipe_from_text(text: str, dose_loader) -> NoiseRecipe:
     if basis.shape != shape:
         raise DomainError(f"recipe shape {shape[1]}x{shape[0]} (width x height) does not "
                           f"match the dose PGM's {basis.shape[1]}x{basis.shape[0]}")
-    dose = take("dose_scale") * basis + take("dose_offset")
+    dose = take("dose_scale") * basis  # one plane: scale, then offset in place
+    dose += take("dose_offset")
     return NoiseRecipe(dose_map=dose, **recipe_fields)

@@ -92,20 +92,32 @@ def quantize(r: Raster | np.ndarray, bit_depth: int) -> tuple[Raster, int]:
     Rounding is half-away-from-zero.  Returns the quantized raster and the
     number of pixels that had to be clamped into [0, 2**bit_depth - 1].
     """
+    # the one plane made here
+    return quantize_in_place(np.array(r.data if isinstance(r, Raster) else r, dtype=np.float64),
+                             bit_depth)
+
+
+def quantize_in_place(x: np.ndarray, bit_depth: int) -> tuple[Raster, int]:
+    """:func:`quantize` in ``x`` itself, a float64 plane the caller gives up.
+
+    ``x`` is rounded and clamped where it is and becomes the returned
+    raster's (frozen) data, so no plane is made.
+    """
     if bit_depth not in _VALID_DEPTHS:
         raise DomainError(f"bit_depth must be one of {_VALID_DEPTHS}, got {bit_depth}")
-    arr = r.data if isinstance(r, Raster) else np.asarray(r, dtype=np.float64)
     # nan and +-inf always reach the min or the max
-    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+    if x.size and not (math.isfinite(x.min()) and math.isfinite(x.max())):
         raise DomainError("cannot quantize non-finite intensities")
-    out = np.abs(arr)  # the one plane made here: |x|, then floor(|x| + 0.5) with x's sign
-    out += 0.5
-    np.floor(out, out=out)
-    np.copysign(out, arr, out=out)
+    negative = np.signbit(x)  # floor(|x| + 0.5) with x's sign, -0.0 included
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    np.negative(x, out=x, where=negative)
+    del negative
     maxval = float((1 << bit_depth) - 1)
-    clamped = int(np.count_nonzero(out < 0.0)) + int(np.count_nonzero(out > maxval))
-    np.clip(out, 0.0, maxval, out=out)
-    return raster_from_array(out, bit_depth=bit_depth), clamped
+    clamped = int(np.count_nonzero(x < 0.0)) + int(np.count_nonzero(x > maxval))
+    np.clip(x, 0.0, maxval, out=x)
+    return raster_from_array(x, bit_depth=bit_depth), clamped
 
 
 def variance(plane: np.ndarray, work: np.ndarray) -> float:

@@ -4,17 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semsnr.corpus import corpus_image, read_csv, reference_corpus_spec, worker_pool
+from semsnr.corpus import corpus_image, read_csv, reference_corpus_spec
 from semsnr.estimators import DEFAULT_CONFIG
+from semsnr.parallel import map_on_cores
 
 DATA_DIR = Path(__file__).parent / "data"
 
 # the estimator configuration used for every benchmark/regression run: the
 # package default, whose line fit has no additive error term
 BENCH_CONFIG = DEFAULT_CONFIG
-
-# worker threads that build the session's oracle corpus
-FIXTURE_JOBS = 2
 
 # filter specs that must fail validation: unknown key, out-of-range or
 # non-integral int, non-finite float, duplicate key, overflowing default, an
@@ -40,15 +38,16 @@ MALFORMED_FILTER_SPECS = (
 def oracle_corpus():
     """The frozen 54-image oracle corpus, kept in memory for the session.
 
-    Built on generate's worker pool: the images are the same for any ``jobs``.
+    Built on every core by ``map_on_cores``, as ``generate`` builds a corpus:
+    the images are the same for any number of threads.  Each item keeps only
+    its ground truth and truth row, not its basis and dose planes.
     """
     spec = reference_corpus_spec()
-    with worker_pool(FIXTURE_JOBS) as pool:
-        return [
-            {"image_id": image_id, "gt": gt, "truth": row}
-            for image_id, _, _, gt, row in pool.map(lambda index: corpus_image(spec, index),
-                                                    range(spec.image_count()))
-        ]
+    return [
+        {"image_id": row["image_id"], "gt": gt, "truth": row}
+        for gt, row in map_on_cores(lambda index: corpus_image(spec, index)[3:],
+                                    range(spec.image_count()), None)
+    ]
 
 
 @pytest.fixture(scope="session")

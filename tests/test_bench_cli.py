@@ -377,6 +377,49 @@ def test_generate_jobs_writes_the_same_corpus(small_corpus, tmp_path):
         assert (out / name).read_bytes() == (corpus_dir / name).read_bytes(), name
 
 
+def test_a_failing_image_ends_generate_with_exit_4(tmp_path, capsys, monkeypatch):
+    import semsnr.corpus as corpus
+
+    real = corpus.simulate
+
+    def simulate(recipe):
+        if recipe.seed == failing_seed:
+            raise DomainError("no acquisition for this image")
+        return real(recipe)
+
+    config = tmp_path / "bench.cfg"
+    config.write_text(SMALL_CONFIG)
+    spec = corpus_spec_from_config(load_config(config))
+    failing_seed = corpus.corpus_image(spec, 2)[4]["seed"]
+    monkeypatch.setattr(corpus, "simulate", simulate)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 4
+    assert "no acquisition for this image" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
+def test_jobs_default_to_every_core(small_corpus, tmp_path, monkeypatch):
+    import semsnr.parallel as parallel
+
+    config, corpus_dir = small_corpus
+    asked = []
+
+    def cores():
+        asked.append(True)
+        return 3
+
+    monkeypatch.setattr(parallel, "cores", cores)
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "gen")]) == 0
+    assert len(asked) == 1
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "est"),
+                 "--methods", "nn"]) == 0
+    assert len(asked) == 2
+    run_estimation(corpus_dir, ("nn",))
+    assert len(asked) == 3
+
+
 def test_report_subcommand(small_corpus, tmp_path, capsys):
     config, corpus_dir = small_corpus
     out = tmp_path / "res"
@@ -566,7 +609,7 @@ def test_sweep_builds_each_scene_once_and_a_contrast_acquisition_once(monkeypatc
 
 @pytest.mark.parametrize("parameter", ["dose", "contrast"])
 def test_sweep_rows_are_the_same_for_every_core_count(parameter, monkeypatch):
-    import semsnr.denoise as denoise
+    import semsnr.parallel as parallel
 
     methods, values = ("nn", "lsr"), SWEEP_VALUES[parameter]
     interval = sys.getswitchinterval()
@@ -578,7 +621,7 @@ def test_sweep_rows_are_the_same_for_every_core_count(parameter, monkeypatch):
                         for row in _sweep_point_from_scratch(parameter, value, SWEEP_SPEC, seed,
                                                              methods)]
             for cores in (1, 2, 3, 8):
-                monkeypatch.setattr(denoise, "_cores", lambda: cores)
+                monkeypatch.setattr(parallel, "cores", lambda: cores)
                 rows = run_sweep(parameter, values, SWEEP_SPEC, methods, seeds=seeds)
                 assert rows == expected, (seeds, cores)
     finally:
@@ -589,7 +632,7 @@ def test_an_error_in_one_seed_reaches_the_sweep_caller(tmp_path, capsys, monkeyp
     import threading
 
     import semsnr.bench as bench
-    import semsnr.denoise as denoise
+    import semsnr.parallel as parallel
 
     real, raised_on = bench.acquire, []
 
@@ -600,7 +643,7 @@ def test_an_error_in_one_seed_reaches_the_sweep_caller(tmp_path, capsys, monkeyp
         return real(spec, basis, seed, target)
 
     monkeypatch.setattr(bench, "acquire", acquire)
-    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
     with pytest.raises(DomainError, match="no acquisition for noise seed 2"):
         run_sweep("dose", [100.0, 400.0], SWEEP_SPEC, ("nn",), seeds=3)
     assert raised_on and threading.main_thread() not in raised_on  # it came from a worker
@@ -618,9 +661,9 @@ def test_an_error_in_one_seed_reaches_the_sweep_caller(tmp_path, capsys, monkeyp
 def test_sweep_memory_follows_cores_not_seeds(monkeypatch):
     import tracemalloc
 
-    import semsnr.denoise as denoise
+    import semsnr.parallel as parallel
 
-    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
     spec = CorpusSpec(scene=SceneSpec(kind="ar_field", width=128, height=128),
                       model="poisson-se", base_seed=7)
 

@@ -172,7 +172,7 @@ def test_generated_corpus_files_are_pinned(tmp_path, name):
     assert _digests(tmp_path) == CORPUS_SHA256[name]
 
 
-@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("jobs", [2, 3, None, 8])
 @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
 def test_generated_corpus_files_are_pinned_for_every_jobs(tmp_path, name, jobs):
     generate_corpus(PINNED_SPECS[name], tmp_path, jobs=jobs)
@@ -203,20 +203,36 @@ def test_generate_jobs_below_one_is_config_error(tmp_path, jobs):
 def test_failing_image_stops_the_generate_pass(tmp_path, monkeypatch):
     spec = replace(_small_spec("ramp", "poisson-pe"), seeds_per_level=6)  # 12 images
     started = []
-    real_image = corpus.corpus_image
+    real_basis = corpus.scene_basis
 
-    def image(spec_, index):
+    def basis(spec_, index):
         started.append(index)
         if index == 0:
             raise DomainError("bad image")
         time.sleep(0.05)  # leaves the main thread time to cancel the rest
-        return real_image(spec_, index)
+        return real_basis(spec_, index)
 
-    monkeypatch.setattr(corpus, "corpus_image", image)
+    monkeypatch.setattr(corpus, "scene_basis", basis)
     with pytest.raises(DomainError, match="^bad image$"):
         generate_corpus(spec, tmp_path, jobs=1)
     assert len(started) <= 3, started  # not the 12 a pass that ran every task would acquire
     assert not (tmp_path / "truth.csv").exists()
+
+
+def test_one_reference_image_holds_four_planes(tmp_path):
+    # the scene basis is written and dropped before the noise is simulated,
+    # and simulate rounds in its own work planes: the dose map, the clean and
+    # noisy planes and one deviation plane (it was 5.1 planes)
+    spec = replace(reference_corpus_spec(seeds_per_level=1), snr_targets=(2.0,))
+    corpus._write_image(spec, 0, tmp_path)  # fills the caches
+    plane = spec.scene.width * spec.scene.height * 8
+    tracemalloc.start()
+    try:
+        corpus._write_image(spec, 0, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * plane, peak / plane
 
 
 def test_serial_generate_keeps_one_image_alive(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS
-from semsnr import denoise
+from semsnr import denoise, parallel
 from semsnr.correlation import lag_table
 from semsnr.denoise import (
     DenoiseReport,
@@ -256,7 +256,7 @@ def test_median_matches_window_view_formula(window, shape, rng, monkeypatch):
         spec = parse_filter_spec(f"median:window={window}")
         expected = _median_window_view(arr, window)
         for cores in SPLITS:
-            monkeypatch.setattr(denoise, "_cores", lambda: cores)
+            monkeypatch.setattr(parallel, "cores", lambda: cores)
             out = spatial_filter(raster_from_array(arr), spec).data
             assert np.array_equal(out, expected), cores
 
@@ -289,7 +289,7 @@ def test_bilateral_matches_whole_plane_loop(radius, shape, rng, monkeypatch):
         spec = parse_filter_spec(f"bilateral:sigma_s=1.5,sigma_r={sigma_r},radius={radius}")
         expected = _bilateral_whole_plane(arr, 1.5, sigma_r, radius)
         for cores in SPLITS:
-            monkeypatch.setattr(denoise, "_cores", lambda: cores)
+            monkeypatch.setattr(parallel, "cores", lambda: cores)
             out = spatial_filter(raster_from_array(arr), spec).data
             assert np.array_equal(out, expected), cores
 
@@ -297,7 +297,7 @@ def test_bilateral_matches_whole_plane_loop(radius, shape, rng, monkeypatch):
 def test_tiny_sigma_r_does_not_warn_on_worker_threads(monkeypatch):
     # np.errstate is per thread: a worker that did not set its own would warn
     data = np.random.default_rng(3).integers(0, 65536, size=(130, 16)).astype(np.float64)
-    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = denoise._bilateral(data, 1.0, 1e-155, 1)
@@ -307,9 +307,9 @@ def test_tiny_sigma_r_does_not_warn_on_worker_threads(monkeypatch):
 @pytest.mark.parametrize("h", [1, 31, 32, 33, 130])
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_on_cores_covers_the_rows_once_in_whole_tiles(h, cores, monkeypatch):
-    monkeypatch.setattr(denoise, "_cores", lambda: cores)
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
     calls = []
-    denoise._on_cores(32, h, (2, 3), lambda lo, hi, buf: calls.append((lo, hi, buf)))
+    parallel.on_cores(32, h, (2, 3), lambda lo, hi, buf: calls.append((lo, hi, buf)))
     blocks = sorted((lo, hi) for lo, hi, _ in calls)
     assert len(blocks) == min(cores, -(-h // 32))
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
@@ -322,14 +322,14 @@ def test_on_cores_covers_the_rows_once_in_whole_tiles(h, cores, monkeypatch):
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_on_cores_raises_an_error_from_a_worker(cores, monkeypatch):
-    monkeypatch.setattr(denoise, "_cores", lambda: cores)
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
 
     def run(lo, hi, buf):
         if lo > 0:
             raise ZeroDivisionError(f"block at row {lo}")
 
     with pytest.raises(ZeroDivisionError, match="block at row 32"):
-        denoise._on_cores(32, 96, (1,), run)
+        parallel.on_cores(32, 96, (1,), run)
 
 
 def _convolve_separable_whole_plane(x, kernel):
@@ -413,7 +413,7 @@ def test_row_block_filters_keep_one_tile_buffer_per_core(kind, limit, rng, monke
     # (radius 4, 4 x 64-row buffers) and 1 + 1.03 + 2 x 0.78 = 3.59 for the
     # median (window 5, 8-row stacks of 25 neighbours); np.pad's and the
     # ufuncs' scratch add the rest, but not a third tile buffer
-    monkeypatch.setattr(denoise, "_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
     arr = rng.uniform(0.0, 1000.0, size=(256, 256))
     run = {"bilateral": lambda: denoise._bilateral(arr, 2.0, 300.0, 4),
            "median": lambda: denoise._median(arr, 5)}[kind]

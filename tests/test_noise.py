@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -88,6 +89,29 @@ def test_noise_is_zero_mean(model, kw):
     diff = gt.noisy.data - gt.clean.data
     stderr = diff.std() / math.sqrt(diff.size)
     assert abs(diff.mean()) <= 3.0 * max(stderr, 0.5)  # quantization floor half a count
+
+
+@pytest.mark.parametrize("model, kw", [
+    ("additive-gaussian", {"gaussian_sigma": 40.0}),
+    ("poisson-pe", {}),
+    ("poisson-se", {}),
+    ("binomial-bse", {}),
+    ("none", {}),
+])
+def test_simulate_holds_four_planes_with_its_dose_map(model, kw):
+    # clean is rounded in its work plane and a float counts plane in place:
+    # dose map, clean, noisy and one deviation plane (it was 4.1 for every model)
+    recipe = NoiseRecipe(dose_map=np.random.default_rng(5).uniform(2e3, 4e3, (256, 256)),
+                         emission_model=model, dc_offset=100.0, **kw)
+    simulate(recipe)
+    tracemalloc.start()
+    try:
+        simulate(recipe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = recipe.dose_map.nbytes
+    assert peak + plane <= 4.25 * plane, (peak + plane) / plane
 
 
 def test_oracle_energies_consistent():

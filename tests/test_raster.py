@@ -11,6 +11,7 @@ from semsnr.raster import (
     load_pgm,
     pgm_bytes,
     quantize,
+    quantize_in_place,
     raster_from_array,
     raster_from_pgm_bytes,
     save_pgm,
@@ -170,6 +171,36 @@ def test_quantize_matches_reference_formula(bit_depth):
     assert np.array_equal(q.data, np.clip(rounded, 0, maxval))
     assert clamped == int(np.count_nonzero((rounded < 0.0) | (rounded > maxval))) == 5
     assert arr.tobytes() == before.tobytes()  # the input is never written
+
+
+def _quantize_copysign(arr, bit_depth):
+    """The copy-and-copysign form of the rule: floor(|x| + 0.5) given x's sign, then clamp."""
+    out = np.abs(arr)
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, arr, out=out)
+    maxval = float((1 << bit_depth) - 1)
+    clamped = int(np.count_nonzero(out < 0.0)) + int(np.count_nonzero(out > maxval))
+    np.clip(out, 0.0, maxval, out=out)
+    return out, clamped
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_in_place_rounding_matches_the_copysign_rule(bit_depth, rng):
+    maxval = (1 << bit_depth) - 1
+    edges = np.array([[-0.0, 0.0, -0.3, -0.5, -0.7, -1.5, -2.5, -1e9],
+                      [0.5, 1.5, 2.5, 0.49999999999999994, maxval - 0.5, maxval + 0.5,
+                       maxval + 0.49, 1e12]])
+    planes = [edges, rng.integers(0, 65536, size=(64, 64)) + rng.uniform(-1.0, 1.0, (64, 64))]
+    for arr in planes:
+        expected, expected_clamped = _quantize_copysign(arr, bit_depth)
+        q, clamped = quantize(arr, bit_depth)
+        work = arr.copy()
+        q_in_place, clamped_in_place = quantize_in_place(work, bit_depth)
+        assert np.shares_memory(q_in_place.data, work)  # no plane was made
+        for data in (q.data, q_in_place.data):
+            assert data.tobytes() == expected.tobytes()  # bit for bit, the sign of zero too
+        assert clamped == clamped_in_place == expected_clamped
 
 
 def test_variance_equals_np_var_bit_for_bit(rng):
