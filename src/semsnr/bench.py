@@ -25,10 +25,11 @@ from .corpus import (
     load_plane,
     read_truth_csv,
     scene_basis,
+    second_realization,
     write_csv,
 )
 from .denoise import FilterSpec, apply_filter, filter_spec_to_string
-from .errors import ConfigError, DomainError, EstimatorError, SingularFitError
+from .errors import ConfigError, DomainError
 from .estimators import (
     ALL_METHODS,
     DEFAULT_CONFIG,
@@ -37,10 +38,10 @@ from .estimators import (
     SnrEstimate,
     check_methods,
     estimate_all,
-    estimate_nn,
+    smart_region_oracle,
 )
 from .noise import field_types, simulate
-from .raster import Raster, quantize, save_pgm
+from .raster import quantize, save_pgm, variance
 from .yield_snr import BeamParams, dose_per_pixel
 
 RESULTS_FIELDS = (
@@ -65,8 +66,8 @@ DENOISE_FIELDS = (
     "mse_vs_clean",
     "psnr_db",
     "estimated_noise_variance",
-    "snr_before",
-    "snr_after",
+    "oracle_snr_before",
+    "oracle_snr_after",
 )
 
 
@@ -134,29 +135,41 @@ def parse_methods(text: str) -> tuple[str, ...]:
 # --- estimation runs ----------------------------------------------------------
 
 
-def _estimate_one(root, truth_row, methods, est_cfg) -> tuple[list[dict], float]:
-    """One image's result rows and its shared time in ms; reads its noisy plane only.
+def _estimate_one(root, truth_row, methods, est_cfg, pairs) -> tuple[list[dict], dict]:
+    """One image's result rows and its timing line; without ``pairs`` it reads its noisy plane only.
 
-    The shared time is estimate_all's time outside every method's own
-    runtime_ms: the lag table and bookkeeping.
+    ``shared_ms`` is estimate_all's time outside every method's own
+    runtime_ms (the lag table and bookkeeping); ``second_ms``, under
+    ``pairs``, is the time spent regenerating the second acquisition.
     """
-    noisy = load_plane(root, truth_row["image_id"], "noisy")
+    image_id = truth_row["image_id"]
+    noisy = load_plane(root, image_id, "noisy")
     t0 = time.perf_counter()
-    results = estimate_all(noisy, est_cfg, methods=methods)
+    second = second_realization(root, image_id) if pairs else None
+    second_ms = (time.perf_counter() - t0) * 1000.0
+    t0 = time.perf_counter()
+    results = estimate_all(noisy, est_cfg, second=second.noisy if pairs else None, methods=methods)
     total_ms = (time.perf_counter() - t0) * 1000.0
-    shared_ms = total_ms - sum(est.runtime_ms for est in results.values())
-    oracle = truth_row["true_snr"]
+    timing = {"image_id": image_id,
+              "shared_ms": total_ms - sum(est.runtime_ms for est in results.values())}
+    if pairs:
+        timing["second_ms"] = second_ms
     rows = []
     for method in methods:
         est: SnrEstimate = results[method]
+        oracle, scoring = truth_row["true_snr"], {}
+        if method == "smart" and pairs:  # its region's oracle; second.clean is the stored plane
+            size = est.diagnostics.get("roi_size")
+            oracle = None if size is None else smart_region_oracle(noisy, second.clean, size)
+            scoring = {"oracle": "region", "roi_size": size}
         rel = (
             (est.snr_linear - oracle) / oracle
-            if est.status == "ok" and oracle > 0 and math.isfinite(oracle)
+            if est.status == "ok" and oracle is not None and 0 < oracle < math.inf
             else None
         )
         rows.append(
             {
-                "image_id": truth_row["image_id"],
+                "image_id": image_id,
                 "oracle_snr": oracle,
                 "method": method,
                 "status": est.status,
@@ -165,10 +178,11 @@ def _estimate_one(root, truth_row, methods, est_cfg) -> tuple[list[dict], float]
                 "predicted_nf_peak": est.predicted_nf_peak,
                 "rel_error": rel,
                 "runtime_ms": est.runtime_ms,
+                "_scoring": scoring,
                 "_diagnostics": est.diagnostics,
             }
         )
-    return rows, shared_ms
+    return rows, timing
 
 
 def summarize_results(rows) -> list[dict]:
@@ -192,22 +206,32 @@ def print_summary(summary) -> None:
 
 
 def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFIG,
-                   out_dir=None, jobs: int | None = None) -> tuple[list[dict], list[dict]]:
+                   out_dir=None, jobs: int | None = None,
+                   pairs: bool = False) -> tuple[list[dict], list[dict]]:
     """Estimate every corpus image with every requested method.
 
     Returns (result rows, summary rows) and, when ``out_dir`` is given, writes
     results.csv, summary.csv, and a diagnostics.jsonl sidecar holding, per
-    image, one ``shared_ms`` line followed by one line per method.  Images run
-    on a pool of ``jobs`` worker threads (None: every core the process may
-    use); each image's noisy plane is read by the worker that estimates it,
-    so memory follows ``jobs``, not the corpus size.  An unknown method is a
-    DomainError, as in ``estimate_all``.
+    image, one timing line (:func:`_estimate_one`) followed by one line per
+    method.  Images run on a pool of ``jobs`` worker threads (None: every
+    core the process may use); each image's noisy plane is read by the worker
+    that estimates it, so memory follows ``jobs``, not the corpus size.  An
+    unknown method is a DomainError, as in ``estimate_all``.
+
+    ``pairs`` regenerates each image's second acquisition from its recipe
+    (nothing is written) and runs the two-image methods on the pair, paired
+    smart scored against its region's oracle; it is a ConfigError when
+    ``methods`` names none of them.
     """
     methods = check_methods(methods)
+    if pairs and set(methods) <= set(SINGLE_IMAGE_METHODS):
+        two_image = [m for m in ALL_METHODS if m not in SINGLE_IMAGE_METHODS]
+        raise ConfigError(f"pairs need a two-image method {two_image}; got {list(methods)}")
     root = Path(corpus_dir)
     with parallel.worker_pool(jobs) as pool:
         truth = read_truth_csv(root / "truth.csv")
-        per_image = list(pool.map(lambda row: _estimate_one(root, row, methods, est_cfg), truth))
+        per_image = list(pool.map(
+            lambda row: _estimate_one(root, row, methods, est_cfg, pairs), truth))
     rows = [row for group, _ in per_image for row in group]
     summary = summarize_results(rows)
     if out_dir is not None:
@@ -216,16 +240,16 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
         write_csv(out / "results.csv", RESULTS_FIELDS, rows)
         write_csv(out / "summary.csv", SUMMARY_FIELDS, summary)
         with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
-            for truth_row, (group, shared_ms) in zip(truth, per_image):
-                fh.write(json.dumps({"image_id": truth_row["image_id"],
-                                     "shared_ms": shared_ms}) + "\n")
+            for group, timing in per_image:
+                fh.write(json.dumps(timing) + "\n")
                 for row in group:
                     fh.write(json.dumps(
                         {
                             "image_id": row["image_id"],
                             "method": row["method"],
                             "status": row["status"],
-                            "diagnostics": _json_safe(row.get("_diagnostics", {})),
+                            **row["_scoring"],
+                            "diagnostics": _json_safe(row["_diagnostics"]),
                         }
                     ) + "\n")
     return rows, summary
@@ -361,10 +385,12 @@ def _point_rows(parameter, value, seed, point, contrast, single, est_cfg) -> lis
 
 
 def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
-    """Filter every noisy corpus image and report MSE/PSNR against the clean pair.
+    """Filter every noisy corpus image and report MSE, PSNR and oracle SNR against the clean pair.
 
-    Images are read one pair at a time.  When ``out_dir`` is given the filtered
-    planes are quantized back to the input bit depth and written as
+    Images are read one pair at a time.  ``oracle_snr_before`` is truth.csv's
+    ``true_snr``; ``oracle_snr_after`` is the image's ``signal_energy`` over
+    var(output - clean).  When ``out_dir`` is given the filtered planes are
+    quantized back to the input bit depth and written as
     ``<id>.filtered.pgm`` next to report.csv.
     """
     root = Path(corpus_dir)
@@ -375,9 +401,15 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for image_id in (row["image_id"] for row in truth):
-        noisy = load_plane(root, image_id, "noisy")
-        report = apply_filter(noisy, spec, reference=load_plane(root, image_id, "clean"))
+    for truth_row in truth:
+        image_id = truth_row["image_id"]
+        noisy, clean = load_plane(root, image_id, "noisy"), load_plane(root, image_id, "clean")
+        report = apply_filter(noisy, spec, reference=clean)
+        # the clean and work planes are freed before quantize makes its plane (peak RSS)
+        work = report.output.data - clean.data
+        del clean
+        noise = variance(work, work)
+        del work
         if out is not None:
             stored, _ = quantize(report.output, noisy.bit_depth)
             save_pgm(stored, out / f"{image_id}.filtered.pgm")
@@ -388,17 +420,11 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
                 "mse_vs_clean": report.mse_vs_reference,
                 "psnr_db": report.psnr_db,
                 "estimated_noise_variance": report.estimated_noise_variance,
-                "snr_before": _nn_or_none(noisy),
-                "snr_after": _nn_or_none(report.output),
+                "oracle_snr_before": truth_row["true_snr"],
+                "oracle_snr_after": (math.inf if noise == 0.0
+                                     else truth_row["signal_energy"] / noise),
             }
         )
     if out is not None:
         write_csv(out / "report.csv", DENOISE_FIELDS, rows)
     return rows
-
-
-def _nn_or_none(img: Raster):
-    try:
-        return estimate_nn(img).snr_linear
-    except (EstimatorError, DomainError, SingularFitError):
-        return None

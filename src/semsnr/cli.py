@@ -72,6 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--config", default=None, help="optional config with [estimate]")
     est.add_argument("--jobs", type=int, default=None,
                      help="worker threads (default: every core the process may use)")
+    est.add_argument("--pairs", action="store_true",
+                     help="regenerate each image's second acquisition from its recipe and run "
+                          "the two-image methods (frank_alali, smart) on the pair")
 
     swp = sub.add_parser("sweep", help="sensitivity sweep; " + _SWEEP_HELP)
     swp.add_argument("--config", required=True, help="config with [corpus] (+ optional [estimate])")
@@ -126,7 +129,8 @@ def _cmd_estimate(args) -> int:
     if args.config:
         est_cfg = estimator_config_from_config(load_config(args.config))
     with _staged_out(args.out) as out:
-        _, summary = run_estimation(args.corpus, methods, est_cfg, out_dir=out, jobs=args.jobs)
+        _, summary = run_estimation(args.corpus, methods, est_cfg, out_dir=out, jobs=args.jobs,
+                                    pairs=args.pairs)
     print_summary(summary)
     return EXIT_OK
 

@@ -471,12 +471,17 @@ def regenerate_image(corpus_dir, image_id: str) -> GroundTruth:
     return simulate(_read_recipe(corpus_dir, image_id))
 
 
+def second_seed(seed: int) -> int:
+    """The noise seed of the second acquisition of an image whose noise seed is ``seed``."""
+    return int(np.random.SeedSequence((seed, 0x5EC0ED)).generate_state(1)[0])
+
+
 def second_realization(corpus_dir, image_id: str) -> GroundTruth:
     """Simulate an independent second acquisition of the same scene.
 
-    The recipe is identical except for a derived seed, giving the aligned
-    image pair that two-acquisition estimators need.
+    The recipe is identical except for the :func:`second_seed` of its own,
+    giving the aligned image pair that two-acquisition estimators need; its
+    clean plane is the stored one bit for bit.
     """
     recipe = _read_recipe(corpus_dir, image_id)
-    alt_seed = int(np.random.SeedSequence((recipe.seed, 0x5EC0ED)).generate_state(1)[0])
-    return simulate(replace(recipe, seed=alt_seed))
+    return simulate(replace(recipe, seed=second_seed(recipe.seed)))

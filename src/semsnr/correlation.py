@@ -68,7 +68,6 @@ class CcfResult:
     background: float
     fwhm: float
     correlation: float = math.nan  # aligned correlation coefficient, set by cross_correlate
-    unit_offset_mean: float = math.nan  # mean of the four surface values one pixel from the peak
 
 
 def _lag_product(x: np.ndarray, k: int, axis: str) -> float:
@@ -205,14 +204,11 @@ def ccf_surface(a: np.ndarray, b: np.ndarray) -> CcfResult:
     background = float(values[k] if odd else (values[k - 1] + values[k]) / 2)
 
     profile = np.roll(surface[my, :], w // 2 - mx)
-    neighbours = (surface[my, (mx + 1) % w] + surface[my, (mx - 1) % w]
-                  + surface[(my + 1) % h, mx] + surface[(my - 1) % h, mx])
     return CcfResult(
         peak_offset=(dx, dy),
         peak_value=peak,
         background=background,
         fwhm=_profile_fwhm(profile, w // 2, peak, background),
-        unit_offset_mean=0.25 * float(neighbours),
     )
 
 

@@ -43,7 +43,7 @@ from .errors import (
     NonStationaryError,
     SingularFitError,
 )
-from .raster import Raster
+from .raster import Raster, variance
 
 EPSILON_POLICIES = ("half_gap", "zero")
 
@@ -108,10 +108,6 @@ class SnrEstimate:
 def _ok(method: str, snr: float, peak: float | None = None, **diag) -> SnrEstimate:
     return SnrEstimate(method=method, status="ok", snr_linear=snr, predicted_nf_peak=peak,
                        diagnostics=diag)
-
-
-def _infinite(method: str, **diag) -> SnrEstimate:
-    return SnrEstimate(method=method, status="infinite", snr_linear=math.inf, diagnostics=diag)
 
 
 # --- curve-level peak predictors ---------------------------------------------
@@ -383,7 +379,7 @@ def snr_from_correlation(rho: float) -> float:
 def _from_rho(method: str, rho: float, **diag) -> SnrEstimate:
     """The two-image tail: infinite at rho >= 1, else rho / (1 - rho)."""
     if rho >= 1.0:
-        return _infinite(method, rho=rho, **diag)
+        return SnrEstimate(method, "infinite", math.inf, diagnostics={"rho": rho, **diag})
     return _ok(method, snr_from_correlation(rho), rho=rho, **diag)
 
 
@@ -406,36 +402,42 @@ def _centered_roi(data: np.ndarray, size: int, x_shift: int = 0) -> np.ndarray:
     return data[y0 : y0 + size, x0 : x0 + size]
 
 
+def smart_region_oracle(noisy: Raster, clean: Raster, roi_size: int) -> float:
+    """Paired smart's oracle: var(clean ROI) / var(noisy ROI - clean ROI) on the centered
+    ``roi_size`` region :func:`estimate_smart` cuts from its first image."""
+    clean_roi = _centered_roi(clean.data, roi_size)
+    work = _centered_roi(noisy.data, roi_size) - clean_roi
+    noise = variance(work, work)
+    signal = variance(clean_roi, work)
+    return math.inf if noise == 0.0 else signal / noise
+
+
 def estimate_smart(img: Raster, second: Raster | None = None,
                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
-    """Region-based cross-correlation estimate with alignment recovery.
+    """Region-based cross-correlation estimate of two acquisitions, with alignment recovery.
 
     Two equal regions of interest are taken: one centered in ``img`` and one
-    shifted by ``cfg.smart_shift`` pixels along x, cut from ``second`` when a
-    second acquisition is supplied and from ``img`` itself otherwise.  The
+    cut from ``second``, shifted by ``cfg.smart_shift`` pixels along x.  The
     cross-correlation surface, built once, locates the region displacement and
-    measures resolution as the peak's full width at half maximum.
-
-    With a second acquisition the region is re-extracted at the recovered
-    alignment and the correlation coefficient feeds rho / (1 - rho), like the
-    two-acquisition method but tolerant of a known region offset.  In the
-    single-image form the regions share pixels, which makes the aligned
-    correlation trivially 1, so the estimate instead reads signal and noise
-    energy off the surface profile: the sharp single-pixel peak carries the
-    noise energy and the unit-offset neighbors predict the noise-free peak.
+    measures resolution as the peak's full width at half maximum.  The region
+    is then re-extracted at the recovered alignment and the correlation
+    coefficient feeds rho / (1 - rho), like the two-acquisition method but
+    tolerant of a known region offset.  Without a second acquisition the
+    method is not applicable, as ``frank_alali`` is not.
     """
+    if second is None:
+        return SnrEstimate("smart", "not_applicable")
     shift = cfg.smart_shift
     size = 1
     while size * 2 + shift <= min(img.width, img.height):
         size *= 2
     if size < 64:
         raise DomainError("the region of interest must be at least 64x64")
-    source = second if second is not None else img
-    if (source.width, source.height) != (img.width, img.height):
+    if (second.width, second.height) != (img.width, img.height):
         raise DomainError("images must have equal dimensions")
 
     roi1 = _centered_roi(img.data, size)
-    ccf = ccf_surface(roi1, _centered_roi(source.data, size, x_shift=shift))
+    ccf = ccf_surface(roi1, _centered_roi(second.data, size, x_shift=shift))
     # content displacement -> region offset convention (region 2 sits +shift in x)
     offset = (-ccf.peak_offset[0], -ccf.peak_offset[1])
 
@@ -443,22 +445,9 @@ def estimate_smart(img: Raster, second: Raster | None = None,
     if ccf.peak_value <= ccf.background + 1e-12 * max(roi_power, 1.0):
         raise NoPeakError("no cross-correlation peak above background")
 
-    diag = {"peak_offset": offset, "fwhm": ccf.fwhm, "roi_size": size, "shift": shift}
-
-    if second is not None:
-        aligned = _centered_roi(second.data, size, x_shift=shift - offset[0])
-        return _from_rho("smart", pearson(roi1, aligned), **diag)
-
-    # 2-D unit-offset average, the surface analog of the nearest-offset rule
-    nf = ccf.unit_offset_mean
-    signal = nf - ccf.background
-    noise = ccf.peak_value - nf
-    # correlation under 2% of the peak height reads as uncorrelated content
-    if signal <= 0.02 * (ccf.peak_value - ccf.background):
-        raise NonpositiveCorrelationError("no signal correlation above the surface noise")
-    if noise <= 0.0:
-        return _infinite("smart", **diag)
-    return _ok("smart", signal / noise, peak=nf, **diag)
+    aligned = _centered_roi(second.data, size, x_shift=shift - offset[0])
+    return _from_rho("smart", pearson(roi1, aligned), peak_offset=offset, fwhm=ccf.fwhm,
+                     roi_size=size, shift=shift)
 
 
 # --- method registry --------------------------------------------------------------

@@ -1,11 +1,20 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semsnr.corpus import corpus_image, read_csv, reference_corpus_spec
-from semsnr.estimators import DEFAULT_CONFIG
+from semsnr.corpus import (
+    acquisition_recipe,
+    corpus_image,
+    read_csv,
+    reference_corpus_spec,
+    scene_basis,
+    second_seed,
+)
+from semsnr.estimators import DEFAULT_CONFIG, estimate_all, smart_region_oracle
+from semsnr.noise import simulate
 from semsnr.parallel import map_on_cores
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -53,8 +62,6 @@ def oracle_corpus():
 @pytest.fixture(scope="session")
 def corpus_estimates(oracle_corpus):
     """estimate_all over the frozen corpus with the benchmark configuration."""
-    from semsnr.estimators import estimate_all
-
     out = []
     for entry in oracle_corpus:
         out.append(
@@ -65,6 +72,33 @@ def corpus_estimates(oracle_corpus):
             }
         )
     return out
+
+
+@pytest.fixture(scope="session")
+def paired_estimates(oracle_corpus):
+    """The two-image methods on each frozen image and its second acquisition.
+
+    The second acquisition is the image's recipe under ``second_seed``, as
+    ``estimate --pairs`` regenerates it.  Each item keeps the two estimates,
+    paired smart's region oracle on the stored clean plane, and whether the
+    second acquisition's clean plane equals that one.
+    """
+    spec = reference_corpus_spec()
+
+    def pair(index):
+        entry = oracle_corpus[index]
+        gt, truth = entry["gt"], entry["truth"]
+        recipe, _, _ = acquisition_recipe(spec, scene_basis(spec, index), truth["seed"],
+                                          truth["snr_target"])
+        second = simulate(replace(recipe, seed=second_seed(recipe.seed)))
+        results = estimate_all(gt.noisy, BENCH_CONFIG, second=second.noisy,
+                               methods=("frank_alali", "smart"))
+        return {"image_id": entry["image_id"], "truth": truth, "results": results,
+                "region_oracle": smart_region_oracle(gt.noisy, gt.clean,
+                                                     results["smart"].diagnostics["roi_size"]),
+                "same_clean": bool((second.clean.data == gt.clean.data).all())}
+
+    return map_on_cores(pair, range(len(oracle_corpus)), None)
 
 
 @pytest.fixture(scope="session")

@@ -420,6 +420,102 @@ def test_jobs_default_to_every_core(small_corpus, tmp_path, monkeypatch):
     assert len(asked) == 3
 
 
+@pytest.fixture
+def pairs_corpus(tmp_path):
+    """SMALL_CONFIG at 72x72, where smart's regions are 64x64 (at 64x64 they do not fit)."""
+    config = tmp_path / "pairs.cfg"
+    config.write_text(SMALL_CONFIG.replace("width = 64\nheight = 64", "width = 72\nheight = 72"))
+    corpus_dir = tmp_path / "corpus"
+    assert main(["generate", "--config", str(config), "--out", str(corpus_dir)]) == 0
+    return corpus_dir
+
+
+def _diagnostics(out) -> list[dict]:
+    return [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
+
+
+def test_pairs_leave_single_image_rows_as_they_are(pairs_corpus, tmp_path):
+    from semsnr.estimators import smart_region_oracle
+
+    runs = {}
+    for name, extra in (("single", []), ("pairs", ["--pairs"])):
+        out = tmp_path / name
+        assert main(["estimate", "--corpus", str(pairs_corpus), "--out", str(out),
+                     "--methods", "all", *extra]) == 0
+        runs[name] = ([{k: v for k, v in row.items() if k != "runtime_ms"}
+                       for row in read_csv(out / "results.csv")], _diagnostics(out))
+    (single, single_lines), (paired, paired_lines) = runs["single"], runs["pairs"]
+    assert len(single) == len(paired) == 4 * len(ALL_METHODS)
+    assert ([row for row in single if row["method"] in SINGLE_IMAGE_METHODS]
+            == [row for row in paired if row["method"] in SINGLE_IMAGE_METHODS])
+    assert {row["status"] for row in single if row["method"] not in SINGLE_IMAGE_METHODS} == {
+        "not_applicable"}
+
+    truth = {row["image_id"]: row for row in read_truth_csv(pairs_corpus / "truth.csv")}
+    smart_lines = {line["image_id"]: line for line in paired_lines
+                   if line.get("method") == "smart"}
+    for row in paired:
+        if row["method"] == "frank_alali":  # scored against the image oracle
+            assert row["status"] == "ok"
+            assert float(row["oracle_snr"]) == truth[row["image_id"]]["true_snr"]
+        elif row["method"] == "smart":  # scored against its first region's oracle
+            line = smart_lines[row["image_id"]]
+            size = line["diagnostics"]["roi_size"]
+            assert (row["status"], line["oracle"], line["roi_size"], size) == (
+                "ok", "region", 64, 64)
+            oracle = smart_region_oracle(load_pgm(pairs_corpus / f"{row['image_id']}.noisy.pgm"),
+                                         load_pgm(pairs_corpus / f"{row['image_id']}.clean.pgm"),
+                                         size)
+            assert float(row["oracle_snr"]) == oracle
+            assert float(row["rel_error"]) == pytest.approx(
+                (float(row["snr_linear"]) - oracle) / oracle, rel=1e-12)
+
+    # without --pairs every line keeps its keys; with it, timing lines add second_ms
+    method_keys = ["image_id", "method", "status", "diagnostics"]
+    assert {tuple(line) for line in single_lines} == {("image_id", "shared_ms"),
+                                                      tuple(method_keys)}
+    timing = [line for line in paired_lines if "shared_ms" in line]
+    assert [list(line) for line in timing] == [["image_id", "shared_ms", "second_ms"]] * 4
+    assert all(line["second_ms"] > 0.0 for line in timing)
+    assert {tuple(line) for line in paired_lines if line.get("method") not in (None, "smart")} == {
+        tuple(method_keys)}
+    assert [list(line) for line in smart_lines.values()] == [
+        ["image_id", "method", "status", "oracle", "roi_size", "diagnostics"]] * 4
+
+
+def test_pairs_need_a_two_image_method(small_corpus, tmp_path, capsys):
+    _, corpus_dir = small_corpus
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--methods", "nn,lsr", "--pairs"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pairs need a two-image method") and "'lsr'" in err
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+    with pytest.raises(ConfigError):
+        run_estimation(corpus_dir, SINGLE_IMAGE_METHODS, pairs=True)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("img0001.recipe.txt", "corpus image img0001 is missing its recipe"),
+    ("img0001.scene.pgm", "corpus image img0001 is missing its scene plane"),
+], ids=["no_recipe", "no_scene"])
+def test_pairs_without_a_recipe_file_is_data_error(small_corpus, tmp_path, capsys, name,
+                                                    message):
+    _, corpus_dir = small_corpus
+    path = corpus_dir / name
+    path.unlink()
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--methods", "nn,frank_alali", "--pairs"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err and str(path) in err
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
 def test_report_subcommand(small_corpus, tmp_path, capsys):
     config, corpus_dir = small_corpus
     out = tmp_path / "res"
@@ -850,6 +946,72 @@ def test_denoise_cli_identity_spec(small_corpus, tmp_path):
         assert noisy == filt
 
 
+@pytest.fixture
+def oracle_snr_ends(oracle_corpus, tmp_path):
+    """The first SNR-1 and the first SNR-50 image of the frozen corpus as a corpus directory."""
+    from semsnr.corpus import TRUTH_FIELDS, write_csv
+
+    corpus_dir = tmp_path / "ends"
+    corpus_dir.mkdir()
+    entries = [oracle_corpus[0], oracle_corpus[45]]
+    assert [e["truth"]["snr_target"] for e in entries] == [1.0, 50.0]
+    for entry in entries:
+        for kind in ("clean", "noisy"):
+            save_pgm(getattr(entry["gt"], kind), corpus_dir / f"{entry['image_id']}.{kind}.pgm")
+    write_csv(corpus_dir / "truth.csv", TRUTH_FIELDS, [e["truth"] for e in entries])
+    return corpus_dir, entries
+
+
+def _report_at(corpus_dir, text, entry, out=None) -> dict:
+    from semsnr.bench import run_denoise
+
+    rows = run_denoise(corpus_dir, parse_filter_spec(text), out_dir=out)
+    return next(row for row in rows if row["image_id"] == entry["image_id"])
+
+
+def test_denoise_oracle_snr_falls_under_a_gaussian_at_snr_50(oracle_snr_ends):
+    from semsnr.denoise import apply_filter
+
+    corpus_dir, (_, high) = oracle_snr_ends
+    row = _report_at(corpus_dir, "gaussian:sigma=1.5", high)
+    gt = high["gt"]
+    output = apply_filter(gt.noisy, parse_filter_spec("gaussian:sigma=1.5")).output
+    assert row["oracle_snr_before"] == high["truth"]["true_snr"]
+    assert row["oracle_snr_after"] == gt.signal_energy / float(np.var(output.data - gt.clean.data))
+    assert row["oracle_snr_after"] < row["oracle_snr_before"]  # the blur takes more signal
+
+
+def test_denoise_oracle_snr_rises_under_wiener_local_at_snr_1(oracle_snr_ends):
+    corpus_dir, (low, _) = oracle_snr_ends
+    row = _report_at(corpus_dir, f"wiener_local:window=7,noise_var={low['gt'].noise_energy!r}",
+                     low)
+    assert row["oracle_snr_after"] > row["oracle_snr_before"] == low["truth"]["true_snr"]
+
+
+# SHA-256 of each filter's mse_vs_clean and psnr_db cells and filtered PGMs on
+# oracle_snr_ends, recorded before report.csv's SNR columns were the oracle's
+DENOISE_SHA256 = {
+    "gaussian:sigma=1.5": "4f15b9a40af028ccf10516e9ff09994d104739f886cc2a9fe72d1a4422ab8583",
+    "wiener_local": "de2de5c58993f79b8f1b7bafb610ca98ec4f3a2c981e5e9f69d97e3631060786",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DENOISE_SHA256))
+def test_denoise_outputs_and_error_columns_are_pinned(oracle_snr_ends, tmp_path, kind):
+    import hashlib
+
+    corpus_dir, (low, _) = oracle_snr_ends
+    text = kind if ":" in kind else f"{kind}:window=7,noise_var={low['gt'].noise_energy!r}"
+    out = tmp_path / "den"
+    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--filter", text]) == 0
+    digest = hashlib.sha256()
+    for row in read_csv(out / "report.csv"):
+        digest.update(f"{row['mse_vs_clean']},{row['psnr_db']}\n".encode())
+        digest.update((out / f"{row['image_id']}.filtered.pgm").read_bytes())
+    assert digest.hexdigest() == DENOISE_SHA256[kind]
+
+
 def test_denoise_median_beats_gaussian_on_impulse_corpus(tmp_path):
     # hand-built corpus with salt-and-pepper corruption
     from semsnr.corpus import TRUTH_FIELDS, write_csv
@@ -951,19 +1113,6 @@ def test_estimate_and_sweep_run_only_requested_methods(small_corpus, tmp_path, m
     spec = corpus_spec_from_config(load_config(config))
     sweep = run_sweep("contrast", [1.0], spec, ("nn", "smart"), BENCH_CONFIG, seeds=1)
     assert [r["method"] for r in sweep] == ["nn"]
-
-
-def test_nn_or_none_catches_typed_errors_only(monkeypatch):
-    from semsnr import bench
-
-    assert bench._nn_or_none(raster_from_array(np.ones((2, 2)))) is None  # lag 1 does not fit
-
-    def broken(img):
-        raise ZeroDivisionError("not an estimator failure")
-
-    monkeypatch.setattr(bench, "estimate_nn", broken)
-    with pytest.raises(ZeroDivisionError):
-        bench._nn_or_none(raster_from_array(np.ones((8, 8))))
 
 
 def test_report_summary_matches_estimate_summary(small_corpus, tmp_path):

@@ -11,7 +11,6 @@ from semsnr.correlation import AcfCurve, LagTable, autocorrelation, lag_table, s
 from semsnr.errors import (
     DegenerateError,
     DomainError,
-    EstimatorError,
     LogDomainError,
     NonpositiveCorrelationError,
     NonStationaryError,
@@ -22,6 +21,7 @@ from semsnr.estimators import (
     METHODS,
     SINGLE_IMAGE_METHODS,
     EstimatorConfig,
+    SnrEstimate,
     acldr_peak,
     asnn_correct,
     chillsr_peak,
@@ -222,14 +222,16 @@ def test_constant_image_all_failure_statuses():
     results = estimate_all(img, BENCH_CONFIG)
     for method, est in results.items():
         assert est.status != "ok", method
-        if method != "frank_alali":
+        if method in SINGLE_IMAGE_METHODS:
             assert est.status != "not_applicable", method
 
 
 def test_single_image_marks_two_acquisition_method():
-    img = raster_from_array(np.add.outer(np.arange(80.0), np.arange(80.0)))
+    img = raster_from_array(np.add.outer(np.arange(160.0), np.arange(160.0)))
     results = estimate_all(img, BENCH_CONFIG)
-    assert results["frank_alali"].status == "not_applicable"
+    assert results["frank_alali"].status == results["smart"].status == "not_applicable"
+    # perfbench's traced probe calls smart in this form: it must return, not raise
+    assert estimate_smart(img, None, BENCH_CONFIG) == SnrEstimate("smart", "not_applicable")
 
 
 def test_estimate_all_on_oracle_image(oracle_corpus):
@@ -368,35 +370,27 @@ def test_exact_duplicate_reads_infinite_whatever_the_rounding(stream):
         assert est.diagnostics["rho"] == 1.0
 
 
-def test_smart_white_noise_error_path():
-    from semsnr.noise import rng_for
-
-    white = raster_from_array(rng_for(99, 0).uniform(100.0, 200.0, (256, 256)), 16)
-    with pytest.raises(NonpositiveCorrelationError):
-        estimate_smart(white, cfg=BENCH_CONFIG)
-
-
-def test_smart_single_image_oracle_accuracy():
-    from semsnr.corpus import CorpusSpec, SceneSpec, acquire, scene_basis
-
-    spec = CorpusSpec(
-        scene=SceneSpec(kind="spectral", width=512, height=512, corr_length=110.0,
-                        spectral_nugget=0.004),
-        model="additive-gaussian", snr_targets=(4.0,), base_seed=31,
-        dose_min=5000.0, dose_max=30000.0, dc_offset=20000.0,
-    )
-    rels = []
-    for s in range(11):
-        _, gt = acquire(spec, scene_basis(spec, s), 800 + s, 4.0)
-        est = estimate_smart(gt.noisy, cfg=BENCH_CONFIG)
-        rels.append(rel_error(est.snr_linear, gt.true_snr))
-    assert abs(np.median(rels)) <= 0.20
-
-
 def test_smart_too_small_image():
     img = raster_from_array(np.add.outer(np.arange(32.0), np.arange(32.0)))
     with pytest.raises(DomainError):
-        estimate_smart(img, cfg=BENCH_CONFIG)
+        estimate_smart(img, img, cfg=BENCH_CONFIG)
+
+
+def test_paired_methods_match_their_oracles_and_pins(paired_estimates, estimator_baseline):
+    errors = {"frank_alali": [], "smart": []}
+    for entry in paired_estimates:
+        assert entry["same_clean"], entry["image_id"]  # a pair shares its clean plane
+        results = entry["results"]
+        assert results["frank_alali"].status == results["smart"].status == "ok"
+        errors["frank_alali"].append(
+            rel_error(results["frank_alali"].snr_linear, entry["truth"]["true_snr"]))
+        errors["smart"].append(rel_error(results["smart"].snr_linear, entry["region_oracle"]))
+    assert max(map(abs, errors["frank_alali"])) <= 0.01
+    assert max(map(abs, errors["smart"])) <= 0.02
+    for method, errs in errors.items():
+        median = float(np.median(np.abs(errs)))
+        pinned = estimator_baseline[method]
+        assert abs(median - pinned) <= 0.20 * pinned, (method, median, pinned)
 
 
 # --- corpus-level behavior --------------------------------------------------------
@@ -472,13 +466,7 @@ def test_estimate_all_matches_standalone_estimators(oracle_corpus, corpus_estima
         for method, run in STANDALONE.items():
             # equality compares every value and diagnostic bit for bit
             assert results[method] == run(img, BENCH_CONFIG), (entry["image_id"], method)
-        try:
-            alone = estimate_smart(img, None, BENCH_CONFIG)
-        except EstimatorError as exc:
-            assert results["smart"].status == exc.status, entry["image_id"]
-        else:
-            assert results["smart"].status == alone.status, entry["image_id"]
-            assert results["smart"].snr_linear == pytest.approx(alone.snr_linear, rel=1e-12)
+        assert results["smart"] == estimate_smart(img, None, BENCH_CONFIG), entry["image_id"]
 
 
 def test_subset_run_matches_full_run(oracle_corpus, corpus_estimates):
@@ -492,7 +480,7 @@ def test_subset_run_matches_full_run(oracle_corpus, corpus_estimates):
 @pytest.mark.parametrize("cfg", [BENCH_CONFIG, EstimatorConfig(epsilon_policy="half_gap")],
                          ids=["zero", "half_gap"])
 def test_small_image_keeps_per_method_statuses(cfg):
-    # 9x9 fits lags up to 4: nllsr needs lag 5 and smart a 64x64 region
+    # 9x9 fits lags up to 4: nllsr needs lag 5
     from semsnr.noise import rng_for
 
     yy, xx = np.mgrid[0:9, 0:9]
@@ -501,7 +489,7 @@ def test_small_image_keeps_per_method_statuses(cfg):
     results = estimate_all(img, cfg)
     assert {m: e.status for m, e in results.items()} == {
         "nn": "ok", "fol": "degenerate", "lsr": "degenerate", "nllsr": "error",
-        "asnn": "ok", "acldr": "degenerate", "chillsr": "degenerate", "smart": "error",
+        "asnn": "ok", "acldr": "degenerate", "chillsr": "degenerate", "smart": "not_applicable",
         "frank_alali": "not_applicable",
     }
     assert results["nllsr"].diagnostics["detail"].startswith("max_lag 5 ")
