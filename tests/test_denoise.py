@@ -304,6 +304,34 @@ def test_tiny_sigma_r_does_not_warn_on_worker_threads(monkeypatch):
     np.testing.assert_allclose(out, data, rtol=1e-14)
 
 
+@pytest.mark.parametrize("h", [1, 31, 32, 33, 130])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_on_cores_covers_the_rows_once_in_whole_tiles(h, cores, monkeypatch):
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
+    calls = []
+    parallel.on_cores(32, h, (2, 3), lambda lo, hi, buf: calls.append((lo, hi, buf)))
+    blocks = sorted((lo, hi) for lo, hi, _ in calls)
+    assert len(blocks) == min(cores, -(-h // 32))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == h
+    assert all(lo % 32 == 0 and hi > lo and (hi % 32 == 0 or hi == h) for lo, hi in blocks)
+    buffers = [buf for _, _, buf in calls]
+    assert all(buf.shape == (2, 3) for buf in buffers)
+    assert len({id(buf) for buf in buffers}) == len(buffers)  # one buffer per block
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_on_cores_raises_an_error_from_a_worker(cores, monkeypatch):
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
+
+    def run(lo, hi, buf):
+        if lo > 0:
+            raise ZeroDivisionError(f"block at row {lo}")
+
+    with pytest.raises(ZeroDivisionError, match="block at row 32"):
+        parallel.on_cores(32, 96, (1,), run)
+
+
 def _convolve_separable_whole_plane(x, kernel):
     """The whole-plane passes: horizontal over the plane, then vertical over its padded result."""
     radius = kernel.size // 2
