@@ -2,8 +2,8 @@
 denoising comparisons, all reported as versioned CSV files.
 
 Configs are flat key/value text with INI-style sections (hand-editable and
-diff-friendly).  Per-image work items may run on a thread pool; results are
-always aggregated in manifest order so output is schedule-independent.
+diff-friendly).  Images and seeds run on :func:`parallel.map_on_cores`;
+results are aggregated in manifest order, so output is schedule-independent.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def load_config(path) -> configparser.ConfigParser:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
     return parser
 
@@ -213,10 +213,11 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
     Returns (result rows, summary rows) and, when ``out_dir`` is given, writes
     results.csv, summary.csv, and a diagnostics.jsonl sidecar holding, per
     image, one timing line (:func:`_estimate_one`) followed by one line per
-    method.  Images run on a pool of ``jobs`` worker threads (None: every
-    core the process may use); each image's noisy plane is read by the worker
-    that estimates it, so memory follows ``jobs``, not the corpus size.  An
-    unknown method is a DomainError, as in ``estimate_all``.
+    method.  Each image is one item of :func:`parallel.map_on_cores` on
+    ``jobs`` threads (None: every core the process may use); the thread that
+    estimates an image reads its noisy plane, so memory follows ``jobs``,
+    not the corpus size.  An unknown method is a DomainError, as in
+    ``estimate_all``.
 
     ``pairs`` regenerates each image's second acquisition from its recipe
     (nothing is written) and runs the two-image methods on the pair, paired
@@ -227,11 +228,10 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
     if pairs and set(methods) <= set(SINGLE_IMAGE_METHODS):
         two_image = [m for m in ALL_METHODS if m not in SINGLE_IMAGE_METHODS]
         raise ConfigError(f"pairs need a two-image method {two_image}; got {list(methods)}")
+    jobs = parallel.job_count(jobs)  # a bad jobs is refused before the corpus is read
     root = Path(corpus_dir)
-    with parallel.worker_pool(jobs) as pool:
-        truth = read_truth_csv(root / "truth.csv")
-        per_image = list(pool.map(
-            lambda row: _estimate_one(root, row, methods, est_cfg, pairs), truth))
+    per_image = parallel.map_on_cores(lambda row: _estimate_one(root, row, methods, est_cfg, pairs),
+                                      read_truth_csv(root / "truth.csv"), jobs)
     rows = [row for group, _ in per_image for row in group]
     summary = summarize_results(rows)
     if out_dir is not None:
@@ -287,11 +287,11 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
 
     Seed ``i``'s scene (stream ``i`` of the base seed) is synthesized once and
     shared by all of its points; a contrast sweep also acquires it once and
-    rescales that acquisition per value.  Each seed is one task on a pool of
-    ``min(cores, seeds)`` threads, where cores is every core the process may
-    use (``taskset -c 0`` runs the sweep serially, on the calling thread), so
-    memory holds that many seeds' planes.  Rows come in value-major order and
-    are the same for every core count.
+    rescales that acquisition per value.  Each seed is one item of
+    :func:`parallel.map_on_cores` on every core the process may use
+    (``taskset -c 0`` runs the sweep serially, on the calling thread), so
+    memory holds ``min(cores, seeds)`` seeds' planes.  Rows come in
+    value-major order and are the same for every core count.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
@@ -315,12 +315,7 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     def seed_rows(seed):
         return _seed_rows(parameter, values, spec, scene_basis(spec, seed), seed, single, est_cfg)
 
-    jobs = min(parallel.cores(), seeds)
-    if jobs == 1:
-        per_seed = [seed_rows(seed) for seed in range(seeds)]
-    else:
-        with parallel.worker_pool(jobs) as pool:
-            per_seed = list(pool.map(seed_rows, range(seeds)))  # raises a worker's error
+    per_seed = parallel.map_on_cores(seed_rows, range(seeds), None)
     return [row for i in range(len(values)) for by_value in per_seed for row in by_value[i]]
 
 

@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--config", required=True, help="flat key/value config with [corpus]")
     gen.add_argument("--out", required=True, help="corpus output directory")
     gen.add_argument("--jobs", type=int, default=None,
-                     help="worker threads, the calling one included (default: every core "
-                          "the process may use)")
+                     help="worker threads (default: every core the process may use)")
 
     est = sub.add_parser("estimate", help="run SNR estimators over a corpus")
     est.add_argument("--corpus", required=True, help="corpus directory from 'generate'")
@@ -169,7 +168,10 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = summarize_results(read_csv(args.results))
+    try:
+        summary = summarize_results(read_csv(args.results))
+    except (KeyError, ValueError) as exc:  # a missing column or a non-numeric rel_error
+        raise DataError(f"{args.results}: bad results row: {exc!r}") from exc
     print_summary(summary)
     if args.out:
         with _staged_out(args.out) as out:

@@ -253,14 +253,17 @@ def write_csv(path, fieldnames, rows) -> None:
 
 
 def read_csv(path) -> list[dict]:
-    """Rows of a versioned CSV as string dicts; a missing or unversioned file is a DataError."""
+    """Rows of a versioned CSV as dicts; a missing, unversioned or non-ASCII file is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing CSV file {path}")
     with open(path, newline="", encoding="ascii") as fh:
-        if fh.readline().rstrip("\r\n") != CSV_MAGIC:
-            raise DataError(f"{path}: missing '{CSV_MAGIC}' header line")
-        return list(csv.DictReader(fh))
+        try:
+            if fh.readline().rstrip("\r\n") != CSV_MAGIC:
+                raise DataError(f"{path}: missing '{CSV_MAGIC}' header line")
+            return list(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not an ASCII CSV file: {exc}") from exc
 
 
 def read_truth_csv(path) -> list[dict]:
@@ -383,10 +386,10 @@ def generate_corpus(spec: CorpusSpec, out_dir, jobs: int | None = None) -> list[
     """Write a full corpus; returns the truth rows in manifest order.
 
     Each image is one item of :func:`parallel.map_on_cores` on ``jobs``
-    threads, the calling thread one of them (None: every core the process
-    may use), so memory follows ``jobs``, not the corpus size; every file is
-    the same for every ``jobs``.  A failing image ends the pass: no image
-    starts after it.
+    threads (None: every core the process may use; one runs every image on
+    the caller), so memory follows ``jobs``, not the corpus size; every file
+    is the same for every ``jobs``.  A failing image ends the pass: no image
+    that has not started by then starts.
     """
     jobs = job_count(jobs)  # a bad jobs is refused before the directory is made
     out = Path(out_dir)

@@ -1,14 +1,13 @@
 """The one concurrency rule: work runs on every core the process may use.
 
 ``cores()`` is that count (``taskset`` limits it); a ``jobs`` of None means
-it, and an explicit ``jobs`` (``--jobs``) overrides it.  Every helper here
-gives results that do not depend on the number of threads.
+it, and an explicit ``jobs`` (``--jobs``) overrides it.  Threads start only
+in :func:`map_on_cores`, whose results do not depend on their number.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -32,56 +31,27 @@ def job_count(jobs: int | None) -> int:
     return jobs
 
 
-def worker_pool(jobs: int | None) -> ThreadPoolExecutor:
-    """A pool of :func:`job_count` worker threads, none of them the caller."""
-    return ThreadPoolExecutor(max_workers=job_count(jobs))
-
-
 def map_on_cores(fn: Callable, items, jobs: int | None) -> list:
-    """``[fn(item) for item in items]`` on ``min(jobs, len(items))`` threads, the caller one of them.
+    """``[fn(item) for item in items]`` on ``min(job_count(jobs), len(items))`` threads.
 
-    Every thread takes the next index from one shared counter and writes its
-    result into that index's slot, so results come back in input order.  The
-    first error stops new items from starting and is raised here, once every
-    thread has stopped.  One job runs every item on the caller, in order.
+    One thread's worth of work runs on the caller, in order; more runs on a
+    pool of worker threads, none of them the caller, results in input order.
+    The first error in input order is raised here: no unstarted item starts.
     """
     items = list(items)
     threads = min(job_count(jobs), len(items))
     if threads <= 1:
         return [fn(item) for item in items]
-    results = [None] * len(items)
-    indices = iter(range(len(items)))
-    lock = threading.Lock()
-    errors = []
-
-    def work() -> None:
-        while True:
-            with lock:
-                index = None if errors else next(indices, None)
-            if index is None:
-                return
-            try:
-                results[index] = fn(items[index])
-            except BaseException as exc:  # handed to the caller, not swallowed
-                with lock:
-                    errors.append(exc)
-                return
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        for _ in range(threads - 1):
-            pool.submit(work)
-        work()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def on_cores(step: int, h: int, shape: tuple[int, ...], run: Callable) -> None:
     """Call run(lo, hi, buf) on contiguous blocks of whole step-row tiles that
     cover rows 0..h, one block per core the process may use (never more than
-    tiles), through :func:`map_on_cores`, each with its own np.empty(shape),
-    made here on the calling thread: a worker that allocates grows a malloc
-    arena of its own."""
+    tiles), one block per item of :func:`map_on_cores`.  Each block has its
+    own np.empty(shape), made here on the calling thread before any worker
+    starts: a worker that allocates grows a malloc arena of its own."""
     tiles = -(-h // step)
     parts = min(cores(), tiles)
     edges = [min(h, i * tiles // parts * step) for i in range(parts + 1)]

@@ -331,6 +331,12 @@ def test_estimate_missing_corpus_exit_code(tmp_path):
                  "--out", str(tmp_path / "o"), "--methods", "nn"]) == 3
 
 
+def test_estimate_refuses_jobs_before_reading_the_corpus(tmp_path, capsys):
+    assert main(["estimate", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
+                 "--methods", "nn", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: jobs must be at least 1")
+
+
 def test_bad_methods_exit_code(small_corpus, tmp_path, capsys):
     config, corpus_dir = small_corpus
     for methods in ("psychic", "nn,nn", ","):
@@ -527,6 +533,31 @@ def test_report_subcommand(small_corpus, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "nn" in printed and "lsr" in printed
     assert (tmp_path / "rep" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("no_status", "'status'"), ("rel_error_abc", "'abc'"), ("non_ascii", "not an ASCII CSV file"),
+], ids=["no_status", "rel_error_abc", "non_ascii"])
+def test_report_of_a_bad_results_file_is_data_error(small_corpus, tmp_path, capsys, damage,
+                                                    message):
+    from semsnr.bench import RESULTS_FIELDS
+    from semsnr.corpus import write_csv
+
+    _, corpus_dir = small_corpus
+    rows, _ = run_estimation(corpus_dir, ("nn",))
+    fields = [f for f in RESULTS_FIELDS if damage != "no_status" or f != "status"]
+    if damage == "rel_error_abc":
+        rows[0]["rel_error"] = "abc"
+    path = tmp_path / "results.csv"
+    write_csv(path, fields, rows)
+    if damage == "non_ascii":
+        path.write_bytes(path.read_bytes().replace(b"img0001", b"img\xe90001"))
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["report", "--results", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err and message in err
+    assert not out.exists() and not (tmp_path / "rep.partial").exists()
 
 
 def test_read_csv_requires_version_header(tmp_path):
@@ -1079,6 +1110,24 @@ def test_denoise_internal_error_exit_code(small_corpus, tmp_path):
                  "--filter", "median:window=99"]) == 4
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep", "estimate"])
+def test_config_that_is_not_utf8_is_config_error(small_corpus, tmp_path, capsys, command):
+    config, corpus_dir = small_corpus
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(config.read_bytes().replace(b"[estimate]", b"# \xff\n[estimate]"))
+    args = {
+        "generate": [],
+        "sweep": ["--parameter", "dose", "--range", "100", "--methods", "nn"],
+        "estimate": ["--corpus", str(corpus_dir), "--methods", "nn"],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["epsilon_polcy = zero", "n_points = many",
                                   "epsilon_policy = sometimes", "asnn_slope = 1.0",
                                   "chillsr_correction = 0,1,0", "chillsr_points = 4"])
@@ -1239,7 +1288,8 @@ def test_out_holds_exactly_the_files_readme_lists(small_corpus, tmp_path, comman
     ("img0000.noisy.pgm", b"P5\n64 64\n65535\n\x00\x00", "payload is 2 bytes"),
     ("img0000.noisy.pgm", b"P6\n64 64\n65535\n", "magic"),
     ("truth.csv", None, "bad truth row"),
-], ids=["truncated_pgm", "bad_pgm_magic", "bad_truth_value"])
+    ("truth.csv", b"# semsnr-csv v1\nimage_id\nimg\xe90000\n", "not an ASCII CSV file"),
+], ids=["truncated_pgm", "bad_pgm_magic", "bad_truth_value", "non_ascii_truth"])
 def test_corrupt_corpus_file_is_data_error(small_corpus, tmp_path, capsys, name, blob, message):
     _, corpus_dir = small_corpus
     path = corpus_dir / name

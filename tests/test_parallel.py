@@ -18,22 +18,25 @@ def test_map_on_cores_returns_results_in_input_order(jobs, count):
     assert map_on_cores(square, range(count), jobs) == [i * i for i in range(count)]
 
 
-def test_the_calling_thread_is_one_of_the_workers():
-    seen = set()
+def test_only_one_thread_of_work_runs_on_the_caller():
+    seen = []
 
     def record(item):
-        seen.add(threading.current_thread())
+        seen.append((item, threading.current_thread()))
         time.sleep(0.01)  # long enough that no one thread takes every item
         return item
 
     assert map_on_cores(record, range(8), 2) == list(range(8))
-    assert len(seen) == 2 and threading.main_thread() in seen
-    seen.clear()
-    map_on_cores(record, range(3), 1)
-    assert seen == {threading.main_thread()}  # one job runs every item on the caller
+    threads = {thread for _, thread in seen}
+    assert threading.main_thread() not in threads and len(threads) == 2
+    for jobs, count in ((1, 3), (2, 1), (8, 1)):
+        seen.clear()
+        assert map_on_cores(record, range(count), jobs) == list(range(count))
+        assert seen == [(item, threading.main_thread()) for item in range(count)], (jobs, count)
 
 
-@pytest.mark.parametrize("on_caller", [False, True], ids=["worker", "caller"])
+# at 2 jobs every item runs on a worker thread, so the error can only come from one
+@pytest.mark.parametrize("on_caller", [False], ids=["worker"])
 def test_an_error_reaches_the_caller_and_no_later_item_starts(on_caller):
     started = []
 
@@ -47,6 +50,21 @@ def test_an_error_reaches_the_caller_and_no_later_item_starts(on_caller):
     with pytest.raises(DomainError, match="^item [0-9]+ failed$"):
         map_on_cores(item, range(20), 2)
     assert len(started) <= 3, started  # not the 20 a run that ignored the error would start
+
+
+def test_the_first_error_in_input_order_is_raised_and_far_items_never_start():
+    started = []
+
+    def item(index):
+        started.append(index)
+        if index == 5:
+            raise DomainError(f"item {index} failed")
+        time.sleep(0.01)
+        return index
+
+    with pytest.raises(DomainError, match="^item 5 failed$"):
+        map_on_cores(item, range(20), 2)
+    assert 5 in started and not [index for index in started if index >= 12], started
 
 
 def test_every_item_runs_once_under_frequent_thread_switches():
