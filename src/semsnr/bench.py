@@ -28,8 +28,8 @@ from .corpus import (
     second_realization,
     write_csv,
 )
-from .denoise import FilterSpec, apply_filter, filter_spec_to_string
-from .errors import ConfigError, DomainError
+from .denoise import FilterSpec, apply_filter, filter_spec_to_string, psnr_db
+from .errors import ConfigError, DataError, DomainError
 from .estimators import (
     ALL_METHODS,
     DEFAULT_CONFIG,
@@ -382,11 +382,16 @@ def _point_rows(parameter, value, seed, point, contrast, single, est_cfg) -> lis
 def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
     """Filter every noisy corpus image and report MSE, PSNR and oracle SNR against the clean pair.
 
-    Images are read one pair at a time.  ``oracle_snr_before`` is truth.csv's
-    ``true_snr``; ``oracle_snr_after`` is the image's ``signal_energy`` over
-    var(output - clean).  When ``out_dir`` is given the filtered planes are
-    quantized back to the input bit depth and written as
-    ``<id>.filtered.pgm`` next to report.csv.
+    Each image is one item of :func:`parallel.map_on_cores` on every core the
+    process may use (``taskset -c 0`` runs them serially, on the calling
+    thread); rows come in truth.csv order and are the same for every core
+    count.  An item reads its noisy plane, filters it, and only then reads its
+    clean plane: one plane, output - clean, gives ``mse_vs_clean``,
+    ``psnr_db`` and ``oracle_snr_after``, the image's ``signal_energy`` over
+    var(output - clean).  ``oracle_snr_before`` is truth.csv's ``true_snr``.
+    When ``out_dir`` is given the filtered planes are quantized back to the
+    input bit depth and written as ``<id>.filtered.pgm`` next to report.csv.
+    A failing image ends the pass: no image that has not started by then starts.
     """
     root = Path(corpus_dir)
     truth = read_truth_csv(root / "truth.csv")
@@ -395,31 +400,34 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for truth_row in truth:
+
+    def one_image(truth_row) -> dict:
         image_id = truth_row["image_id"]
-        noisy, clean = load_plane(root, image_id, "noisy"), load_plane(root, image_id, "clean")
-        report = apply_filter(noisy, spec, reference=clean)
-        # the clean and work planes are freed before quantize makes its plane (peak RSS)
+        noisy = load_plane(root, image_id, "noisy")
+        report = apply_filter(noisy, spec)
+        clean = load_plane(root, image_id, "clean")
+        if clean.data.shape != noisy.data.shape:
+            raise DataError(f"corpus image {image_id}: its clean and noisy planes differ in size")
         work = report.output.data - clean.data
         del clean
+        err = float(np.mean(work**2))  # denoise.mse(output, clean), bit for bit
         noise = variance(work, work)
-        del work
+        del work  # freed before quantize makes its plane (peak RSS)
         if out is not None:
             stored, _ = quantize(report.output, noisy.bit_depth)
             save_pgm(stored, out / f"{image_id}.filtered.pgm")
-        rows.append(
-            {
-                "image_id": image_id,
-                "filter": label,
-                "mse_vs_clean": report.mse_vs_reference,
-                "psnr_db": report.psnr_db,
-                "estimated_noise_variance": report.estimated_noise_variance,
-                "oracle_snr_before": truth_row["true_snr"],
-                "oracle_snr_after": (math.inf if noise == 0.0
-                                     else truth_row["signal_energy"] / noise),
-            }
-        )
+        return {
+            "image_id": image_id,
+            "filter": label,
+            "mse_vs_clean": err,
+            "psnr_db": psnr_db(err, report.output.maxval),
+            "estimated_noise_variance": report.estimated_noise_variance,
+            "oracle_snr_before": truth_row["true_snr"],
+            "oracle_snr_after": (math.inf if noise == 0.0
+                                 else truth_row["signal_energy"] / noise),
+        }
+
+    rows = parallel.map_on_cores(one_image, truth, None)
     if out is not None:
         write_csv(out / "report.csv", DENOISE_FIELDS, rows)
     return rows

@@ -21,7 +21,6 @@ import numpy as np
 from .correlation import lag_table
 from .errors import DomainError, EstimatorError
 from .estimators import acldr_covariance_peak
-from .parallel import on_cores
 from .raster import Raster, raster_from_array
 
 # parameter -> (int-valued?, rule, test of the rule); every value must also be finite,
@@ -179,13 +178,14 @@ def _gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-# output rows per partition pass of _median; each core holds one such stack,
-# and 8-row strips run as fast as 16-row ones
+# output rows per partition pass of _median; 8-row strips run as fast as 16-row ones
 _MEDIAN_STRIP = 8
 # output rows per pass of gaussian_blur and wiener_local: their work buffers
 # stay in cache, and their size does not grow with the image height
 _TILE_ROWS = 32
-_BILATERAL_ROWS = 64  # per tile of _bilateral: on two cores, fewer lock-holding calls than 32
+# output rows per tile of _bilateral: with a thread per core, fewer
+# interpreter-lock-holding calls than 32
+_BILATERAL_ROWS = 64
 
 
 def _bands(x: np.ndarray, radius: int):
@@ -229,43 +229,37 @@ def _median(x: np.ndarray, window: int) -> np.ndarray:
     # each pixel's window**2 neighbours at that rank gives np.median's value
     # exactly.  The neighbours are copied to the last, contiguous axis of a
     # strip of _MEDIAN_STRIP rows, so the stack stays small and the partition
-    # runs on unit-stride rows.  The strips run in row blocks on every core
-    # (on_cores); each pixel's copy and partition are the same on any core count.
+    # runs on unit-stride rows.
     padded = _pad(x, window // 2, window // 2)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
     h, w = x.shape
     middle = window * window // 2
     out = np.empty((h, w))
-
-    def run(lo: int, hi: int, stack: np.ndarray) -> None:
-        for top in range(lo, hi, _MEDIAN_STRIP):
-            rows = min(_MEDIAN_STRIP, hi - top)
-            np.copyto(stack[:rows], windows[top : top + rows])
-            strip = stack[:rows].reshape(rows, w, window * window)
-            strip.partition(middle, axis=2)
-            out[top : top + rows] = strip[:, :, middle]
-
-    on_cores(_MEDIAN_STRIP, h, (min(_MEDIAN_STRIP, h), w, window, window), run)
+    stack = np.empty((min(_MEDIAN_STRIP, h), w, window, window))
+    for top in range(0, h, _MEDIAN_STRIP):
+        rows = min(_MEDIAN_STRIP, h - top)
+        np.copyto(stack[:rows], windows[top : top + rows])
+        strip = stack[:rows].reshape(rows, w, window * window)
+        strip.partition(middle, axis=2)
+        out[top : top + rows] = strip[:, :, middle]
     return out
 
 
 def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
     # _BILATERAL_ROWS output rows at a time, so the four work planes stay in cache
-    # across all (2 radius + 1)**2 offsets instead of streaming whole planes;
-    # the tiles run in row blocks on every core (on_cores).  Per pixel the
-    # operations and their order are those of the whole-plane loop, on any
-    # core count: d**2 / (-2 sigma_r**2) equals -(d**2) / (2 sigma_r**2) bit for bit.
+    # across all (2 radius + 1)**2 offsets instead of streaming whole planes.
+    # Per pixel the operations and their order are those of the whole-plane
+    # loop: d**2 / (-2 sigma_r**2) equals -(d**2) / (2 sigma_r**2) bit for bit.
     padded = _pad(x, radius, radius)
     h, w = x.shape
     range_scale = -(2.0 * sigma_r * sigma_r)
     out = np.empty((h, w))
-
+    work = np.empty((4, min(_BILATERAL_ROWS, h), w))
     # a tiny sigma_r overflows the range exponent to -inf, whose exp 0 is the
-    # right weight; errstate is per thread, so it is set in each worker
-    @np.errstate(over="ignore")
-    def run(lo: int, hi: int, work: np.ndarray) -> None:
-        for top in range(lo, hi, _BILATERAL_ROWS):
-            rows = min(_BILATERAL_ROWS, hi - top)
+    # right weight; errstate is per thread, so it holds on whichever thread runs this
+    with np.errstate(over="ignore"):
+        for top in range(0, h, _BILATERAL_ROWS):
+            rows = min(_BILATERAL_ROWS, h - top)
             acc, norm, weight, term = work[:, :rows]
             centre = x[top : top + rows]
             acc.fill(0.0)
@@ -284,8 +278,6 @@ def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np
                     acc += term
                     norm += weight
             np.divide(acc, norm, out=out[top : top + rows])
-
-    on_cores(_BILATERAL_ROWS, h, (4, min(_BILATERAL_ROWS, h), w), run)
     return out
 
 

@@ -131,15 +131,21 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
         k = recipe.yield_inflation
         if k == 1.0:
             counts = rng.poisson(mean_se)
+            del mean_se
         else:
-            # negative binomial with mean m and variance k*m (only where m > 0)
-            counts = np.zeros_like(mean_se)
+            # negative binomial with mean m and variance k*m (only where m > 0);
+            # each plane is dropped once the next is made from it
             hot = mean_se > 0.0
             m = mean_se[hot]
+            del mean_se
             r = m / (k - 1.0)
-            counts[hot] = rng.negative_binomial(r, r / (r + m))
-            del hot, m, r
-        del mean_se
+            p = np.add(r, m)
+            del m
+            draws = rng.negative_binomial(r, np.divide(r, p, out=p))
+            del r, p
+            counts = np.zeros(dose.shape)
+            counts[hot] = draws
+            del hot, draws
     elif model == "binomial-bse":
         counts = rng.binomial(rng.poisson(dose), recipe.bse_yield)
     elif model == "additive-gaussian":

@@ -2,7 +2,8 @@
 
 ``cores()`` is that count (``taskset`` limits it); a ``jobs`` of None means
 it, and an explicit ``jobs`` (``--jobs``) overrides it.  Threads start only
-in :func:`map_on_cores`, whose results do not depend on their number.
+in :func:`map_on_cores`, whose results do not depend on their number.  Its
+items are whole images or seeds; the code an item runs is single-threaded.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -44,16 +43,3 @@ def map_on_cores(fn: Callable, items, jobs: int | None) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(threads) as pool:
         return list(pool.map(fn, items))
-
-
-def on_cores(step: int, h: int, shape: tuple[int, ...], run: Callable) -> None:
-    """Call run(lo, hi, buf) on contiguous blocks of whole step-row tiles that
-    cover rows 0..h, one block per core the process may use (never more than
-    tiles), one block per item of :func:`map_on_cores`.  Each block has its
-    own np.empty(shape), made here on the calling thread before any worker
-    starts: a worker that allocates grows a malloc arena of its own."""
-    tiles = -(-h // step)
-    parts = min(cores(), tiles)
-    edges = [min(h, i * tiles // parts * step) for i in range(parts + 1)]
-    blocks = [(lo, hi, np.empty(shape)) for lo, hi in zip(edges[:-1], edges[1:])]
-    map_on_cores(lambda block: run(*block), blocks, parts)

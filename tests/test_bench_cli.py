@@ -23,6 +23,7 @@ from semsnr.corpus import (
     SceneSpec,
     generate_corpus,
     load_corpus,
+    load_plane,
     read_csv,
     read_truth_csv,
     reference_corpus_spec,
@@ -975,6 +976,104 @@ def test_denoise_cli_identity_spec(small_corpus, tmp_path):
         noisy = (corpus_dir / f"{row['image_id']}.noisy.pgm").read_bytes()
         filt = (out / f"{row['image_id']}.filtered.pgm").read_bytes()
         assert noisy == filt
+
+
+# one spec per filter kind that fits SMALL_CONFIG's 64 x 64 planes
+DENOISE_SPECS = ("gaussian:sigma=1.0", "median:window=3", "bilateral:sigma_s=1,sigma_r=2000",
+                 "wiener_global:noise_var=1000", "wiener_local:window=5,noise_var=1000",
+                 "ar_wiener:ar_order=2,window=5")
+
+
+@pytest.mark.parametrize("text", DENOISE_SPECS)
+def test_denoise_is_the_same_for_every_core_count(small_corpus, tmp_path, monkeypatch, text):
+    import semsnr.parallel as parallel
+    from semsnr.bench import run_denoise
+    from semsnr.denoise import apply_filter
+
+    _, corpus_dir = small_corpus
+    spec = parse_filter_spec(text)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the workers switch often, so a shared buffer would show
+    try:
+        runs = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(parallel, "cores", lambda: cores)
+            out = tmp_path / f"cores{cores}"
+            rows = run_denoise(corpus_dir, spec, out_dir=out)
+            runs[cores] = rows, {path.name: path.read_bytes() for path in out.iterdir()}
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+    rows, files = runs[1]
+    truth = read_truth_csv(corpus_dir / "truth.csv")
+    assert [row["image_id"] for row in rows] == [row["image_id"] for row in truth]
+    assert len(files) == len(truth) + 1  # each filtered plane and report.csv
+    for row in rows:  # the one difference plane gives denoise.mse and _report's PSNR
+        noisy, clean = (load_plane(corpus_dir, row["image_id"], k) for k in ("noisy", "clean"))
+        report = apply_filter(noisy, spec, reference=clean)
+        assert row["mse_vs_clean"] == report.mse_vs_reference
+        assert row["psnr_db"] == report.psnr_db
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_denoise_names_a_missing_clean_plane(small_corpus, tmp_path, monkeypatch, capsys, cores):
+    import semsnr.parallel as parallel
+    from semsnr.bench import run_denoise
+
+    _, corpus_dir = small_corpus
+    assert len(read_truth_csv(corpus_dir / "truth.csv")) == 4
+    missing = corpus_dir / "img0002.clean.pgm"
+    missing.unlink()
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
+    with pytest.raises(DataError, match="img0002 is missing its clean plane") as info:
+        run_denoise(corpus_dir, parse_filter_spec("gaussian:sigma=1.0"), out_dir=tmp_path / "lib")
+    assert str(missing) in str(info.value)
+    out = tmp_path / "cli"
+    capsys.readouterr()
+    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--filter", "gaussian:sigma=1.0"]) == 3
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "cli.partial").exists()
+
+
+def test_denoise_clean_plane_of_another_size_is_data_error(small_corpus, tmp_path, capsys):
+    _, corpus_dir = small_corpus
+    save_pgm(raster_from_array(np.zeros((32, 32)), 16), corpus_dir / "img0001.clean.pgm")
+    out = tmp_path / "den"
+    capsys.readouterr()
+    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--filter", "median:window=3"]) == 3
+    assert "img0001: its clean and noisy planes differ in size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_memory_follows_cores_not_images(tmp_path, monkeypatch):
+    import tracemalloc
+
+    import semsnr.parallel as parallel
+    from semsnr.bench import run_denoise
+
+    spec = parse_filter_spec("median:window=5")
+
+    def peak(images, cores):
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
+        corpus_dir = tmp_path / f"corpus{images}"
+        if not corpus_dir.exists():
+            generate_corpus(CorpusSpec(scene=SceneSpec(width=128, height=128),
+                                       snr_targets=(2.0,), seeds_per_level=images), corpus_dir)
+        tracemalloc.start()
+        try:
+            run_denoise(corpus_dir, spec, tmp_path / f"out{images}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1, 1)  # fills lazily built state
+    # each thread holds one image's planes: eight images on two cores peak at
+    # about two images' worth (2.04 x one), eight on eight cores at 3.5-6.4 x
+    one, eight = peak(1, 1), peak(8, 2)
+    assert eight <= 2.25 * one, eight / one
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -7,6 +8,8 @@ import pytest
 
 from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS
 from semsnr import denoise, parallel
+from semsnr.bench import run_denoise
+from semsnr.corpus import CorpusSpec, SceneSpec, generate_corpus
 from semsnr.correlation import lag_table
 from semsnr.denoise import (
     DenoiseReport,
@@ -241,24 +244,15 @@ def _median_window_view(x, window):
                      axis=(2, 3))
 
 
-# core counts the row-block tests patch in: one block, two, three, and more
-# cores than the 12x33 and 20x33 planes have tiles
-SPLITS = (1, 2, 3, 8)
-
-
 # at 8 rows a strip, "one_strip" (12 x 33) is one whole strip and a 4-row remainder
 @pytest.mark.parametrize("window", [3, 5, 7])
 @pytest.mark.parametrize("shape", [(130, 97), (12, 33)], ids=["strips_and_remainder", "one_strip"])
-def test_median_matches_window_view_formula(window, shape, rng, monkeypatch):
+def test_median_matches_window_view_formula(window, shape, rng):
     floats = rng.uniform(0.0, 1000.0, size=shape)
     ties = rng.integers(0, 6, size=shape).astype(np.float64)  # many equal neighbours
     for arr in (floats, ties):
-        spec = parse_filter_spec(f"median:window={window}")
-        expected = _median_window_view(arr, window)
-        for cores in SPLITS:
-            monkeypatch.setattr(parallel, "cores", lambda: cores)
-            out = spatial_filter(raster_from_array(arr), spec).data
-            assert np.array_equal(out, expected), cores
+        out = spatial_filter(raster_from_array(arr), parse_filter_spec(f"median:window={window}"))
+        assert np.array_equal(out.data, _median_window_view(arr, window))
 
 
 def _bilateral_whole_plane(x, sigma_s, sigma_r, radius):
@@ -282,54 +276,38 @@ def _bilateral_whole_plane(x, sigma_s, sigma_r, radius):
 @pytest.mark.parametrize("shape", [(130, 97), (20, 33), (64, 64), (128, 40)],
                          ids=["tiles_and_remainder", "one_short_tile", "two_tiles",
                               "two_whole_tiles"])
-def test_bilateral_matches_whole_plane_loop(radius, shape, rng, monkeypatch):
+def test_bilateral_matches_whole_plane_loop(radius, shape, rng):
     floats = rng.uniform(0.0, 1000.0, size=shape)
     ties = rng.integers(0, 6, size=shape).astype(np.float64)  # many equal neighbours
     for arr, sigma_r in ((floats, 300.0), (ties, 2.0)):
         spec = parse_filter_spec(f"bilateral:sigma_s=1.5,sigma_r={sigma_r},radius={radius}")
-        expected = _bilateral_whole_plane(arr, 1.5, sigma_r, radius)
-        for cores in SPLITS:
-            monkeypatch.setattr(parallel, "cores", lambda: cores)
-            out = spatial_filter(raster_from_array(arr), spec).data
-            assert np.array_equal(out, expected), cores
+        out = spatial_filter(raster_from_array(arr), spec)
+        assert np.array_equal(out.data, _bilateral_whole_plane(arr, 1.5, sigma_r, radius))
 
 
-def test_tiny_sigma_r_does_not_warn_on_worker_threads(monkeypatch):
-    # np.errstate is per thread: a worker that did not set its own would warn
-    data = np.random.default_rng(3).integers(0, 65536, size=(130, 16)).astype(np.float64)
+def test_tiny_sigma_r_does_not_warn_on_worker_threads(tmp_path, monkeypatch):
+    # np.errstate is per thread: a filter run on a worker must set its own;
+    # at two cores run_denoise filters each of the two images on a worker
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
+    spec = CorpusSpec(scene=SceneSpec(width=16, height=130), snr_targets=(2.0,),
+                      seeds_per_level=2)
+    generate_corpus(spec, corpus_dir)
+    ran_on, real = [], denoise._bilateral
+
+    def bilateral(*args):
+        ran_on.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(denoise, "_bilateral", bilateral)
     monkeypatch.setattr(parallel, "cores", lambda: 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = denoise._bilateral(data, 1.0, 1e-155, 1)
-    np.testing.assert_allclose(out, data, rtol=1e-14)
-
-
-@pytest.mark.parametrize("h", [1, 31, 32, 33, 130])
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_on_cores_covers_the_rows_once_in_whole_tiles(h, cores, monkeypatch):
-    monkeypatch.setattr(parallel, "cores", lambda: cores)
-    calls = []
-    parallel.on_cores(32, h, (2, 3), lambda lo, hi, buf: calls.append((lo, hi, buf)))
-    blocks = sorted((lo, hi) for lo, hi, _ in calls)
-    assert len(blocks) == min(cores, -(-h // 32))
-    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-    assert blocks[-1][1] == h
-    assert all(lo % 32 == 0 and hi > lo and (hi % 32 == 0 or hi == h) for lo, hi in blocks)
-    buffers = [buf for _, _, buf in calls]
-    assert all(buf.shape == (2, 3) for buf in buffers)
-    assert len({id(buf) for buf in buffers}) == len(buffers)  # one buffer per block
-
-
-@pytest.mark.parametrize("cores", [2, 3])
-def test_on_cores_raises_an_error_from_a_worker(cores, monkeypatch):
-    monkeypatch.setattr(parallel, "cores", lambda: cores)
-
-    def run(lo, hi, buf):
-        if lo > 0:
-            raise ZeroDivisionError(f"block at row {lo}")
-
-    with pytest.raises(ZeroDivisionError, match="block at row 32"):
-        parallel.on_cores(32, 96, (1,), run)
+        run_denoise(corpus_dir, parse_filter_spec("bilateral:sigma_s=1,sigma_r=1e-155,radius=1"),
+                    out)
+    assert len(ran_on) == 2 and threading.main_thread() not in ran_on
+    for image_id in ("img0000", "img0001"):  # each pixel keeps only its own value
+        assert ((out / f"{image_id}.filtered.pgm").read_bytes()
+                == (corpus_dir / f"{image_id}.noisy.pgm").read_bytes())
 
 
 def _convolve_separable_whole_plane(x, kernel):
@@ -406,14 +384,13 @@ def test_band_filters_keep_few_planes(kind, limit, rng):
     assert peak < limit * arr.nbytes, peak / arr.nbytes
 
 
-@pytest.mark.parametrize("kind, limit", [("bilateral", 4.5), ("median", 4.0)])
-def test_row_block_filters_keep_one_tile_buffer_per_core(kind, limit, rng, monkeypatch):
-    # on 256 x 256 and two cores: the output plane, the padded plane and two
-    # tile buffers make 1 + 1.06 + 2 x 1.0 = 4.06 planes for the bilateral
-    # (radius 4, 4 x 64-row buffers) and 1 + 1.03 + 2 x 0.78 = 3.59 for the
-    # median (window 5, 8-row stacks of 25 neighbours); np.pad's and the
-    # ufuncs' scratch add the rest, but not a third tile buffer
-    monkeypatch.setattr(parallel, "cores", lambda: 2)
+@pytest.mark.parametrize("kind, limit", [("bilateral", 3.5), ("median", 3.1)])
+def test_tile_filters_keep_one_tile_buffer(kind, limit, rng):
+    # on 256 x 256: the output plane, the padded plane and one tile buffer
+    # make 1 + 1.06 + 1.0 = 3.06 planes for the bilateral (radius 4, 4 x 64-row
+    # buffers; 3.20 measured) and 1 + 1.03 + 0.78 = 2.81 for the median
+    # (window 5, an 8-row stack of 25 neighbours; 2.82 measured); np.pad's and
+    # the ufuncs' scratch add the rest, but not a second tile buffer
     arr = rng.uniform(0.0, 1000.0, size=(256, 256))
     run = {"bilateral": lambda: denoise._bilateral(arr, 2.0, 300.0, 4),
            "median": lambda: denoise._median(arr, 5)}[kind]

@@ -97,12 +97,16 @@ def test_noise_is_zero_mean(model, kw):
     ("poisson-se", {}),
     ("binomial-bse", {}),
     ("none", {}),
+    ("poisson-se", {"yield_inflation": 1.5}),
 ])
 def test_simulate_holds_four_planes_with_its_dose_map(model, kw):
     # clean is rounded in its work plane and a float counts plane in place:
-    # dose map, clean, noisy and one deviation plane (it was 4.1 for every model)
+    # dose map, clean, noisy and one deviation plane (it was 4.1 for every model);
+    # the inflated poisson-se draw also holds its hot mask and per-pixel
+    # parameters (6.13 planes, 9.13 before they were freed as they were used)
     recipe = NoiseRecipe(dose_map=np.random.default_rng(5).uniform(2e3, 4e3, (256, 256)),
                          emission_model=model, dc_offset=100.0, **kw)
+    limit = 6.5 if "yield_inflation" in kw else 4.25
     simulate(recipe)
     tracemalloc.start()
     try:
@@ -111,7 +115,7 @@ def test_simulate_holds_four_planes_with_its_dose_map(model, kw):
     finally:
         tracemalloc.stop()
     plane = recipe.dose_map.nbytes
-    assert peak + plane <= 4.25 * plane, (peak + plane) / plane
+    assert peak + plane <= limit * plane, (peak + plane) / plane
 
 
 def test_oracle_energies_consistent():
