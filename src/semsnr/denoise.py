@@ -188,13 +188,17 @@ _TILE_ROWS = 32
 _BILATERAL_ROWS = 64
 
 
+def _tiles(step: int, h: int) -> list[tuple[int, int]]:
+    """(top, rows) of each tile of ``step`` output rows, in order, covering rows 0..h once."""
+    return [(top, min(step, h - top)) for top in range(0, h, step)]
+
+
 def _bands(x: np.ndarray, radius: int):
     """Yield (top, rows, source) per band of _TILE_ROWS output rows; source is
     made band by band: the rows + 2 radius rows of _pad(x, radius, radius) it reads."""
     h = x.shape[0]
     source_row = np.pad(np.arange(h), radius, mode="symmetric")  # padded row -> row of x
-    for top in range(0, h, _TILE_ROWS):
-        rows = min(_TILE_ROWS, h - top)
+    for top, rows in _tiles(_TILE_ROWS, h):
         yield top, rows, _pad(x.take(source_row[top : top + rows + 2 * radius], axis=0),
                               0, radius)
 
@@ -236,8 +240,7 @@ def _median(x: np.ndarray, window: int) -> np.ndarray:
     middle = window * window // 2
     out = np.empty((h, w))
     stack = np.empty((min(_MEDIAN_STRIP, h), w, window, window))
-    for top in range(0, h, _MEDIAN_STRIP):
-        rows = min(_MEDIAN_STRIP, h - top)
+    for top, rows in _tiles(_MEDIAN_STRIP, h):
         np.copyto(stack[:rows], windows[top : top + rows])
         strip = stack[:rows].reshape(rows, w, window * window)
         strip.partition(middle, axis=2)
@@ -258,8 +261,7 @@ def _bilateral(x: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np
     # a tiny sigma_r overflows the range exponent to -inf, whose exp 0 is the
     # right weight; errstate is per thread, so it holds on whichever thread runs this
     with np.errstate(over="ignore"):
-        for top in range(0, h, _BILATERAL_ROWS):
-            rows = min(_BILATERAL_ROWS, h - top)
+        for top, rows in _tiles(_BILATERAL_ROWS, h):
             acc, norm, weight, term = work[:, :rows]
             centre = x[top : top + rows]
             acc.fill(0.0)

@@ -791,11 +791,14 @@ def test_sweep_memory_follows_cores_not_seeds(monkeypatch):
 
     import semsnr.parallel as parallel
 
-    monkeypatch.setattr(parallel, "cores", lambda: 2)
+    # the unit is one seed's peak on one core: serially, eight seeds hold one
+    # seed's planes at a time, and on two cores two.  A two-seed run on two
+    # cores is no unit: its peak depends on how its two workers' peaks overlap
     spec = CorpusSpec(scene=SceneSpec(kind="ar_field", width=128, height=128),
                       model="poisson-se", base_seed=7)
 
-    def peak(seeds):
+    def peak(cores, seeds):
+        monkeypatch.setattr(parallel, "cores", lambda: cores)
         tracemalloc.start()
         try:
             run_sweep("dose", [25.0, 100.0, 400.0], spec, ALL_METHODS, seeds=seeds)
@@ -803,9 +806,11 @@ def test_sweep_memory_follows_cores_not_seeds(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    peak(2)  # fills lazily built state
-    two, eight = peak(2), peak(8)
-    assert eight <= 1.25 * two, eight / two
+    peak(2, 2)  # fills lazily built state
+    one = peak(1, 1)
+    serial, two_cores = peak(1, 8), peak(2, 8)
+    assert serial <= 1.25 * one, serial / one
+    assert two_cores <= 2.25 * one, two_cores / one
 
 
 @pytest.mark.parametrize("values", [[100.0, 100.0], [25.0, 100.0, 100.0], [400.0, 100.0]])

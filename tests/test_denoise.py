@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS
-from semsnr import denoise, parallel
+from semsnr import bench, denoise, parallel
 from semsnr.bench import run_denoise
 from semsnr.corpus import CorpusSpec, SceneSpec, generate_corpus
 from semsnr.correlation import lag_table
@@ -308,6 +308,58 @@ def test_tiny_sigma_r_does_not_warn_on_worker_threads(tmp_path, monkeypatch):
     for image_id in ("img0000", "img0001"):  # each pixel keeps only its own value
         assert ((out / f"{image_id}.filtered.pgm").read_bytes()
                 == (corpus_dir / f"{image_id}.noisy.pgm").read_bytes())
+
+
+@pytest.mark.parametrize("h", [1, 31, 32, 33, 130])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_on_cores_covers_the_rows_once_in_whole_tiles(h, cores, monkeypatch):
+    # run_denoise filters each image on a core of its own; there each tile
+    # filter makes one pass over whole 32-row tiles, covering every row once
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
+    for name in ("_MEDIAN_STRIP", "_BILATERAL_ROWS", "_TILE_ROWS"):
+        monkeypatch.setattr(denoise, name, 32)
+    calls, tiles = [], denoise._tiles
+
+    def record(step, n):
+        calls.append((step, n, tiles(step, n)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(denoise, "_tiles", record)
+    arr = np.random.default_rng(h).uniform(0.0, 1000.0, size=(h, 7))
+    runs = {"median": (lambda: denoise._median(arr, 3), lambda: _median_window_view(arr, 3)),
+            "bilateral": (lambda: denoise._bilateral(arr, 1.5, 300.0, 1),
+                          lambda: _bilateral_whole_plane(arr, 1.5, 300.0, 1)),
+            "gaussian": (lambda: gaussian_blur(arr, 0.3),
+                         lambda: _convolve_separable_whole_plane(arr, _gaussian_kernel(0.3, 1)))}
+    outs = parallel.map_on_cores(lambda run: run[0](), list(runs.values()), None)
+    for kind, out, (_, whole_plane) in zip(runs, outs, runs.values()):
+        assert np.array_equal(out, whole_plane()), kind
+    assert len(calls) == len(runs)
+    for step, n, blocks in calls:
+        assert (step, n) == (32, h)
+        assert [top for top, _ in blocks] == list(range(0, h, 32))
+        assert all(rows == 32 for _, rows in blocks[:-1]) and 0 < blocks[-1][1] <= 32
+        assert sum(rows for _, rows in blocks) == h
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_on_cores_raises_an_error_from_a_worker(cores, tmp_path, monkeypatch):
+    # images run on worker threads; the first failing one in truth.csv order
+    # ends the pass with its own error
+    corpus_dir = tmp_path / "corpus"
+    generate_corpus(CorpusSpec(scene=SceneSpec(width=16, height=16), snr_targets=(2.0,),
+                               seeds_per_level=4), corpus_dir)
+    monkeypatch.setattr(parallel, "cores", lambda: cores)
+    real = bench.load_plane
+
+    def load_plane(root, image_id, kind):
+        if image_id != "img0000":
+            raise ZeroDivisionError(f"image {image_id} on {threading.current_thread().name}")
+        return real(root, image_id, kind)
+
+    monkeypatch.setattr(bench, "load_plane", load_plane)
+    with pytest.raises(ZeroDivisionError, match="image img0001 on ThreadPoolExecutor"):
+        run_denoise(corpus_dir, parse_filter_spec("median:window=3"), tmp_path / "out")
 
 
 def _convolve_separable_whole_plane(x, kernel):
