@@ -379,8 +379,8 @@ def _point_rows(parameter, value, seed, point, contrast, single, est_cfg) -> lis
 # --- denoising runs -------------------------------------------------------------
 
 
-def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
-    """Filter every noisy corpus image and report MSE, PSNR and oracle SNR against the clean pair.
+def run_denoise(corpus_dir, spec: FilterSpec, out_dir) -> list[dict]:
+    """Filter every noisy corpus image and score it against its clean plane.
 
     Each image is one item of :func:`parallel.map_on_cores` on every core the
     process may use (``taskset -c 0`` runs them serially, on the calling
@@ -389,17 +389,16 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
     clean plane: one plane, output - clean, gives ``mse_vs_clean``,
     ``psnr_db`` and ``oracle_snr_after``, the image's ``signal_energy`` over
     var(output - clean).  ``oracle_snr_before`` is truth.csv's ``true_snr``.
-    When ``out_dir`` is given the filtered planes are quantized back to the
-    input bit depth and written as ``<id>.filtered.pgm`` next to report.csv.
+    This is the one place a filtered plane is scored: the filters only return it.
+    The filtered planes are quantized back to the input bit depth and written
+    to ``out_dir`` as ``<id>.filtered.pgm``, and the rows as report.csv.
     A failing image ends the pass: no image that has not started by then starts.
     """
     root = Path(corpus_dir)
     truth = read_truth_csv(root / "truth.csv")
     label = filter_spec_to_string(spec)
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def one_image(truth_row) -> dict:
         image_id = truth_row["image_id"]
@@ -413,9 +412,8 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
         err = float(np.mean(work**2))  # denoise.mse(output, clean), bit for bit
         noise = variance(work, work)
         del work  # freed before quantize makes its plane (peak RSS)
-        if out is not None:
-            stored, _ = quantize(report.output, noisy.bit_depth)
-            save_pgm(stored, out / f"{image_id}.filtered.pgm")
+        stored, _ = quantize(report.output, noisy.bit_depth)
+        save_pgm(stored, out / f"{image_id}.filtered.pgm")
         return {
             "image_id": image_id,
             "filter": label,
@@ -428,6 +426,5 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir=None) -> list[dict]:
         }
 
     rows = parallel.map_on_cores(one_image, truth, None)
-    if out is not None:
-        write_csv(out / "report.csv", DENOISE_FIELDS, rows)
+    write_csv(out / "report.csv", DENOISE_FIELDS, rows)
     return rows

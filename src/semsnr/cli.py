@@ -161,9 +161,9 @@ def _cmd_denoise(args) -> int:
         raise ConfigError(f"bad --filter value: {exc}") from exc
     with _staged_out(args.out) as out:
         rows = run_denoise(args.corpus, spec, out_dir=out)
-    mses = [r["mse_vs_clean"] for r in rows if r["mse_vs_clean"] is not None]
-    if mses:
-        print(f"filtered {len(rows)} image(s); mean MSE vs clean = {sum(mses) / len(mses):.4g}")
+    if rows:
+        mean = sum(r["mse_vs_clean"] for r in rows) / len(rows)
+        print(f"filtered {len(rows)} image(s); mean MSE vs clean = {mean:.4g}")
     return EXIT_OK
 
 

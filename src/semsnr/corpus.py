@@ -209,6 +209,8 @@ class CorpusSpec:
             raise ConfigError("a corpus needs at least one snr target and one seed per level")
         if not (0.0 < self.dose_min <= self.dose_max):
             raise ConfigError("doses must satisfy 0 < dose_min <= dose_max")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         try:  # quantize's bit depths and NoiseRecipe's model, yield, gain and offset rules
             quantize(np.zeros((2, 2)), self.bit_depth)
             self.recipe(np.ones((1, 1)))

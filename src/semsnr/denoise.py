@@ -55,7 +55,7 @@ class _Kind:
     required: tuple[str, ...]
     defaults: dict = field(default_factory=dict)  # optional parameter -> default(params)
     plane: Callable | None = None  # spatial kinds: (plane, params) -> filtered plane
-    run: Callable | None = None  # the others: (image, spec, reference) -> DenoiseReport
+    run: Callable | None = None  # the others: (image, spec) -> DenoiseReport
 
 
 # kind -> parameters and implementation.  The implementations are named inside
@@ -66,12 +66,11 @@ FILTERS = {
     "median": _Kind(("window",), plane=lambda x, p: _median(x, p["window"])),
     "bilateral": _Kind(("sigma_s", "sigma_r"), {"radius": lambda p: math.ceil(2.0 * p["sigma_s"])},
                        plane=lambda x, p: _bilateral(x, p["sigma_s"], p["sigma_r"], p["radius"])),
-    "wiener_global": _Kind(("noise_var",), run=lambda img, spec, ref: wiener_global(
-        img, spec.params["noise_var"], ref)),
-    "wiener_local": _Kind(("window", "noise_var"), run=lambda img, spec, ref: wiener_local(
-        img, spec.params["window"], spec.params["noise_var"], ref)),
-    "ar_wiener": _Kind(("ar_order", "window"),
-                       run=lambda img, spec, ref: ar_wiener(img, spec, ref)),
+    "wiener_global": _Kind(("noise_var",), run=lambda img, spec: wiener_global(
+        img, spec.params["noise_var"])),
+    "wiener_local": _Kind(("window", "noise_var"), run=lambda img, spec: wiener_local(
+        img, spec.params["window"], spec.params["noise_var"])),
+    "ar_wiener": _Kind(("ar_order", "window"), run=lambda img, spec: ar_wiener(img, spec)),
 }
 
 
@@ -137,11 +136,11 @@ def filter_spec_to_string(spec: FilterSpec) -> str:
 
 @dataclass(frozen=True)
 class DenoiseReport:
-    """A filtered image plus quality metrics against an optional reference."""
+    """A filtered image, and the noise variance that drove it where the filter
+    estimates one (``ar_wiener``).  Filters do not score their output:
+    ``bench.run_denoise`` scores it against the clean plane."""
 
     output: Raster
-    mse_vs_reference: float | None = None
-    psnr_db: float | None = None
     estimated_noise_variance: float | None = None
 
 
@@ -157,13 +156,6 @@ def psnr_db(mse_value: float, maxval: int) -> float:
     if mse_value == 0.0:
         return math.inf
     return 20.0 * math.log10(maxval) - 10.0 * math.log10(mse_value)
-
-
-def _report(output: Raster, reference: Raster | None) -> DenoiseReport:
-    if reference is None:
-        return DenoiseReport(output)
-    err = mse(output, reference)
-    return DenoiseReport(output, err, psnr_db(err, output.maxval))
 
 
 def _pad(x: np.ndarray, ry: int, rx: int) -> np.ndarray:
@@ -324,19 +316,17 @@ def wiener_transfer(img: Raster, noise_var: float) -> np.ndarray:
     return _transfer(np.fft.rfft2(img.data), img.data.size, noise_var)
 
 
-def wiener_global(img: Raster, noise_var: float,
-                  reference: Raster | None = None) -> DenoiseReport:
+def wiener_global(img: Raster, noise_var: float) -> DenoiseReport:
     """Frequency-domain Wiener restoration with spectral subtraction."""
     spectrum = np.fft.rfft2(img.data)
     spectrum *= _transfer(spectrum, img.data.size, noise_var)
     out = np.fft.irfft2(spectrum, s=img.data.shape)
     del spectrum
     np.maximum(out, 0.0, out=out)
-    return _report(raster_from_array(out, img.bit_depth), reference)
+    return DenoiseReport(raster_from_array(out, img.bit_depth))
 
 
-def wiener_local(img: Raster, window: int, noise_variance: float,
-                 reference: Raster | None = None) -> DenoiseReport:
+def wiener_local(img: Raster, window: int, noise_variance: float) -> DenoiseReport:
     """Pixelwise minimum mean square error shrinkage toward the local mean (Lee 1980).
 
     The window mean and mean square come from flat separable convolutions of
@@ -350,7 +340,7 @@ def wiener_local(img: Raster, window: int, noise_variance: float,
         raise DomainError("window larger than image")
     x = img.data
     if noise_variance == 0.0:
-        return _report(raster_from_array(x.copy(), img.bit_depth), reference)
+        return DenoiseReport(raster_from_array(x.copy(), img.bit_depth))
     mean = x.mean()
     flat = np.full(window, 1.0 / window)
     radius = window // 2
@@ -362,7 +352,7 @@ def wiener_local(img: Raster, window: int, noise_variance: float,
         gain = np.maximum(v - noise_variance, 0.0) / np.maximum(v, noise_variance)
         centre = c[radius : radius + rows, radius : radius + img.width]
         np.maximum(mean + m + gain * (centre - m), 0.0, out=out[top : top + rows])
-    return _report(raster_from_array(out, img.bit_depth), reference)
+    return DenoiseReport(raster_from_array(out, img.bit_depth))
 
 
 def estimate_noise_variance_ar(img: Raster, ar_order: int) -> float:
@@ -389,18 +379,18 @@ def estimate_noise_variance_ar(img: Raster, ar_order: int) -> float:
     return float(min(max(c0 - cov_peak, 0.0), c0))
 
 
-def ar_wiener(img: Raster, spec: FilterSpec, reference: Raster | None = None) -> DenoiseReport:
+def ar_wiener(img: Raster, spec: FilterSpec) -> DenoiseReport:
     """Local Wiener filtering driven by the blind AR noise-variance estimate."""
     if spec.kind != "ar_wiener":
         raise DomainError("ar_wiener needs an ar_wiener filter spec")
     est = estimate_noise_variance_ar(img, spec.params["ar_order"])
-    return replace(wiener_local(img, spec.params["window"], est, reference),
-                   estimated_noise_variance=est)
+    return replace(wiener_local(img, spec.params["window"], est), estimated_noise_variance=est)
 
 
-def apply_filter(img: Raster, spec: FilterSpec, reference: Raster | None = None) -> DenoiseReport:
-    """Run a filter spec's implementation and report quality metrics."""
+def apply_filter(img: Raster, spec: FilterSpec) -> DenoiseReport:
+    """Run a filter spec's implementation on ``img`` and return its output;
+    ``bench.run_denoise`` scores it against the clean plane."""
     kind = FILTERS[spec.kind]
     if kind.plane is None:
-        return kind.run(img, spec, reference)
-    return _report(spatial_filter(img, spec), reference)
+        return kind.run(img, spec)
+    return DenoiseReport(spatial_filter(img, spec))

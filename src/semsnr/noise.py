@@ -83,6 +83,8 @@ class NoiseRecipe:
             raise DomainError("detector_gain must be positive")
         if self.dc_offset < 0.0:
             raise DomainError("dc_offset must be nonnegative")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,8 @@ def test_recipe_regenerates_exactly(small_corpus):
     (b"seed = ", b"seed = 1\nseed = ", "recipe line 9: key 'seed' is given twice"),
     (b"dose_pgm = ", b"dose_constant = 50.0\ndose_pgm = ",
      "recipe line 12: unknown key 'dose_constant'"),
-], ids=["bad_value", "not_ascii", "repeated_key", "dose_constant"])
+    (b"seed = ", b"seed = -", "seed must be >= 0, got -"),
+], ids=["bad_value", "not_ascii", "repeated_key", "dose_constant", "negative_seed"])
 def test_corrupt_recipe_is_data_error(small_corpus, reader, old, new, message):
     _, corpus_dir = small_corpus
     path = corpus_dir / "img0000.recipe.txt"
@@ -180,7 +181,7 @@ def test_unknown_emission_model_is_named(tmp_path):
 @pytest.mark.parametrize("line", [
     "detector_gain = 0", "dose_min = -5", "bit_depth = 12", "se_yield = 2",
     "yield_inflation = 3", "dc_offset = -3", "seeds_per_level = 0", "dose_max = 1",
-    "snr_targets =",
+    "snr_targets =", "base_seed = -1",
 ])
 def test_bad_corpus_value_is_config_error(tmp_path, capsys, command, line):
     key = line.split()[0]
@@ -993,7 +994,7 @@ DENOISE_SPECS = ("gaussian:sigma=1.0", "median:window=3", "bilateral:sigma_s=1,s
 def test_denoise_is_the_same_for_every_core_count(small_corpus, tmp_path, monkeypatch, text):
     import semsnr.parallel as parallel
     from semsnr.bench import run_denoise
-    from semsnr.denoise import apply_filter
+    from semsnr.denoise import apply_filter, mse, psnr_db
 
     _, corpus_dir = small_corpus
     spec = parse_filter_spec(text)
@@ -1013,11 +1014,11 @@ def test_denoise_is_the_same_for_every_core_count(small_corpus, tmp_path, monkey
     truth = read_truth_csv(corpus_dir / "truth.csv")
     assert [row["image_id"] for row in rows] == [row["image_id"] for row in truth]
     assert len(files) == len(truth) + 1  # each filtered plane and report.csv
-    for row in rows:  # the one difference plane gives denoise.mse and _report's PSNR
+    for row in rows:  # the one difference plane gives denoise.mse and its PSNR
         noisy, clean = (load_plane(corpus_dir, row["image_id"], k) for k in ("noisy", "clean"))
-        report = apply_filter(noisy, spec, reference=clean)
-        assert row["mse_vs_clean"] == report.mse_vs_reference
-        assert row["psnr_db"] == report.psnr_db
+        output = apply_filter(noisy, spec).output
+        assert row["mse_vs_clean"] == mse(output, clean)
+        assert row["psnr_db"] == psnr_db(row["mse_vs_clean"], output.maxval)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -1051,6 +1052,23 @@ def test_denoise_clean_plane_of_another_size_is_data_error(small_corpus, tmp_pat
                  "--filter", "median:window=3"]) == 3
     assert "img0001: its clean and noisy planes differ in size" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_denoise_of_a_corpus_without_images_writes_only_the_header(tmp_path, capsys):
+    from semsnr.bench import DENOISE_FIELDS
+    from semsnr.corpus import CSV_MAGIC, TRUTH_FIELDS, write_csv
+
+    corpus_dir = tmp_path / "empty"
+    corpus_dir.mkdir()
+    write_csv(corpus_dir / "truth.csv", TRUTH_FIELDS, [])
+    out = tmp_path / "den"
+    capsys.readouterr()
+    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--filter", "median:window=3"]) == 0
+    assert capsys.readouterr().out == ""  # no mean MSE of no rows
+    assert [path.name for path in out.iterdir()] == ["report.csv"]
+    header = ",".join(DENOISE_FIELDS)
+    assert (out / "report.csv").read_text() == f"{CSV_MAGIC}\n{header}\n"
 
 
 def test_denoise_memory_follows_cores_not_images(tmp_path, monkeypatch):
@@ -1097,10 +1115,10 @@ def oracle_snr_ends(oracle_corpus, tmp_path):
     return corpus_dir, entries
 
 
-def _report_at(corpus_dir, text, entry, out=None) -> dict:
+def _report_at(corpus_dir, text, entry) -> dict:
     from semsnr.bench import run_denoise
 
-    rows = run_denoise(corpus_dir, parse_filter_spec(text), out_dir=out)
+    rows = run_denoise(corpus_dir, parse_filter_spec(text), out_dir=corpus_dir.parent / "out")
     return next(row for row in rows if row["image_id"] == entry["image_id"])
 
 
