@@ -41,21 +41,15 @@ from .noise import (
     ELECTRON_CHARGE,
     GroundTruth,
     NoiseRecipe,
-    partition_noise_power,
-    shot_noise_power,
     simulate,
-    total_se_yield,
 )
 from .raster import ImageStats, Raster, load_pgm, quantize, raster_from_array, save_pgm, stats
 from .yield_snr import (
     BeamParams,
-    YieldMeasurement,
-    calibrate_idc,
     dose_per_pixel,
     snr_detected,
     snr_from_image,
     snr_yield,
-    yields_from_currents,
 )
 
 __version__ = "0.1.0"

@@ -40,9 +40,9 @@ from .estimators import (
     estimate_all,
     smart_region_oracle,
 )
-from .noise import field_types, simulate
+from .noise import ELECTRON_CHARGE, field_types, simulate
 from .raster import quantize, save_pgm, variance
-from .yield_snr import BeamParams, dose_per_pixel
+from .yield_snr import BeamParams, dose_per_pixel, snr_from_image, snr_yield
 
 RESULTS_FIELDS = (
     "image_id",
@@ -271,6 +271,7 @@ def _json_safe(obj):
 
 SWEEP_PARAMETERS = ("dose", "dwell", "contrast")
 SWEEP_BEAM_CURRENT = 1e-10  # amperes; a dwell sweep's seconds -> electrons per pixel
+MOMENT_CHANNELS = {"poisson-pe": "PE", "poisson-se": "SE", "binomial-bse": "BSE"}
 
 
 def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
@@ -281,9 +282,12 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     analog: SNR of a counting acquisition grows like sqrt(dose)).  ``dwell``
     maps dwell seconds to dose through ``SWEEP_BEAM_CURRENT``.  ``contrast``
     scales all intensities of one fixed acquisition, which leaves
-    autocorrelation based estimates unchanged.  Counting models add a
-    ``moment`` row per point: mean over standard deviation of a flat field at
-    the mid dose under the same recipe.
+    autocorrelation based estimates unchanged.  The counting models of
+    ``MOMENT_CHANNELS`` add a ``moment`` row first in each point: its
+    estimate is the amplitude SNR (mean - dc_offset) / sd of a flat field at
+    the mid dose under the same recipe (:func:`snr_from_image`), and its
+    reference is the emission law :func:`snr_yield` of the model's channel at
+    that dose, not the scene's power oracle that every method row carries.
 
     Seed ``i``'s scene (stream ``i`` of the base seed) is synthesized once and
     shared by all of its points; a contrast sweep also acquires it once and
@@ -325,55 +329,75 @@ def _seed_rows(parameter, values, spec, basis, seed, single, est_cfg) -> list[li
     ``dose`` and ``dwell`` acquire it once per value under the scaled spec;
     ``contrast`` acquires it once and estimates a rescaled copy per value.
     """
+    k = spec.yield_inflation
     mid = 0.5 * (spec.dose_min + spec.dose_max)
     if parameter == "contrast":
-        point = _acquire_point(spec, basis, seed, mid)
+        beam = BeamParams(i_pe=mid * ELECTRON_CHARGE, dwell=1.0, b_enhancement=k)
+        point = _acquire_point(spec, basis, seed, mid, beam)
         return [_point_rows(parameter, value, seed, point, value, single, est_cfg)
                 for value in values]
     rows = []
     for value in values:
-        dose_mid = value if parameter == "dose" else dose_per_pixel(
-            BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value))
+        if parameter == "dose":
+            # acquired at the value itself: value * e / e can miss it by one ulp
+            dose_mid = value
+            beam = BeamParams(i_pe=value * ELECTRON_CHARGE, dwell=1.0, b_enhancement=k)
+        else:
+            beam = BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value, b_enhancement=k)
+            dose_mid = dose_per_pixel(beam)
         # scale the whole dose range so the configured contrast ratio is kept
         scale = dose_mid / mid
         local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
         # no name holds the acquisition, so it is freed before the next one is made
         rows.append(_point_rows(parameter, value, seed,
-                                _acquire_point(local, basis, seed, dose_mid),
+                                _acquire_point(local, basis, seed, dose_mid, beam),
                                 None, single, est_cfg))
     return rows
 
 
-def _acquire_point(spec, basis, seed, dose_mid):
-    """Acquire ``basis`` with noise seed ``seed + 1``: (ground truth, moment SNR or None).
+def _acquire_point(spec, basis, seed, dose_mid, beam):
+    """Acquire ``basis`` with noise seed ``seed + 1``: (ground truth, moment pair or None).
 
-    The moment SNR (counting models only) is (mean - dc_offset) / sd of a
-    64x64 flat field at ``dose_mid`` under the acquisition's recipe.
+    The moment pair (models of ``MOMENT_CHANNELS`` only) is the amplitude SNR
+    of a 64x64 flat field at ``dose_mid`` under the acquisition's recipe and
+    :func:`snr_yield` of ``beam`` for the model's channel; either is None
+    where its formula has no value (a flat field with sd 0 or mean at most
+    dc_offset, a zero backscatter yield).
     """
     (recipe, _, _), gt = acquire(spec, basis, seed + 1, spec.snr_targets[0])
-    if spec.model == "additive-gaussian":
+    channel = MOMENT_CHANNELS.get(spec.model)
+    if channel is None:
         return gt, None
     flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
-    sd = float(flat.std())
-    return gt, ((float(flat.mean()) - spec.dc_offset) / sd if sd > 0 else math.inf)
+    return gt, (_defined(snr_from_image, float(flat.mean()), spec.dc_offset, float(flat.std())),
+                _defined(snr_yield, beam, spec.se_yield, spec.bse_yield, channel))
+
+
+def _defined(formula, *args):
+    """``formula(*args)``, or None where it raises a DomainError."""
+    try:
+        return formula(*args)
+    except DomainError:
+        return None
 
 
 def _point_rows(parameter, value, seed, point, contrast, single, est_cfg) -> list[dict]:
     """One point's rows: the moment row (counting models), then one per method.
 
     ``point`` is an :func:`_acquire_point` pair; a ``contrast`` factor rescales
-    its noisy plane before estimation.
+    its noisy plane before estimation.  Method rows carry the oracle SNR of
+    the acquisition as their reference.
     """
     gt, moment = point
     noisy = gt.noisy if contrast is None else gt.noisy.scaled(contrast)
-    estimates = {} if moment is None else {"moment": moment}
+    cells = [] if moment is None else [("moment", *moment)]
     results = estimate_all(noisy, est_cfg, methods=single)
     for method in single:
         est = results[method]
-        estimates[method] = est.snr_linear if est.status == "ok" else None
+        cells.append((method, est.snr_linear if est.status == "ok" else None, gt.true_snr))
     return [{"parameter": parameter, "value": value, "seed": seed, "method": method,
-             "estimate": estimate, "reference": gt.true_snr}
-            for method, estimate in estimates.items()]
+             "estimate": estimate, "reference": reference}
+            for method, estimate, reference in cells]
 
 
 # --- denoising runs -------------------------------------------------------------

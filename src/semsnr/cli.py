@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     den.add_argument("--corpus", required=True)
     den.add_argument("--out", required=True)
     den.add_argument("--filter", required=True, dest="filter_spec",
-                     help="filter spec, e.g. wiener_local:window=7,noise_var=25.0")
+                     help="filter spec, e.g. ar_wiener:ar_order=1,window=7")
 
     rep = sub.add_parser("report", help="summarize an existing results.csv")
     rep.add_argument("--results", required=True, help="results.csv from 'estimate'")

@@ -34,10 +34,6 @@ class SingularFitError(SemSnrError):
     """A least-squares fit has a singular normal matrix."""
 
 
-class InconsistentCurrentsError(DomainError):
-    """Specimen current measurements violate the current balance."""
-
-
 class EstimatorError(SemSnrError):
     """Base class for typed estimator failure modes."""
 

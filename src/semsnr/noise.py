@@ -184,33 +184,6 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     )
 
 
-def shot_noise_power(i_pe: float, delta_f: float) -> float:
-    """Mean-square shot noise current 2 e I df for a beam current and bandwidth."""
-    if i_pe <= 0.0:
-        raise DomainError("beam current must be positive")
-    if delta_f <= 0.0:
-        raise DomainError("bandwidth must be positive")
-    return 2.0 * ELECTRON_CHARGE * i_pe * delta_f
-
-
-def partition_noise_power(gamma: float, se_noise_power: float) -> float:
-    """Noise in the transmitted group of a grid with transmission gamma."""
-    if not (0.0 <= gamma <= 1.0):
-        raise DomainError("transmission must be in [0, 1]")
-    if se_noise_power < 0.0:
-        raise DomainError("noise power must be nonnegative")
-    return gamma**2 * se_noise_power + gamma * (1.0 - gamma) * se_noise_power
-
-
-def total_se_yield(delta_se1: float, zeta: float) -> float:
-    """Total SE yield from the direct yield plus the backscatter-generated share."""
-    if delta_se1 < 0.0:
-        raise DomainError("delta_se1 must be nonnegative")
-    if not (0.0 <= zeta <= 1.0):
-        raise DomainError("zeta must be in [0, 1]")
-    return delta_se1 * (1.0 + zeta)
-
-
 # --- flat key/value recipe serialization ------------------------------------
 
 

@@ -594,23 +594,32 @@ def test_sweep_dose_scaling_law(tmp_path, capsys):
         assert medians[0] < medians[1] < medians[2], method
 
 
-@pytest.mark.parametrize("inflation", [1.0, 2.0])
-def test_sweep_moment_rows_follow_the_se_yield_law(inflation):
+# poisson-se cases are named by their yield_inflation k
+@pytest.mark.parametrize("model,inflation", [
+    ("poisson-pe", 1.0), ("poisson-se", 1.0), ("poisson-se", 1.5), ("poisson-se", 2.0),
+    ("binomial-bse", 1.0),
+], ids=["poisson-pe", "1.0", "1.5", "2.0", "binomial-bse"])
+def test_sweep_moment_rows_follow_the_se_yield_law(model, inflation):
     from conftest import BENCH_CONFIG
     from semsnr.bench import run_sweep
     from semsnr.noise import ELECTRON_CHARGE
     from semsnr.yield_snr import BeamParams, snr_yield
 
     spec = CorpusSpec(scene=SceneSpec(kind="ar_field", width=64, height=64, corr_length=6.0),
-                      model="poisson-se", se_yield=0.16, yield_inflation=inflation,
+                      model=model, se_yield=0.16, bse_yield=0.30, yield_inflation=inflation,
                       dose_min=50.0, dose_max=400.0, dc_offset=200.0, base_seed=5)
-    rows = run_sweep("dose", [400.0, 1600.0], spec, ("nn",), BENCH_CONFIG, seeds=3)
-    for dose in (400.0, 1600.0):
-        moments = [r["estimate"] for r in rows if r["method"] == "moment" and r["value"] == dose]
+    channel = {"poisson-pe": "PE", "poisson-se": "SE", "binomial-bse": "BSE"}[model]
+    doses = [25.0, 225.0, 800.0]
+    rows = run_sweep("dose", doses, spec, ("nn",), BENCH_CONFIG, seeds=3)
+    for dose in doses:
+        moments = [r for r in rows if r["method"] == "moment" and r["value"] == dose]
         beam = BeamParams(i_pe=dose * ELECTRON_CHARGE, dwell=1.0, b_enhancement=inflation)
-        law = snr_yield(beam, delta=0.16, channel="SE")  # sqrt(dose / (1 + k / delta))
+        # PE sqrt(dose), SE sqrt(dose / (1 + k / delta)), BSE sqrt(dose * eta)
+        law = snr_yield(beam, delta=0.16, eta=0.30, channel=channel)
         assert len(moments) == 3
-        assert np.median(moments) == pytest.approx(law, rel=0.05), dose
+        for row in moments:
+            assert row["reference"] == law, dose
+            assert row["estimate"] == pytest.approx(law, rel=0.05), (dose, row["seed"])
 
 
 def test_sweep_contrast_invariance(tmp_path):
@@ -650,6 +659,8 @@ def test_tiny_dose_sweep_keeps_the_configured_dose_ratio(monkeypatch):
     rows = run_sweep("dose", values, SWEEP_SPEC, ("nn",), seeds=1)
     assert [(r["value"], r["method"]) for r in rows] == [
         (value, method) for value in values for method in ("moment", "nn")]
+    # at 1e-9 the flat field holds no electron: sd 0 has no moment SNR
+    assert rows[0]["estimate"] is None
     assert len(seen) == len(values)
     for value, local in zip(values, seen):
         assert 0.5 * (local.dose_min + local.dose_max) == pytest.approx(value, rel=1e-12)
@@ -682,24 +693,28 @@ def _sweep_point_from_scratch(parameter, value, spec, seed, methods) -> list[dic
 
     from semsnr.bench import SWEEP_BEAM_CURRENT
     from semsnr.corpus import acquire, scene_basis
-    from semsnr.noise import simulate
-    from semsnr.yield_snr import BeamParams, dose_per_pixel
+    from semsnr.noise import ELECTRON_CHARGE, simulate
+    from semsnr.yield_snr import BeamParams, dose_per_pixel, snr_yield
 
     mid = 0.5 * (spec.dose_min + spec.dose_max)
-    dose_mid = {"dose": value, "contrast": mid}.get(parameter) or dose_per_pixel(
-        BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value))
+    dose_mid = {"dose": value, "contrast": mid}.get(parameter)
+    beam = (BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value) if dose_mid is None
+            else BeamParams(i_pe=dose_mid * ELECTRON_CHARGE, dwell=1.0))
+    dose_mid = dose_mid or dose_per_pixel(beam)
     scale = dose_mid / mid
     local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
     (recipe, _, _), gt = acquire(local, scene_basis(local, seed), seed + 1, 1.0)
     flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
-    estimates = {"moment": (float(flat.mean()) - local.dc_offset) / float(flat.std())}
+    # spec is poisson-pe: the moment row's reference is the PE emission law sqrt(dose)
+    cells = [("moment", (float(flat.mean()) - local.dc_offset) / float(flat.std()),
+              snr_yield(beam, channel="PE"))]
     noisy = gt.noisy.scaled(value) if parameter == "contrast" else gt.noisy
     results = estimate_all(noisy, DEFAULT_CONFIG, methods=methods)
-    estimates |= {m: results[m].snr_linear if results[m].status == "ok" else None
-                  for m in methods}
+    cells += [(m, results[m].snr_linear if results[m].status == "ok" else None, gt.true_snr)
+              for m in methods]
     return [{"parameter": parameter, "value": value, "seed": seed, "method": method,
-             "estimate": estimate, "reference": gt.true_snr}
-            for method, estimate in estimates.items()]
+             "estimate": estimate, "reference": reference}
+            for method, estimate, reference in cells]
 
 
 @pytest.mark.parametrize("parameter", ["dose", "dwell", "contrast"])
@@ -949,6 +964,19 @@ def test_readme_bench_cfg_is_the_reference_corpus(tmp_path):
     config = tmp_path / "bench.cfg"
     config.write_text(re.findall(r"```ini\n(.*?)```", readme, re.S)[1])
     assert corpus_spec_from_config(load_config(config)) == reference_corpus_spec()
+
+
+def test_readme_denoise_example_raises_the_oracle_snr(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    line = re.search(r"^semsnr denoise .*$", readme, re.M).group(0).split()
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "filtered"
+    generate_corpus(reference_corpus_spec(seeds_per_level=1), corpus_dir)
+    paths = {"corpus/": str(corpus_dir), "filtered/": str(out)}
+    assert main([paths.get(arg, arg) for arg in line[1:]]) == 0
+    rows = read_csv(out / "report.csv")
+    assert len(rows) == 6
+    for row in rows:
+        assert float(row["oracle_snr_after"]) > float(row["oracle_snr_before"]), row
 
 
 def test_estimation_reads_no_clean_plane(small_corpus, tmp_path, capsys):

@@ -61,8 +61,9 @@ def test_huge_int_float_parameter_is_domain_error():
 
 
 @pytest.mark.parametrize("text,label", [
-    # the benchmark's denoise specs and the README example
+    # the benchmark's denoise specs, the README example and an explicit-variance local Wiener
     ("ar_wiener:ar_order=2,window=7", "ar_wiener:ar_order=2,window=7"),
+    ("ar_wiener:ar_order=1,window=7", "ar_wiener:ar_order=1,window=7"),
     ("wiener_global:noise_var=1000000", "wiener_global:noise_var=1000000"),
     ("median:window=5", "median:window=5"),
     ("bilateral:sigma_s=2,sigma_r=2000", "bilateral:radius=4,sigma_r=2000,sigma_s=2"),

@@ -8,14 +8,10 @@ import pytest
 
 from semsnr.errors import DomainError
 from semsnr.noise import (
-    ELECTRON_CHARGE,
     NoiseRecipe,
-    partition_noise_power,
     recipe_from_text,
     recipe_to_text,
-    shot_noise_power,
     simulate,
-    total_se_yield,
 )
 from semsnr.raster import raster_from_array
 
@@ -143,30 +139,6 @@ def test_dose_map_rejects_nonfinite_and_nonpositive_with_its_message(bad):
     dose[3, 0] = bad
     with pytest.raises(DomainError, match="^dose_map must be finite and positive everywhere$"):
         NoiseRecipe(dose_map=dose)
-
-
-def test_shot_noise_power_examples():
-    assert shot_noise_power(1e-9, 1e6) == pytest.approx(3.204353268e-22, rel=1e-9)
-    assert shot_noise_power(1e-9, 2e6) == pytest.approx(2 * shot_noise_power(1e-9, 1e6))
-    with pytest.raises(DomainError):
-        shot_noise_power(0.0, 1e6)
-    assert shot_noise_power(1.0, 1.0) == pytest.approx(2 * ELECTRON_CHARGE)
-
-
-def test_partition_noise_power_examples():
-    assert partition_noise_power(1.0, 3.7) == pytest.approx(3.7)
-    assert partition_noise_power(0.0, 3.7) == 0.0
-    assert partition_noise_power(0.5, 4.0) == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        partition_noise_power(1.2, 1.0)
-
-
-def test_total_se_yield_examples():
-    assert total_se_yield(0.1, 0.0) == pytest.approx(0.1)
-    assert total_se_yield(0.1, 0.3) == pytest.approx(0.13)
-    assert total_se_yield(0.0, 0.5) == 0.0
-    with pytest.raises(DomainError):
-        total_se_yield(-0.1, 0.3)
 
 
 # every NoiseRecipe field but the dose map, each away from its default

@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from semsnr.errors import DomainError, InconsistentCurrentsError, SingularFitError
+from semsnr.errors import DomainError
 from semsnr.yield_snr import (
     BeamParams,
-    YieldMeasurement,
-    calibrate_idc,
-    currents_from_yields,
     dose_per_pixel,
     snr_detected,
     snr_from_image,
     snr_yield,
-    yields_from_currents,
 )
 from semsnr.noise import ELECTRON_CHARGE
 
@@ -24,29 +20,6 @@ SILICON_ROWS = [
     (0.14, 371e-12, 42, 20, 12.3, 45.0, 1.72, 19),
     (0.09, 495e-12, 40, 19, 11.8, 41.0, 1.35, 22),
 ]
-
-
-def test_yields_from_currents_example():
-    delta, eta = yields_from_currents(YieldMeasurement(100e-12, 70e-12, 54e-12))
-    assert delta == pytest.approx(0.16)
-    assert eta == pytest.approx(0.30)
-
-
-def test_yields_edge_and_error_cases():
-    delta, eta = yields_from_currents(YieldMeasurement(1e-10, 1e-10, 1e-10))
-    assert delta == 0.0 and eta == 0.0
-    with pytest.raises(InconsistentCurrentsError):
-        yields_from_currents(YieldMeasurement(1e-10, 1.2e-10, 0.5e-10))
-    with pytest.raises(InconsistentCurrentsError):
-        yields_from_currents(YieldMeasurement(1e-10, 0.4e-10, 0.6e-10))
-
-
-def test_current_balance_round_trip():
-    for delta, eta in ((0.16, 0.30), (0.05, 0.0), (0.4, 0.55)):
-        m = currents_from_yields(2.5e-10, delta, eta)
-        d2, e2 = yields_from_currents(m)
-        assert d2 == pytest.approx(delta, rel=1e-12)
-        assert e2 == pytest.approx(eta, rel=1e-12)
 
 
 def test_dose_per_pixel():
@@ -102,45 +75,9 @@ def test_published_silicon_table_consistency():
         assert round(snr_from_image(i_mean, i_dc, sigma)) == image_side
 
 
-def test_calibrate_idc_perfect_line():
-    currents = np.linspace(1e-10, 9e-10, 6)
-    samples = [(i, 12.3 + 3.1e10 * i) for i in currents]
-    fit = calibrate_idc(samples)
-    assert fit.i_dc == pytest.approx(12.3, rel=1e-9)
-    assert fit.slope == pytest.approx(3.1e10, rel=1e-9)
-    assert np.allclose(fit.residuals, 0.0, atol=1e-9)
-
-
-def test_calibrate_idc_two_points():
-    fit = calibrate_idc([(1.0, 2.0), (2.0, 4.0)])
-    assert fit.i_dc == pytest.approx(0.0, abs=1e-12)
-    assert fit.slope == pytest.approx(2.0)
-
-
-def test_calibrate_idc_noisy_recovery(rng):
-    true_idc, slope = 12.3, 2.0e10
-    hits = 0
-    for trial in range(20):
-        currents = np.linspace(1e-10, 1e-9, 10)
-        noise = rng.normal(0.0, 0.4, size=currents.size)
-        fit = calibrate_idc(list(zip(currents, true_idc + slope * currents + noise)))
-        if abs(fit.i_dc - true_idc) <= 3.0 * fit.intercept_stderr:
-            hits += 1
-    assert hits >= 18  # 3-sigma coverage with a little slack
-
-
-def test_calibrate_idc_guards():
-    with pytest.raises(SingularFitError):
-        calibrate_idc([(1.0, 2.0), (1.0, 3.0)])
-    with pytest.raises(DomainError):
-        calibrate_idc([(1.0, 2.0)])
-
-
 def test_se_yield_snr_matches_simulation():
     # cross-module consistency: the analytic secondary-electron SNR with k=1
     # agrees with the compound-Poisson simulator's measured moments
-    import numpy as np
-
     from semsnr.noise import NoiseRecipe, simulate
 
     dose = 100.0
