@@ -40,7 +40,7 @@ from .estimators import (
     estimate_all,
     smart_region_oracle,
 )
-from .noise import ELECTRON_CHARGE, field_types, simulate
+from .noise import ELECTRON_CHARGE, field_types, oracle_snr, simulate
 from .raster import quantize, save_pgm, variance
 from .yield_snr import BeamParams, dose_per_pixel, snr_from_image, snr_yield
 
@@ -445,8 +445,7 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir) -> list[dict]:
             "psnr_db": psnr_db(err, report.output.maxval),
             "estimated_noise_variance": report.estimated_noise_variance,
             "oracle_snr_before": truth_row["true_snr"],
-            "oracle_snr_after": (math.inf if noise == 0.0
-                                 else truth_row["signal_energy"] / noise),
+            "oracle_snr_after": oracle_snr(truth_row["signal_energy"], noise),
         }
 
     rows = parallel.map_on_cores(one_image, truth, None)

@@ -29,6 +29,7 @@ from .errors import ConfigError, DataError, DomainError
 from .noise import (
     GroundTruth,
     NoiseRecipe,
+    count_yield,
     recipe_from_text,
     recipe_to_text,
     rng_for,
@@ -187,7 +188,9 @@ class CorpusSpec:
     signal/noise variance ratio per image; the exact realized oracle is
     recorded in truth.csv.  Counting models instead scale the scene into
     [dose_min, dose_max] electrons per pixel.  A spec that would build no
-    image, or no valid acquisition, is a ConfigError.
+    image, or no valid acquisition, is a ConfigError, and so is one whose
+    clean intensity ``dose_max * count_yield * detector_gain + dc_offset``
+    would clamp at the bit depth's maximum (no plane is drawn to tell).
     """
 
     scene: SceneSpec = field(default_factory=SceneSpec)
@@ -213,9 +216,15 @@ class CorpusSpec:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         try:  # quantize's bit depths and NoiseRecipe's model, yield, gain and offset rules
             quantize(np.zeros((2, 2)), self.bit_depth)
-            self.recipe(np.ones((1, 1)))
+            recipe = self.recipe(np.ones((1, 1)))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
+        # the clean plane's top intensity, as simulate builds it; quantize rounds half away from 0
+        top = self.dose_max * count_yield(recipe) * self.detector_gain + self.dc_offset
+        maxval = 2**self.bit_depth - 1
+        if top >= maxval + 0.5:
+            raise ConfigError(f"the clean intensity at dose_max is {top!r}, which would clamp at "
+                              f"the {self.bit_depth}-bit maximum {maxval}")
 
     def image_count(self) -> int:
         return len(self.snr_targets) * self.seeds_per_level

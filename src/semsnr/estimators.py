@@ -43,6 +43,7 @@ from .errors import (
     NonStationaryError,
     SingularFitError,
 )
+from .noise import oracle_snr
 from .raster import Raster, variance
 
 EPSILON_POLICIES = ("half_gap", "zero")
@@ -408,8 +409,7 @@ def smart_region_oracle(noisy: Raster, clean: Raster, roi_size: int) -> float:
     clean_roi = _centered_roi(clean.data, roi_size)
     work = _centered_roi(noisy.data, roi_size) - clean_roi
     noise = variance(work, work)
-    signal = variance(clean_roi, work)
-    return math.inf if noise == 0.0 else signal / noise
+    return oracle_snr(variance(clean_roi, work), noise)
 
 
 def estimate_smart(img: Raster, second: Raster | None = None,

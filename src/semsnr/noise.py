@@ -87,15 +87,23 @@ class NoiseRecipe:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
+def oracle_snr(signal_energy: float, noise_energy: float) -> float:
+    """The oracle SNR: signal energy over noise energy, ``inf`` when the noise energy is 0."""
+    return math.inf if noise_energy == 0.0 else signal_energy / noise_energy
+
+
 @dataclass(frozen=True)
 class GroundTruth:
-    """A realized (clean, noisy) pair and its exact oracle SNR."""
+    """A realized (clean, noisy) pair, its two energies and their :func:`oracle_snr`."""
 
     clean: Raster
     noisy: Raster
-    true_snr: float
     signal_energy: float
     noise_energy: float
+
+    @property
+    def true_snr(self) -> float:
+        return oracle_snr(self.signal_energy, self.noise_energy)
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -103,7 +111,7 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
 
 
-def _count_yield(recipe: NoiseRecipe) -> float:
+def count_yield(recipe: NoiseRecipe) -> float:
     """Mean counts per primary electron: the expected count plane is this times the dose."""
     if recipe.emission_model == "poisson-se":
         return recipe.se_yield
@@ -157,7 +165,7 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
         raise DomainError(f"unknown emission model {model!r}")
 
     gain, offset = recipe.detector_gain, recipe.dc_offset
-    work = dose * _count_yield(recipe)
+    work = dose * count_yield(recipe)
     work *= gain
     work += offset
     clean, _ = quantize_in_place(work, recipe.bit_depth)
@@ -174,14 +182,8 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     signal_energy = variance(clean.data, work)
     np.subtract(noisy.data, clean.data, out=work)
     noise_energy = variance(work, work)
-    true_snr = math.inf if noise_energy == 0.0 else signal_energy / noise_energy
-    return GroundTruth(
-        clean=clean,
-        noisy=noisy,
-        true_snr=true_snr,
-        signal_energy=signal_energy,
-        noise_energy=noise_energy,
-    )
+    return GroundTruth(clean=clean, noisy=noisy, signal_energy=signal_energy,
+                       noise_energy=noise_energy)
 
 
 # --- flat key/value recipe serialization ------------------------------------

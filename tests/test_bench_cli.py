@@ -199,6 +199,35 @@ def test_bad_corpus_value_is_config_error(tmp_path, capsys, command, line):
     assert not (tmp_path / "out.partial").exists()
 
 
+def test_default_doses_in_8_bits_are_config_error(tmp_path, capsys):
+    # 400 e-/px at gain 1 plus the default dc_offset of 200 is 600, past 255
+    config = tmp_path / "8bit.cfg"
+    config.write_text("[corpus]\nscene = ar_field\nwidth = 64\nheight = 64\nbit_depth = 8\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: the clean intensity at dose_max is 600.0, "
+                                       "which would clamp at the 8-bit maximum 255\n")
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
+def test_sweep_value_that_would_clamp_is_config_error(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(POISSON_CONFIG.replace("scene = spectral", "scene = ar_field"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", "dose",
+                 "--range", "100,100000", "--methods", "nn", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the clean intensity at dose_max is ")
+    assert err.endswith("which would clamp at the 16-bit maximum 65535\n")
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", "dose",
+                 "--range", "100,30000", "--methods", "nn", "--seeds", "1"]) == 0
+
+
 REFERENCE_CONFIG = """\
 [corpus]
 scene = spectral

@@ -200,6 +200,26 @@ def test_generate_jobs_below_one_is_config_error(tmp_path, jobs):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model,detector", [
+    ("additive-gaussian", {}),
+    ("none", {}),
+    ("poisson-pe", {}),
+    ("poisson-se", {"se_yield": 0.5, "detector_gain": 2.0}),
+    ("binomial-bse", {"bse_yield": 0.25, "detector_gain": 4.0}),
+])
+def test_spec_whose_clean_top_would_clamp_is_config_error(model, detector):
+    # dose_max * count yield * gain is 50 for every model; the 8-bit maximum is 255,
+    # and quantize rounds a top below 255.5 to it
+    at_max = _small_spec("ramp", model, dose_min=10.0, dose_max=50.0, dc_offset=205.0,
+                         bit_depth=8, **detector)
+    replace(at_max, dc_offset=205.4999)
+    with pytest.raises(ConfigError, match=r"^the clean intensity at dose_max is 255\.5, .*"
+                                          r"the 8-bit maximum 255$"):
+        replace(at_max, dc_offset=205.5)
+    with pytest.raises(ConfigError, match=r"is 65536\.0, .* 16-bit maximum 65535$"):
+        replace(at_max, bit_depth=16, dc_offset=65486.0)
+
+
 def test_failing_image_stops_the_generate_pass(tmp_path, monkeypatch):
     spec = replace(_small_spec("ramp", "poisson-pe"), seeds_per_level=6)  # 12 images
     started = []
