@@ -249,22 +249,10 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
                             "method": row["method"],
                             "status": row["status"],
                             **row["_scoring"],
-                            "diagnostics": _json_safe(row["_diagnostics"]),
+                            "diagnostics": row["_diagnostics"],
                         }
                     ) + "\n")
     return rows, summary
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
 
 
 # --- sweeps --------------------------------------------------------------------

@@ -30,10 +30,12 @@ from .noise import (
     GroundTruth,
     NoiseRecipe,
     count_yield,
+    dose_map,
     recipe_from_text,
     recipe_to_text,
     rng_for,
     simulate,
+    text_value,
 )
 from .parallel import job_count, map_on_cores
 from .raster import Raster, load_pgm, quantize, quantize_in_place, save_pgm, variance
@@ -214,17 +216,16 @@ class CorpusSpec:
             raise ConfigError("doses must satisfy 0 < dose_min <= dose_max")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
-        try:  # quantize's bit depths and NoiseRecipe's model, yield, gain and offset rules
-            quantize(np.zeros((2, 2)), self.bit_depth)
+        try:  # NoiseRecipe's model, yield, gain and offset rules and quantize's bit depths
             recipe = self.recipe(np.ones((1, 1)))
+            # the clean plane's top intensity as simulate builds it, stored by quantize's rule
+            top = self.dose_max * count_yield(recipe) * self.detector_gain + self.dc_offset
+            stored, clamped = quantize(np.full((2, 2), top), self.bit_depth)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        # the clean plane's top intensity, as simulate builds it; quantize rounds half away from 0
-        top = self.dose_max * count_yield(recipe) * self.detector_gain + self.dc_offset
-        maxval = 2**self.bit_depth - 1
-        if top >= maxval + 0.5:
+        if clamped:
             raise ConfigError(f"the clean intensity at dose_max is {top!r}, which would clamp at "
-                              f"the {self.bit_depth}-bit maximum {maxval}")
+                              f"the {self.bit_depth}-bit maximum {stored.maxval}")
 
     def image_count(self) -> int:
         return len(self.snr_targets) * self.seeds_per_level
@@ -245,22 +246,14 @@ class CorpusImage:
     truth: dict
 
 
-def csv_value(value) -> str:
-    """The one cell rule: None is empty, floats (numpy scalars too) round-trip exactly."""
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path, fieldnames, rows) -> None:
-    """Write ``rows`` under the version line and a header; other keys are ignored."""
+    """Write ``rows`` under the version line and a header, each cell by
+    :func:`noise.text_value`; other keys are ignored."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(CSV_MAGIC + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
-        writer.writerows([csv_value(row.get(k)) for k in fieldnames] for row in rows)
+        writer.writerows([text_value(row.get(k)) for k in fieldnames] for row in rows)
 
 
 def read_csv(path) -> list[dict]:
@@ -317,8 +310,7 @@ def acquisition_recipe(spec: CorpusSpec, basis: Raster, seed: int, target: float
         intensity += spec.dc_offset
         sigma_intensity = math.sqrt(variance(intensity, intensity) / target)
         sigma = sigma_intensity / spec.detector_gain  # recipe sigma acts on counts
-    dose = np.multiply(basis.data, dose_scale, out=work)  # basis holds integers 0..65535
-    dose += spec.dose_min
+    dose = dose_map(basis.data, dose_scale, spec.dose_min, out=work)  # basis holds 0..65535
     return spec.recipe(dose, sigma, seed), dose_scale, spec.dose_min
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .correlation import lag_table
 from .errors import DomainError, EstimatorError
 from .estimators import acldr_covariance_peak
+from .noise import text_value
 from .raster import Raster, raster_from_array
 
 # parameter -> (int-valued?, rule, test of the rule); every value must also be finite,
@@ -127,10 +128,8 @@ def parse_filter_spec(text: str) -> FilterSpec:
 
 
 def filter_spec_to_string(spec: FilterSpec) -> str:
-    """The report label: the spec in the grammar, sorted keys, CSV-rule values."""
-    from .corpus import csv_value  # corpus imports this module
-
-    params = ",".join(f"{k}={csv_value(v)}" for k, v in sorted(spec.params.items()))
+    """The report label: the spec in the grammar, sorted keys, :func:`noise.text_value` values."""
+    params = ",".join(f"{k}={text_value(v)}" for k, v in sorted(spec.params.items()))
     return f"{spec.kind}:{params}"
 
 
@@ -285,8 +284,8 @@ def spatial_filter(img: Raster, spec: FilterSpec) -> Raster:
         raise DomainError("window larger than image")
     if 2 * p.get("radius", 0) + 1 > 2 * side:
         raise DomainError("kernel larger than image")
-    out = np.maximum(plane(img.data, p), 0.0)  # guard round-off below zero
-    return raster_from_array(out, img.bit_depth)
+    # nonnegative weights (or a median) of a nonnegative plane: no output is negative
+    return raster_from_array(plane(img.data, p), img.bit_depth)
 
 
 def _transfer(spectrum: np.ndarray, pixels: int, noise_var: float) -> np.ndarray:
@@ -340,7 +339,7 @@ def wiener_local(img: Raster, window: int, noise_variance: float) -> DenoiseRepo
         raise DomainError("window larger than image")
     x = img.data
     if noise_variance == 0.0:
-        return DenoiseReport(raster_from_array(x.copy(), img.bit_depth))
+        return DenoiseReport(img)
     mean = x.mean()
     flat = np.full(window, 1.0 / window)
     radius = window // 2

@@ -183,14 +183,15 @@ class LevinsonResult:
     errors: np.ndarray  # prediction error power after each stage, errors[0] = r(0)
 
 
-def levinson_durbin(acf_values, order: int, allow_marginal: bool = False) -> LevinsonResult:
+def levinson_durbin(acf_values, order: int) -> LevinsonResult:
     """Solve the Toeplitz normal equations by order recursion.
 
     The fitted model is x_t = -sum_k a_k x_{t-k} + e_t; the returned
     coefficients satisfy the Yule-Walker system Toeplitz(r) phi = r[1:]
-    with phi = -a.  A reflection coefficient reaching the unit circle raises
-    a non-stationary-sequence error; ``allow_marginal`` tolerates |R| == 1 on
-    the final stage (perfectly predictable sequence, error power zero).
+    with phi = -a.  A reflection coefficient outside the unit circle raises
+    a non-stationary-sequence error, and so does |R| == 1 before the final
+    stage; on the final stage it is a perfectly predictable sequence, whose
+    error power is zero.
     """
     r = np.asarray(acf_values, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
@@ -207,8 +208,7 @@ def levinson_durbin(acf_values, order: int, allow_marginal: bool = False) -> Lev
     for m in range(1, order + 1):
         acc = r[m] + float(np.dot(a[: m - 1], r[m - 1 : 0 : -1]))
         k = -acc / errors[m - 1]
-        final = m == order
-        if abs(k) >= 1.0 and not (allow_marginal and final and abs(k) <= 1.0):
+        if abs(k) > 1.0 or (abs(k) == 1.0 and m < order):
             raise NonStationaryError(
                 f"reflection coefficient {k} left the unit circle at stage {m}"
             )
@@ -232,7 +232,7 @@ def acldr_peak(tail_values, order: int) -> tuple[float, dict]:
     tail = np.asarray(tail_values, dtype=np.float64)
     if tail.size < order + 1:
         raise DomainError(f"need at least {order + 1} tail values for order {order}")
-    ld = levinson_durbin(tail, order, allow_marginal=True)
+    ld = levinson_durbin(tail, order)
     phi = -ld.ar_coeffs
     if abs(phi[0]) < 1e-12:
         raise DegenerateError("backward extrapolation is ill-conditioned (phi_1 ~ 0)")

@@ -211,6 +211,23 @@ def field_types(cls) -> dict:
             for f in fields(cls) if f.default is not MISSING}
 
 
+def text_value(value) -> str:
+    """The one value-to-text rule (CSV cells, recipe lines, filter labels): None is
+    empty, floats (numpy scalars too) round-trip exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def dose_map(basis: np.ndarray, scale: float, offset: float, out=None) -> np.ndarray:
+    """The dose map ``scale * basis + offset`` of a scene basis, formed in ``out`` if given."""
+    dose = np.multiply(basis, scale, out=out)
+    dose += offset
+    return dose
+
+
 # recipe.txt keys that are not NoiseRecipe fields: the dose map's shape and source
 _DOSE_KEYS = {"width": int, "height": int, "dose_pgm": str,
               "dose_scale": _finite_float, "dose_offset": _finite_float}
@@ -223,14 +240,13 @@ def recipe_to_text(recipe: NoiseRecipe, dose_pgm: str, dose_scale: float,
     The lines are NoiseRecipe's fields in declaration order, then the dose
     map's ``width`` and ``height`` and the affine transform
     ``dose_scale * basis + dose_offset`` of the 16-bit PGM named by
-    ``dose_pgm``.  Floats are written by ``repr``, so they read back exactly.
+    ``dose_pgm``.  Values are written by :func:`text_value`, so floats read back exactly.
     """
     h, w = recipe.dose_map.shape
     values = {name: getattr(recipe, name) for name in field_types(NoiseRecipe)}
     values.update(width=w, height=h, dose_pgm=dose_pgm, dose_scale=dose_scale,
                   dose_offset=dose_offset)
-    return "".join(f"{key} = {repr(float(value)) if isinstance(value, float) else value}\n"
-                   for key, value in values.items())
+    return "".join(f"{key} = {text_value(value)}\n" for key, value in values.items())
 
 
 def recipe_from_text(text: str, dose_loader) -> NoiseRecipe:
@@ -270,6 +286,5 @@ def recipe_from_text(text: str, dose_loader) -> NoiseRecipe:
     if basis.shape != shape:
         raise DomainError(f"recipe shape {shape[1]}x{shape[0]} (width x height) does not "
                           f"match the dose PGM's {basis.shape[1]}x{basis.shape[0]}")
-    dose = take("dose_scale") * basis  # one plane: scale, then offset in place
-    dose += take("dose_offset")
-    return NoiseRecipe(dose_map=dose, **recipe_fields)
+    return NoiseRecipe(dose_map=dose_map(basis, take("dose_scale"), take("dose_offset")),
+                       **recipe_fields)

@@ -1,4 +1,4 @@
-"""Grayscale raster images, binary PGM I/O, and first/second moment statistics.
+"""Grayscale raster images, binary PGM I/O, and the population variance.
 
 The working plane is real-valued (float64) throughout the pipeline; integer
 storage only happens at explicit quantize/save boundaries.  Arrays held by a
@@ -66,24 +66,8 @@ class Raster:
         return Raster(self.data * factor, self.bit_depth)
 
 
-@dataclass(frozen=True)
-class ImageStats:
-    mean: float
-    variance: float
-    min: float
-    max: float
-
-
 def raster_from_array(arr, bit_depth: int = 8) -> Raster:
     return Raster(arr, bit_depth)
-
-
-def stats(r: Raster) -> ImageStats:
-    """Population mean/variance (divisor = pixel count) plus min and max."""
-    x = r.data
-    mean = float(x.mean())
-    var = float(np.mean((x - mean) ** 2))
-    return ImageStats(mean=mean, variance=var, min=float(x.min()), max=float(x.max()))
 
 
 def quantize(r: Raster | np.ndarray, bit_depth: int) -> tuple[Raster, int]:

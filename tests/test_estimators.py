@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -71,8 +72,8 @@ def test_levinson_nonstationary_error():
         levinson_durbin([1.0, 1.2], 1)
     with pytest.raises(NonStationaryError):
         levinson_durbin([1.0, 1.0, 1.0], 2)  # |R|=1 at a non-final stage
-    # marginal |R| = 1 tolerated only on the final stage when asked
-    res = levinson_durbin([1.0, 1.0], 1, allow_marginal=True)
+    # marginal |R| = 1 is tolerated on the final stage only
+    res = levinson_durbin([1.0, 1.0], 1)
     assert res.reflection.tolist() == [-1.0]
     assert res.errors[-1] == 0.0
 
@@ -493,6 +494,8 @@ def test_small_image_keeps_per_method_statuses(cfg):
         "frank_alali": "not_applicable",
     }
     assert results["nllsr"].diagnostics["detail"].startswith("max_lag 5 ")
+    for est in results.values():
+        json.dumps(est.diagnostics, allow_nan=False)
     assert results["nn"] == estimate_nn(img, cfg)
     assert results["asnn"] == estimate_asnn(img, cfg)
     assert estimate_all(img, cfg, methods=("nllsr",))["nllsr"].status == "error"
@@ -506,6 +509,7 @@ def test_ok_estimates_are_plain_floats(oracle_corpus, corpus_estimates):
     seen = set()
     for results in [e["results"] for e in corpus_estimates] + [paired]:
         for method, est in results.items():
+            json.dumps(est.diagnostics, allow_nan=False)  # plain, finite values, every status
             if est.status == "ok":
                 assert type(est.snr_linear) is float, method
                 seen.add(method)
