@@ -40,9 +40,9 @@ from .estimators import (
     estimate_all,
     smart_region_oracle,
 )
-from .noise import ELECTRON_CHARGE, field_types, oracle_snr, simulate
-from .raster import quantize, save_pgm, variance
-from .yield_snr import BeamParams, dose_per_pixel, snr_from_image, snr_yield
+from .noise import field_types, oracle_snr, simulate
+from .raster import Raster, quantize, save_pgm, variance
+from .yield_snr import dose_per_pixel, snr_from_image, snr_yield
 
 RESULTS_FIELDS = (
     "image_id",
@@ -135,12 +135,13 @@ def parse_methods(text: str) -> tuple[str, ...]:
 # --- estimation runs ----------------------------------------------------------
 
 
-def _estimate_one(root, truth_row, methods, est_cfg, pairs) -> tuple[list[dict], dict]:
-    """One image's result rows and its timing line; without ``pairs`` it reads its noisy plane only.
+def _estimate_one(root, truth_row, methods, est_cfg, pairs) -> tuple[list[dict], list[str]]:
+    """One image's result rows and diagnostics.jsonl lines: its timing line, then one per method.
 
-    ``shared_ms`` is estimate_all's time outside every method's own
-    runtime_ms (the lag table and bookkeeping); ``second_ms``, under
-    ``pairs``, is the time spent regenerating the second acquisition.
+    Without ``pairs`` it reads its noisy plane only.  ``shared_ms`` is
+    estimate_all's time outside every method's own runtime_ms (the lag table
+    and bookkeeping); ``second_ms``, under ``pairs``, is the time spent
+    regenerating the second acquisition.
     """
     image_id = truth_row["image_id"]
     noisy = load_plane(root, image_id, "noisy")
@@ -154,7 +155,7 @@ def _estimate_one(root, truth_row, methods, est_cfg, pairs) -> tuple[list[dict],
               "shared_ms": total_ms - sum(est.runtime_ms for est in results.values())}
     if pairs:
         timing["second_ms"] = second_ms
-    rows = []
+    rows, lines = [], [json.dumps(timing)]
     for method in methods:
         est: SnrEstimate = results[method]
         oracle, scoring = truth_row["true_snr"], {}
@@ -178,11 +179,11 @@ def _estimate_one(root, truth_row, methods, est_cfg, pairs) -> tuple[list[dict],
                 "predicted_nf_peak": est.predicted_nf_peak,
                 "rel_error": rel,
                 "runtime_ms": est.runtime_ms,
-                "_scoring": scoring,
-                "_diagnostics": est.diagnostics,
             }
         )
-    return rows, timing
+        lines.append(json.dumps({"image_id": image_id, "method": method, "status": est.status,
+                                 **scoring, "diagnostics": est.diagnostics}))
+    return rows, lines
 
 
 def summarize_results(rows) -> list[dict]:
@@ -240,18 +241,7 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
         write_csv(out / "results.csv", RESULTS_FIELDS, rows)
         write_csv(out / "summary.csv", SUMMARY_FIELDS, summary)
         with open(out / "diagnostics.jsonl", "w", encoding="ascii") as fh:
-            for group, timing in per_image:
-                fh.write(json.dumps(timing) + "\n")
-                for row in group:
-                    fh.write(json.dumps(
-                        {
-                            "image_id": row["image_id"],
-                            "method": row["method"],
-                            "status": row["status"],
-                            **row["_scoring"],
-                            "diagnostics": row["_diagnostics"],
-                        }
-                    ) + "\n")
+            fh.writelines(line + "\n" for _, lines in per_image for line in lines)
     return rows, summary
 
 
@@ -270,7 +260,8 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     analog: SNR of a counting acquisition grows like sqrt(dose)).  ``dwell``
     maps dwell seconds to dose through ``SWEEP_BEAM_CURRENT``.  ``contrast``
     scales all intensities of one fixed acquisition, which leaves
-    autocorrelation based estimates unchanged.  The counting models of
+    autocorrelation based estimates unchanged; a factor whose rescaled plane
+    could overflow a sum of products is a ConfigError.  The counting models of
     ``MOMENT_CHANNELS`` add a ``moment`` row first in each point: its
     estimate is the amplitude SNR (mean - dc_offset) / sd of a flat field at
     the mid dose under the same recipe (:func:`snr_from_image`), and its
@@ -297,6 +288,13 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
         raise ConfigError(f"sweep --range values must be finite and > 0, got {bad}")
     if any(lo >= hi for lo, hi in zip(values, values[1:])):
         raise ConfigError(f"sweep --range values must be strictly increasing, got {values}")
+    if parameter == "contrast":
+        # a stored plane lies in [0, maxval], so this bounds each raw-product sum of a rescaled copy
+        maxval = Raster(np.zeros((2, 2)), spec.bit_depth).maxval
+        pixels = spec.scene.width * spec.scene.height
+        big = [v for v in values if not math.isfinite(pixels * (v * maxval) * (v * maxval))]
+        if big:
+            raise ConfigError(f"contrast values {big} overflow the sums of a {pixels}-pixel plane")
     # two-image names drop out quietly, so ALL_METHODS sweeps the single-image ones
     methods = check_methods(methods)
     single = [m for m in methods if m in SINGLE_IMAGE_METHODS]
@@ -317,38 +315,29 @@ def _seed_rows(parameter, values, spec, basis, seed, single, est_cfg) -> list[li
     ``dose`` and ``dwell`` acquire it once per value under the scaled spec;
     ``contrast`` acquires it once and estimates a rescaled copy per value.
     """
-    k = spec.yield_inflation
     mid = 0.5 * (spec.dose_min + spec.dose_max)
     if parameter == "contrast":
-        beam = BeamParams(i_pe=mid * ELECTRON_CHARGE, dwell=1.0, b_enhancement=k)
-        point = _acquire_point(spec, basis, seed, mid, beam)
+        point = _acquire_point(spec, basis, seed, mid)
         return [_point_rows(parameter, value, seed, point, value, single, est_cfg)
                 for value in values]
     rows = []
     for value in values:
-        if parameter == "dose":
-            # acquired at the value itself: value * e / e can miss it by one ulp
-            dose_mid = value
-            beam = BeamParams(i_pe=value * ELECTRON_CHARGE, dwell=1.0, b_enhancement=k)
-        else:
-            beam = BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value, b_enhancement=k)
-            dose_mid = dose_per_pixel(beam)
+        dose = value if parameter == "dose" else dose_per_pixel(SWEEP_BEAM_CURRENT, value)
         # scale the whole dose range so the configured contrast ratio is kept
-        scale = dose_mid / mid
+        scale = dose / mid
         local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
         # no name holds the acquisition, so it is freed before the next one is made
-        rows.append(_point_rows(parameter, value, seed,
-                                _acquire_point(local, basis, seed, dose_mid, beam),
+        rows.append(_point_rows(parameter, value, seed, _acquire_point(local, basis, seed, dose),
                                 None, single, est_cfg))
     return rows
 
 
-def _acquire_point(spec, basis, seed, dose_mid, beam):
+def _acquire_point(spec, basis, seed, dose):
     """Acquire ``basis`` with noise seed ``seed + 1``: (ground truth, moment pair or None).
 
     The moment pair (models of ``MOMENT_CHANNELS`` only) is the amplitude SNR
-    of a 64x64 flat field at ``dose_mid`` under the acquisition's recipe and
-    :func:`snr_yield` of ``beam`` for the model's channel; either is None
+    of a 64x64 flat field at ``dose`` under the acquisition's recipe and
+    :func:`snr_yield` at ``dose`` for the model's channel; either is None
     where its formula has no value (a flat field with sd 0 or mean at most
     dc_offset, a zero backscatter yield).
     """
@@ -356,9 +345,10 @@ def _acquire_point(spec, basis, seed, dose_mid, beam):
     channel = MOMENT_CHANNELS.get(spec.model)
     if channel is None:
         return gt, None
-    flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
+    flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose))).noisy.data
     return gt, (_defined(snr_from_image, float(flat.mean()), spec.dc_offset, float(flat.std())),
-                _defined(snr_yield, beam, spec.se_yield, spec.bse_yield, channel))
+                _defined(snr_yield, dose, channel, spec.se_yield, spec.bse_yield,
+                         spec.yield_inflation))
 
 
 def _defined(formula, *args):
@@ -404,6 +394,8 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir) -> list[dict]:
     This is the one place a filtered plane is scored: the filters only return it.
     The filtered planes are quantized back to the input bit depth and written
     to ``out_dir`` as ``<id>.filtered.pgm``, and the rows as report.csv.
+    A filter that raises a DomainError on an image (a window or AR model too
+    large for it) is a ConfigError naming the filter, the image and its size.
     A failing image ends the pass: no image that has not started by then starts.
     """
     root = Path(corpus_dir)
@@ -415,7 +407,11 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir) -> list[dict]:
     def one_image(truth_row) -> dict:
         image_id = truth_row["image_id"]
         noisy = load_plane(root, image_id, "noisy")
-        report = apply_filter(noisy, spec)
+        try:
+            report = apply_filter(noisy, spec)
+        except DomainError as exc:
+            raise ConfigError(f"filter {label} cannot run on corpus image {image_id} "
+                              f"({noisy.width}x{noisy.height}): {exc}") from exc
         clean = load_plane(root, image_id, "clean")
         if clean.data.shape != noisy.data.shape:
             raise DataError(f"corpus image {image_id}: its clean and noisy planes differ in size")

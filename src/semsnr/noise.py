@@ -33,8 +33,6 @@ import numpy as np
 from .errors import DomainError
 from .raster import Raster, quantize_in_place, variance
 
-ELECTRON_CHARGE = 1.602176634e-19  # coulombs, 2019 SI exact value
-
 EMISSION_MODELS = ("none", "poisson-pe", "poisson-se", "binomial-bse", "additive-gaussian")
 
 

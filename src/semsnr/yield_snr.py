@@ -13,46 +13,35 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .noise import ELECTRON_CHARGE
 
 CHANNELS = ("PE", "BSE", "SE")
+ELECTRON_CHARGE = 1.602176634e-19  # coulombs, 2019 SI exact value
 
 
-@dataclass(frozen=True)
-class BeamParams:
-    """Acquisition parameters for dose-based SNR predictions."""
-
-    i_pe: float  # amperes
-    dwell: float  # seconds per pixel
-    b_enhancement: float = 1.0  # non-Poisson yield variance factor k >= 1
-
-    def __post_init__(self):
-        if self.i_pe <= 0.0 or self.dwell <= 0.0:
-            raise DomainError("beam current and dwell time must be positive")
-        if self.b_enhancement < 1.0:
-            raise DomainError("b_enhancement must be at least 1")
+def dose_per_pixel(i_pe: float, dwell: float) -> float:
+    """Mean number of primary electrons per pixel, I_pe * dwell / e, from amperes and seconds."""
+    if i_pe <= 0.0 or dwell <= 0.0:
+        raise DomainError("beam current and dwell time must be positive")
+    return i_pe * dwell / ELECTRON_CHARGE
 
 
-def dose_per_pixel(b: BeamParams) -> float:
-    """Mean number of primary electrons per pixel, I_pe * dwell / e."""
-    return b.i_pe * b.dwell / ELECTRON_CHARGE
-
-
-def snr_yield(b: BeamParams, delta: float = 0.0, eta: float = 0.0,
-              channel: str = "SE") -> float:
-    """Emission-statistics SNR per channel.
+def snr_yield(dose: float, channel: str, delta: float, eta: float,
+              yield_inflation: float = 1.0) -> float:
+    """Emission-statistics SNR per channel at ``dose`` primary electrons per pixel.
 
     PE: sqrt(dose).  BSE: sqrt(dose * eta), the Poisson-thinned beam.  SE:
-    sqrt(dose / (1 + b)) with b = k / delta, where k = 1 recovers the pure
-    Poisson per-primary yield and k > 1 models materials with extra yield
-    variance.
+    sqrt(dose / (1 + k / delta)) with k = ``yield_inflation``, where k = 1
+    recovers the pure Poisson per-primary yield and k > 1 models materials
+    with extra yield variance.
     """
     if channel not in CHANNELS:
         raise DomainError(f"channel must be one of {CHANNELS}, got {channel!r}")
-    dose = dose_per_pixel(b)
+    if dose <= 0.0:
+        raise DomainError(f"dose must be positive, got {dose!r}")
+    if yield_inflation < 1.0:
+        raise DomainError(f"yield_inflation must be at least 1, got {yield_inflation!r}")
     if channel == "PE":
         return math.sqrt(dose)
     if channel == "BSE":
@@ -61,8 +50,7 @@ def snr_yield(b: BeamParams, delta: float = 0.0, eta: float = 0.0,
         return math.sqrt(dose * eta)
     if delta <= 0.0:
         raise DomainError("SE channel needs a positive secondary yield")
-    b_factor = b.b_enhancement / delta
-    return math.sqrt(dose / (1.0 + b_factor))
+    return math.sqrt(dose / (1.0 + yield_inflation / delta))
 
 
 def snr_detected(snr_yield_value: float, dqe: float) -> float:

@@ -30,7 +30,7 @@ from semsnr.corpus import (
     regenerate_image,
     second_realization,
 )
-from semsnr.denoise import parse_filter_spec
+from semsnr.denoise import filter_spec_to_string, parse_filter_spec
 from semsnr.errors import ConfigError, DataError, DomainError
 from semsnr.estimators import (
     ALL_METHODS,
@@ -631,24 +631,26 @@ def test_sweep_dose_scaling_law(tmp_path, capsys):
 def test_sweep_moment_rows_follow_the_se_yield_law(model, inflation):
     from conftest import BENCH_CONFIG
     from semsnr.bench import run_sweep
-    from semsnr.noise import ELECTRON_CHARGE
-    from semsnr.yield_snr import BeamParams, snr_yield
+    from semsnr.yield_snr import snr_yield
 
     spec = CorpusSpec(scene=SceneSpec(kind="ar_field", width=64, height=64, corr_length=6.0),
                       model=model, se_yield=0.16, bse_yield=0.30, yield_inflation=inflation,
                       dose_min=50.0, dose_max=400.0, dc_offset=200.0, base_seed=5)
     channel = {"poisson-pe": "PE", "poisson-se": "SE", "binomial-bse": "BSE"}[model]
-    doses = [25.0, 225.0, 800.0]
+    # 49 * e / e is not 49: the reference is the law at the dose itself
+    doses = [25.0, 49.0, 225.0, 800.0]
     rows = run_sweep("dose", doses, spec, ("nn",), BENCH_CONFIG, seeds=3)
     for dose in doses:
         moments = [r for r in rows if r["method"] == "moment" and r["value"] == dose]
-        beam = BeamParams(i_pe=dose * ELECTRON_CHARGE, dwell=1.0, b_enhancement=inflation)
         # PE sqrt(dose), SE sqrt(dose / (1 + k / delta)), BSE sqrt(dose * eta)
-        law = snr_yield(beam, delta=0.16, eta=0.30, channel=channel)
+        law = snr_yield(dose, channel, delta=0.16, eta=0.30, yield_inflation=inflation)
         assert len(moments) == 3
         for row in moments:
             assert row["reference"] == law, dose
             assert row["estimate"] == pytest.approx(law, rel=0.05), (dose, row["seed"])
+    if model == "poisson-pe":
+        at_49 = [r["reference"] for r in rows if r["method"] == "moment" and r["value"] == 49.0]
+        assert at_49 == [7.0] * 3
 
 
 def test_sweep_contrast_invariance(tmp_path):
@@ -670,6 +672,30 @@ def test_sweep_contrast_invariance(tmp_path):
 SWEEP_SPEC = CorpusSpec(scene=SceneSpec(kind="ar_field", width=64, height=64, corr_length=6.0),
                         model="poisson-pe", dose_min=200.0, dose_max=2000.0, dc_offset=100.0,
                         base_seed=5)
+
+
+# 64 * 64 * (value * 65535)**2 overflows from about 3.2e147 on
+@pytest.mark.parametrize("big", ["1e150", "1e160", "1e308"])
+def test_contrast_that_overflows_is_config_error(tmp_path, capsys, big):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(POISSON_CONFIG)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", "contrast",
+                 "--range", f"1,{big}", "--methods", "all", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: contrast values [{float(big)!r}] overflow the sums of a 4096-pixel plane")
+    assert not out.exists() and not (tmp_path / "out.partial").exists()
+
+
+def test_contrast_below_the_overflow_bound_keeps_the_estimates():
+    rows = run_sweep("contrast", [1.0, 1e100], SWEEP_SPEC, ALL_METHODS, seeds=1)
+    by_value = {v: [(r["method"], r["estimate"]) for r in rows if r["value"] == v]
+                for v in (1.0, 1e100)}
+    assert len(by_value[1.0]) == 1 + len(SINGLE_IMAGE_METHODS)  # the moment row, then each method
+    assert all(estimate is not None for _, estimate in by_value[1.0])
+    for (method, at_one), (same, big) in zip(by_value[1.0], by_value[1e100]):
+        assert same == method and big == pytest.approx(at_one, rel=1e-6), method
 
 
 def test_tiny_dose_sweep_keeps_the_configured_dose_ratio(monkeypatch):
@@ -698,10 +724,10 @@ def test_tiny_dose_sweep_keeps_the_configured_dose_ratio(monkeypatch):
 
 def test_dwell_sweep_is_the_dose_sweep_at_the_dwell_dose():
     from semsnr.bench import SWEEP_BEAM_CURRENT
-    from semsnr.yield_snr import BeamParams, dose_per_pixel
+    from semsnr.yield_snr import dose_per_pixel
 
     dwell = 2e-6
-    dose = dose_per_pixel(BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=dwell))
+    dose = dose_per_pixel(SWEEP_BEAM_CURRENT, dwell)
     by_dwell = run_sweep("dwell", [dwell], SWEEP_SPEC, ("nn", "lsr"), seeds=2)
     by_dose = run_sweep("dose", [dose], SWEEP_SPEC, ("nn", "lsr"), seeds=2)
 
@@ -722,21 +748,19 @@ def _sweep_point_from_scratch(parameter, value, spec, seed, methods) -> list[dic
 
     from semsnr.bench import SWEEP_BEAM_CURRENT
     from semsnr.corpus import acquire, scene_basis
-    from semsnr.noise import ELECTRON_CHARGE, simulate
-    from semsnr.yield_snr import BeamParams, dose_per_pixel, snr_yield
+    from semsnr.noise import simulate
+    from semsnr.yield_snr import dose_per_pixel, snr_yield
 
     mid = 0.5 * (spec.dose_min + spec.dose_max)
     dose_mid = {"dose": value, "contrast": mid}.get(parameter)
-    beam = (BeamParams(i_pe=SWEEP_BEAM_CURRENT, dwell=value) if dose_mid is None
-            else BeamParams(i_pe=dose_mid * ELECTRON_CHARGE, dwell=1.0))
-    dose_mid = dose_mid or dose_per_pixel(beam)
+    dose_mid = dose_mid or dose_per_pixel(SWEEP_BEAM_CURRENT, value)
     scale = dose_mid / mid
     local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
     (recipe, _, _), gt = acquire(local, scene_basis(local, seed), seed + 1, 1.0)
     flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
     # spec is poisson-pe: the moment row's reference is the PE emission law sqrt(dose)
     cells = [("moment", (float(flat.mean()) - local.dc_offset) / float(flat.std()),
-              snr_yield(beam, channel="PE"))]
+              snr_yield(dose_mid, "PE", delta=local.se_yield, eta=local.bse_yield))]
     noisy = gt.noisy.scaled(value) if parameter == "contrast" else gt.noisy
     results = estimate_all(noisy, DEFAULT_CONFIG, methods=methods)
     cells += [(m, results[m].snr_linear if results[m].status == "ok" else None, gt.true_snr)
@@ -1282,11 +1306,23 @@ def test_denoise_malformed_filter_is_config_error(small_corpus, tmp_path, capsys
     assert not out.exists()
 
 
-def test_denoise_internal_error_exit_code(small_corpus, tmp_path):
-    # a window larger than the 64-pixel corpus images fails mid-run
-    _, corpus_dir = small_corpus
-    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(tmp_path / "x"),
-                 "--filter", "median:window=99"]) == 4
+@pytest.mark.parametrize("text", [
+    "median:window=41", "gaussian:sigma=1,radius=40", "wiener_local:window=41,noise_var=3",
+    "ar_wiener:ar_order=20,window=3",
+], ids=["median", "gaussian", "wiener_local", "ar_wiener"])
+def test_filter_too_large_for_the_corpus_images_is_config_error(tmp_path, capsys, text):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(SMALL_CONFIG.replace("width = 64\nheight = 64", "width = 32\nheight = 32"))
+    corpus_dir = tmp_path / "corpus"
+    assert main(["generate", "--config", str(config), "--out", str(corpus_dir)]) == 0
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["denoise", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--filter", text]) == 2
+    label = filter_spec_to_string(parse_filter_spec(text))
+    assert capsys.readouterr().err.startswith(
+        f"config error: filter {label} cannot run on corpus image img0000 (32x32): ")
+    assert not out.exists() and not (tmp_path / "x.partial").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep", "estimate"])

@@ -1,9 +1,12 @@
-"""The package's module graph: no module imports, directly or through others, itself."""
+"""The package's module graph: no module imports, directly or through others, itself;
+and every package name the benchmark reads exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "semsnr"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def _relative_imports(path: Path) -> set[str]:
@@ -51,3 +54,37 @@ def test_module_graph_has_no_import_cycle():
     assert graph["bench"] >= {"corpus", "denoise", "parallel"}  # the walk sees the imports
     cycle = _find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def _perfbench_names() -> set[tuple[str, str]]:
+    """(module, name) pairs of this package that perfbench reads: ``from semsnr.x import``
+    names, ``module.attr`` reads on modules imported by ``from semsnr import``, and the
+    ``(module, "name")`` pairs of ``TRACED``."""
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> module imported by `from semsnr import`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "semsnr":
+                modules.update((a.asname or a.name, f"semsnr.{a.name}") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semsnr."):
+                found.update((node.module, a.name) for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                found.add((modules[node.value.id], node.attr))
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "TRACED"):
+                found.update((modules[entry.elts[0].id], entry.elts[1].value)
+                             for entry in node.value.elts)
+    return found
+
+
+def test_every_semsnr_name_perfbench_reads_exists():
+    names = _perfbench_names()
+    # each kind of reference is seen: an import, an attribute read, a TRACED pair
+    assert {("semsnr.bench", "run_sweep"), ("semsnr.raster", "pgm_bytes"),
+            ("semsnr.denoise", "spatial_filter")} <= names
+    missing = sorted(f"{module}.{name}" for module, name in names
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing, f"perfbench reads names the package lacks: {missing}"

@@ -5,13 +5,12 @@ import pytest
 
 from semsnr.errors import DomainError
 from semsnr.yield_snr import (
-    BeamParams,
+    ELECTRON_CHARGE,
     dose_per_pixel,
     snr_detected,
     snr_from_image,
     snr_yield,
 )
-from semsnr.noise import ELECTRON_CHARGE
 
 # published silicon rows: delta, beam current (A), dwell-derived yield-side
 # SNR, detected SNR, and the image-side (I_dc, I_mean, sigma) triple
@@ -23,23 +22,28 @@ SILICON_ROWS = [
 
 
 def test_dose_per_pixel():
-    assert dose_per_pixel(BeamParams(i_pe=ELECTRON_CHARGE, dwell=1.0)) == pytest.approx(1.0)
-    b = BeamParams(i_pe=291e-12, dwell=6.39e-6)
-    assert dose_per_pixel(b) == pytest.approx(1.161e4, rel=1e-3)
-    twice = BeamParams(i_pe=291e-12, dwell=2 * 6.39e-6)
-    assert dose_per_pixel(twice) == pytest.approx(2 * dose_per_pixel(b))
+    assert dose_per_pixel(ELECTRON_CHARGE, 1.0) == pytest.approx(1.0)
+    dose = dose_per_pixel(291e-12, 6.39e-6)
+    assert dose == pytest.approx(1.161e4, rel=1e-3)
+    assert dose_per_pixel(291e-12, 2 * 6.39e-6) == pytest.approx(2 * dose)
+    for i_pe, dwell in ((0.0, 1.0), (1e-10, -1e-6)):
+        with pytest.raises(DomainError, match="must be positive"):
+            dose_per_pixel(i_pe, dwell)
 
 
 def test_snr_yield_channels():
-    b = BeamParams(i_pe=100 * ELECTRON_CHARGE, dwell=1.0)  # dose = 100
-    assert snr_yield(b, channel="PE") == pytest.approx(10.0)
-    assert snr_yield(b, eta=0.25, channel="BSE") == pytest.approx(5.0)
-    b291 = BeamParams(i_pe=291e-12, dwell=6.39e-6)
-    assert snr_yield(b291, delta=0.16, channel="SE") == pytest.approx(40.0, abs=0.05)
+    assert snr_yield(100.0, "PE", delta=0.0, eta=0.0) == pytest.approx(10.0)
+    assert snr_yield(100.0, "BSE", delta=0.0, eta=0.25) == pytest.approx(5.0)
+    dose291 = dose_per_pixel(291e-12, 6.39e-6)
+    assert snr_yield(dose291, "SE", delta=0.16, eta=0.0) == pytest.approx(40.0, abs=0.05)
     with pytest.raises(DomainError):
-        snr_yield(b, channel="AE")
+        snr_yield(100.0, "AE", delta=0.16, eta=0.25)
     with pytest.raises(DomainError):
-        snr_yield(b, delta=0.0, channel="SE")
+        snr_yield(100.0, "SE", delta=0.0, eta=0.0)
+    with pytest.raises(DomainError, match="dose must be positive"):
+        snr_yield(0.0, "PE", delta=0.16, eta=0.25)
+    with pytest.raises(DomainError, match="yield_inflation must be at least 1"):
+        snr_yield(100.0, "SE", delta=0.16, eta=0.25, yield_inflation=0.5)
 
 
 def test_snr_detected():
@@ -81,8 +85,7 @@ def test_se_yield_snr_matches_simulation():
     from semsnr.noise import NoiseRecipe, simulate
 
     dose = 100.0
-    b = BeamParams(i_pe=dose * ELECTRON_CHARGE, dwell=1.0, b_enhancement=1.0)
-    analytic = snr_yield(b, delta=0.16, channel="SE")
+    analytic = snr_yield(dose, "SE", delta=0.16, eta=0.0, yield_inflation=1.0)
     recipe = NoiseRecipe(dose_map=np.full((256, 256), dose), emission_model="poisson-se",
                          se_yield=0.16, seed=55, bit_depth=16)
     x = simulate(recipe).noisy.data
