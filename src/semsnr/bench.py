@@ -302,34 +302,51 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
         raise ConfigError(f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
                           f"got {list(methods)}")
 
+    doses = None if parameter == "contrast" else _scaled_doses(parameter, values, spec)
+
     def seed_rows(seed):
-        return _seed_rows(parameter, values, spec, scene_basis(spec, seed), seed, single, est_cfg)
+        return _seed_rows(parameter, values, doses, spec, scene_basis(spec, seed), seed, single,
+                          est_cfg)
 
     per_seed = parallel.map_on_cores(seed_rows, range(seeds), None)
     return [row for i in range(len(values)) for by_value in per_seed for row in by_value[i]]
 
 
-def _seed_rows(parameter, values, spec, basis, seed, single, est_cfg) -> list[list[dict]]:
-    """Each value's rows for one seed; every point acquires the seed's scene ``basis``.
+def _scaled_doses(parameter, values, spec) -> list[tuple[float, CorpusSpec]]:
+    """Each ``dose`` or ``dwell`` value's dose and the spec whose dose range is scaled to it.
 
-    ``dose`` and ``dwell`` acquire it once per value under the scaled spec;
-    ``contrast`` acquires it once and estimates a rescaled copy per value.
+    The whole range is scaled, so the configured contrast ratio is kept; a
+    value that scales ``dose_min`` to 0 is a ConfigError naming the value and
+    the scaled range, raised before any point runs.
     """
     mid = 0.5 * (spec.dose_min + spec.dose_max)
-    if parameter == "contrast":
-        point = _acquire_point(spec, basis, seed, mid)
-        return [_point_rows(parameter, value, seed, point, value, single, est_cfg)
-                for value in values]
-    rows = []
+    doses = []
     for value in values:
         dose = value if parameter == "dose" else dose_per_pixel(SWEEP_BEAM_CURRENT, value)
-        # scale the whole dose range so the configured contrast ratio is kept
         scale = dose / mid
-        local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
-        # no name holds the acquisition, so it is freed before the next one is made
-        rows.append(_point_rows(parameter, value, seed, _acquire_point(local, basis, seed, dose),
-                                None, single, est_cfg))
-    return rows
+        lo, hi = spec.dose_min * scale, spec.dose_max * scale
+        if lo == 0.0:
+            raise ConfigError(f"sweep {parameter} value {value!r} scales the doses to "
+                              f"[{lo!r}, {hi!r}]: dose_min underflows to 0")
+        doses.append((dose, replace(spec, dose_min=lo, dose_max=hi)))
+    return doses
+
+
+def _seed_rows(parameter, values, doses, spec, basis, seed, single, est_cfg) -> list[list[dict]]:
+    """Each value's rows for one seed; every point acquires the seed's scene ``basis``.
+
+    ``dose`` and ``dwell`` acquire it once per value under the spec of its
+    :func:`_scaled_doses` pair; ``contrast`` acquires it once and estimates a
+    rescaled copy per value.
+    """
+    if parameter == "contrast":
+        point = _acquire_point(spec, basis, seed, 0.5 * (spec.dose_min + spec.dose_max))
+        return [_point_rows(parameter, value, seed, point, value, single, est_cfg)
+                for value in values]
+    # no name holds an acquisition, so it is freed before the next one is made
+    return [_point_rows(parameter, value, seed, _acquire_point(local, basis, seed, dose), None,
+                        single, est_cfg)
+            for value, (dose, local) in zip(values, doses)]
 
 
 def _acquire_point(spec, basis, seed, dose):

@@ -38,7 +38,16 @@ from .noise import (
     text_value,
 )
 from .parallel import job_count, map_on_cores
-from .raster import Raster, load_pgm, quantize, quantize_in_place, save_pgm, variance
+from .raster import (
+    Raster,
+    irfft2,
+    load_pgm,
+    quantize,
+    quantize_in_place,
+    rfft2,
+    save_pgm,
+    variance,
+)
 
 SCENE_KINDS = ("ar_field", "spectral", "blobs", "ramp", "constant")
 
@@ -116,7 +125,7 @@ def _spectral_amplitude(h: int, w: int, corr_length: float, nugget: float) -> np
     """
     dy = np.minimum(np.arange(h), h - np.arange(h))[:, None]
     dx = np.minimum(np.arange(w), w - np.arange(w))[None, :]
-    smooth_psd = np.fft.rfft2(np.exp(-np.hypot(dy, dx) / corr_length)).real
+    smooth_psd = rfft2(np.exp(-np.hypot(dy, dx) / corr_length)).real
     amplitude = np.sqrt((1.0 - nugget) * np.maximum(smooth_psd, 0.0) + nugget)
     amplitude[0, 0] = 0.0  # mean handled by normalization
     amplitude.flags.writeable = False
@@ -134,14 +143,15 @@ def _spectral_field(h: int, w: int, corr_length: float, nugget: float,
     # Hermitian-symmetric unit phases from a real white field keep the
     # synthesized field real and its amplitude spectrum exactly on target.
     # The phases are built in the transform's own plane; a zero bin gets phase 1.
-    spectrum = np.fft.rfft2(rng.standard_normal((h, w)))
+    white = rng.standard_normal((h, w))
+    spectrum = rfft2(white)
     magnitude = np.abs(spectrum)
     with np.errstate(divide="ignore", invalid="ignore"):
         spectrum /= magnitude
     spectrum[magnitude == 0.0] = 1.0
     spectrum *= amplitude
     del magnitude
-    field_ = np.fft.irfft2(spectrum, s=(h, w))
+    field_ = irfft2(spectrum, w, out=white)  # the white field is not read again
     # Equalize row and column means: overlap windows of the lagged product
     # sums then share the same mean, which keeps sample autocorrelation tails
     # stable when the intensity offset dwarfs the contrast.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateError, DomainError, NonpositiveSignalError
-from .raster import Raster
+from .raster import Raster, irfft2, rfft2
 
 AXES = ("x", "y")
 
@@ -185,8 +185,11 @@ def ccf_surface(a: np.ndarray, b: np.ndarray) -> CcfResult:
     """
     xa = a - a.mean()
     xb = b - b.mean()
-    spectrum = np.conj(np.fft.rfft2(xa)) * np.fft.rfft2(xb)
-    surface = np.fft.irfft2(spectrum, s=xa.shape) / xa.size
+    spectrum = rfft2(xa)
+    np.conj(spectrum, out=spectrum)
+    spectrum *= rfft2(xb)
+    surface = irfft2(spectrum, xa.shape[1])
+    surface /= xa.size
 
     h, w = surface.shape
     my, mx = np.unravel_index(int(np.argmax(surface)), surface.shape)

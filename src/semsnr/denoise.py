@@ -22,7 +22,7 @@ from .correlation import lag_table
 from .errors import DomainError, EstimatorError
 from .estimators import acldr_covariance_peak
 from .noise import text_value
-from .raster import Raster, raster_from_array
+from .raster import Raster, irfft2, raster_from_array, rfft2
 
 # parameter -> (int-valued?, rule, test of the rule); every value must also be finite,
 # and a sigma's 2 sigma**2, which filters divide by, must not underflow to 0
@@ -312,14 +312,14 @@ def wiener_transfer(img: Raster, noise_var: float) -> np.ndarray:
     response lies in [0, 1] and the zero-frequency bin is forced to 1 so the
     mean passes through.
     """
-    return _transfer(np.fft.rfft2(img.data), img.data.size, noise_var)
+    return _transfer(rfft2(img.data), img.data.size, noise_var)
 
 
 def wiener_global(img: Raster, noise_var: float) -> DenoiseReport:
     """Frequency-domain Wiener restoration with spectral subtraction."""
-    spectrum = np.fft.rfft2(img.data)
+    spectrum = rfft2(img.data)
     spectrum *= _transfer(spectrum, img.data.size, noise_var)
-    out = np.fft.irfft2(spectrum, s=img.data.shape)
+    out = irfft2(spectrum, img.width)
     del spectrum
     np.maximum(out, 0.0, out=out)
     return DenoiseReport(raster_from_array(out, img.bit_depth))

@@ -1,4 +1,4 @@
-"""Grayscale raster images, binary PGM I/O, and the population variance.
+"""Grayscale raster images, binary PGM I/O, the population variance and the 2-D real FFTs.
 
 The working plane is real-valued (float64) throughout the pipeline; integer
 storage only happens at explicit quantize/save boundaries.  Arrays held by a
@@ -89,19 +89,49 @@ def quantize_in_place(x: np.ndarray, bit_depth: int) -> tuple[Raster, int]:
     """
     if bit_depth not in _VALID_DEPTHS:
         raise DomainError(f"bit_depth must be one of {_VALID_DEPTHS}, got {bit_depth}")
-    # nan and +-inf always reach the min or the max
-    if x.size and not (math.isfinite(x.min()) and math.isfinite(x.max())):
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # nan and +-inf always reach one
         raise DomainError("cannot quantize non-finite intensities")
-    negative = np.signbit(x)  # floor(|x| + 0.5) with x's sign, -0.0 included
-    np.abs(x, out=x)
-    x += 0.5
-    np.floor(x, out=x)
-    np.negative(x, out=x, where=negative)
-    del negative
     maxval = float((1 << bit_depth) - 1)
+    # The sign and clamp passes run only where min and max cannot rule out a
+    # change: a positive plane has no sign to restore, and rounding is
+    # monotone, so it clamps only if its max does.
+    if lo > 0.0:
+        x += 0.5
+        np.floor(x, out=x)
+        if math.floor(hi + 0.5) <= maxval:
+            return raster_from_array(x, bit_depth=bit_depth), 0
+    else:
+        negative = np.signbit(x)  # floor(|x| + 0.5) with x's sign, -0.0 included
+        np.abs(x, out=x)
+        x += 0.5
+        np.floor(x, out=x)
+        np.negative(x, out=x, where=negative)
+        del negative
     clamped = int(np.count_nonzero(x < 0.0)) + int(np.count_nonzero(x > maxval))
     np.clip(x, 0.0, maxval, out=x)
     return raster_from_array(x, bit_depth=bit_depth), clamped
+
+
+def rfft2(plane: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft2`` of a 2-D real plane bit for bit, its column pass run in place.
+
+    NumPy transforms the rows and then the columns; here the column pass
+    writes into the row pass's half spectrum, so one complex plane is made.
+    """
+    spectrum = np.fft.rfft(plane, axis=1)
+    return np.fft.fft(spectrum, axis=0, out=spectrum)
+
+
+def irfft2(spectrum: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.fft.irfft2(spectrum, s=(height, width))`` bit for bit, ``spectrum`` used up.
+
+    The column pass runs in ``spectrum`` itself, which the caller gives up,
+    and the row pass writes the real plane into ``out`` (a float64
+    height x ``width`` plane) or a new one, so no complex plane is made.
+    """
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    return np.fft.irfft(spectrum, n=width, axis=1, out=out)
 
 
 def variance(plane: np.ndarray, work: np.ndarray) -> float:

@@ -688,6 +688,27 @@ def test_contrast_that_overflows_is_config_error(tmp_path, capsys, big):
     assert not out.exists() and not (tmp_path / "out.partial").exists()
 
 
+# 1e-10 A for 1e-320 s is 0 electrons; 5e-324 / 1100 scales 200 and 2000 to 0
+@pytest.mark.parametrize("parameter, tiny", [("dwell", "1e-320"), ("dose", "5e-324")])
+def test_sweep_value_whose_dose_underflows_is_config_error(tmp_path, capsys, monkeypatch,
+                                                          parameter, tiny):
+    import semsnr.bench as bench
+
+    scenes = []
+    monkeypatch.setattr(bench, "scene_basis", lambda *args: scenes.append(args))
+    config = tmp_path / "sweep.cfg"
+    config.write_text(POISSON_CONFIG)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--parameter", parameter,
+                 "--range", f"{tiny},1", "--methods", "nn", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sweep {parameter} value {float(tiny)!r} scales the doses to "
+        f"[0.0, 0.0]: dose_min underflows to 0\n")
+    assert not out.exists() and not (tmp_path / "out.partial").exists()
+    assert not scenes  # refused before any seed's scene was made
+
+
 def test_contrast_below_the_overflow_bound_keeps_the_estimates():
     rows = run_sweep("contrast", [1.0, 1e100], SWEEP_SPEC, ALL_METHODS, seeds=1)
     by_value = {v: [(r["method"], r["estimate"]) for r in rows if r["value"] == v]

@@ -48,6 +48,50 @@ def test_spectral_field_matches_full_complex_formula(h, w, corr_length):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _spectral_field_numpy_rfft2(h, w, corr_length, nugget, rng):
+    """_spectral_field on NumPy's rfft2/irfft2, which make a complex plane per pass."""
+    amplitude = _spectral_amplitude(h, w, corr_length, nugget)
+    spectrum = np.fft.rfft2(rng.standard_normal((h, w)))
+    magnitude = np.abs(spectrum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spectrum /= magnitude
+    spectrum[magnitude == 0.0] = 1.0
+    spectrum *= amplitude
+    field_ = np.fft.irfft2(spectrum, s=(h, w))
+    field_ -= field_.mean(axis=0, keepdims=True)
+    field_ -= field_.mean(axis=1, keepdims=True)
+    return field_
+
+
+@pytest.mark.parametrize("h,w", [(512, 512), (130, 97), (97, 130), (33, 2), (2, 33), (7, 5)])
+def test_spectral_field_equals_the_numpy_rfft2_form(h, w):
+    dy = np.minimum(np.arange(h), h - np.arange(h))[:, None]
+    dx = np.minimum(np.arange(w), w - np.arange(w))[None, :]
+    smooth_psd = np.fft.rfft2(np.exp(-np.hypot(dy, dx) / 9.0)).real
+    amplitude = np.sqrt(0.996 * np.maximum(smooth_psd, 0.0) + 0.004)
+    amplitude[0, 0] = 0.0
+    assert np.array_equal(_spectral_amplitude(h, w, 9.0, 0.004), amplitude)
+    for stream in range(2):
+        got = _spectral_field(h, w, 9.0, 0.004, rng_for(17, stream))
+        assert np.array_equal(got, _spectral_field_numpy_rfft2(h, w, 9.0, 0.004,
+                                                               rng_for(17, stream)))
+
+
+def test_spectral_make_scene_keeps_few_planes():
+    # the white-noise plane, the half spectrum and its magnitude; NumPy's
+    # rfft2/irfft2 made one complex plane more per pass and peaked at 3.01 planes
+    spec = SceneSpec(kind="spectral", width=512, height=512, corr_length=110.0)
+    make_scene(spec, rng_for(3, 0))  # fills the amplitude cache
+    plane = spec.width * spec.height * 8
+    tracemalloc.start()
+    try:
+        make_scene(spec, rng_for(3, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * plane, peak / plane
+
+
 def test_cached_amplitude_is_read_only_half_spectrum():
     amplitude = _spectral_amplitude(64, 97, 9.0, 0.004)
     assert amplitude.shape == (64, 97 // 2 + 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semsnr import correlation, raster
 from semsnr.correlation import (
     AcfCurve,
     autocorrelation,
@@ -267,3 +268,21 @@ def test_ccf_background_is_np_median_outside_the_peak_block(size, count):
     mask[np.ix_(np.arange(my - 2, my + 3) % size, np.arange(mx - 2, mx + 3) % size)] = False
     assert int(mask.sum()) == count
     assert ccf_surface(a, b).background == float(np.median(surface[mask]))
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (130, 97), (97, 130), (33, 2), (2, 33), (7, 5)])
+def test_ccf_surface_equals_the_numpy_rfft2_form(shape, rng, monkeypatch):
+    a = rng.normal(100.0, 5.0, size=shape)
+    b = np.roll(a, (1, 1), axis=(0, 1)) + rng.normal(0.0, 2.0, size=shape)
+    xa, xb = a - a.mean(), b - b.mean()
+    expected = np.fft.irfft2(np.conj(np.fft.rfft2(xa)) * np.fft.rfft2(xb), s=shape) / xa.size
+    surfaces = []
+
+    def recording(*args, **kwargs):  # the surface is scaled in this plane afterwards
+        surfaces.append(raster.irfft2(*args, **kwargs))
+        return surfaces[-1]
+
+    monkeypatch.setattr(correlation, "irfft2", recording)
+    res = ccf_surface(a, b)
+    assert len(surfaces) == 1 and np.array_equal(surfaces[0], expected)
+    assert res.peak_value == float(expected.max())

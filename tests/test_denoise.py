@@ -434,6 +434,20 @@ def test_band_filters_keep_few_planes(kind, limit, rng):
     assert peak < limit * arr.nbytes, peak / arr.nbytes
 
 
+def test_wiener_global_keeps_few_planes(rng):
+    # on 256 x 256: the half spectrum, its transfer and the output plane
+    # (2.02 measured); NumPy's irfft2 made one complex plane more (3.02)
+    img = raster_from_array(rng.uniform(0.0, 1000.0, size=(256, 256)))
+    wiener_global(img, 150.0)
+    tracemalloc.start()
+    try:
+        wiener_global(img, 150.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * img.data.nbytes, peak / img.data.nbytes
+
+
 @pytest.mark.parametrize("kind, limit", [("bilateral", 3.5), ("median", 3.1)])
 def test_tile_filters_keep_one_tile_buffer(kind, limit, rng):
     # on 256 x 256: the output plane, the padded plane and one tile buffer
@@ -478,6 +492,24 @@ def test_wiener_global_matches_full_spectrum_formula(shape, rng):
             wiener_transfer(img, bad)
         with pytest.raises(DomainError):
             wiener_global(img, bad)
+
+
+def _wiener_global_numpy_rfft2(x, noise_var):
+    """wiener_global on NumPy's rfft2/irfft2, which make a complex plane per pass."""
+    spectrum = np.fft.rfft2(x)
+    spectrum *= denoise._transfer(spectrum, x.size, noise_var)
+    return np.maximum(np.fft.irfft2(spectrum, s=x.shape), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (130, 97), (97, 130), (33, 2), (2, 33), (7, 5)])
+def test_wiener_global_equals_the_numpy_rfft2_form(shape, rng):
+    arr = rng.uniform(0.0, 200.0, size=shape)
+    img = raster_from_array(arr)
+    for noise_var in (0.0, 25.0, 900.0, 1e12):
+        expected = _wiener_global_numpy_rfft2(arr, noise_var)
+        assert wiener_global(img, noise_var).output.data.tobytes() == expected.tobytes()
+        assert np.array_equal(wiener_transfer(img, noise_var),
+                              denoise._transfer(np.fft.rfft2(arr), arr.size, noise_var))
 
 
 def test_wiener_local_reduces_mse_on_oracle(oracle_corpus):

@@ -1,5 +1,6 @@
 """The package's module graph: no module imports, directly or through others, itself;
-and every package name the benchmark reads exists."""
+every 2-D real FFT runs through ``raster``; and every package name the benchmark reads
+exists."""
 
 import ast
 import importlib
@@ -54,6 +55,31 @@ def test_module_graph_has_no_import_cycle():
     assert graph["bench"] >= {"corpus", "denoise", "parallel"}  # the walk sees the imports
     cycle = _find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def _numpy_fft2_calls(tree: ast.AST) -> list[str]:
+    """NumPy's 2-D real FFTs that ``tree`` names: ``fft.rfft2``/``fft.irfft2`` reads and
+    ``from numpy.fft import`` of either."""
+    names = ("rfft2", "irfft2")
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"):
+            found.append(f"fft.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            found.extend(f"fft.{a.name}" for a in node.names if a.name in names)
+    return found
+
+
+def test_only_raster_calls_numpy_fft2():
+    # the walk sees both spellings
+    assert _numpy_fft2_calls(ast.parse("s = np.fft.rfft2(x)\nnumpy.fft.irfft2(s)")) == [
+        "fft.rfft2", "fft.irfft2"]
+    assert _numpy_fft2_calls(ast.parse("from numpy.fft import irfft2")) == ["fft.irfft2"]
+    calls = {p.stem: _numpy_fft2_calls(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py")) if p.stem != "raster"}
+    assert calls.keys() >= {"corpus", "correlation", "denoise"}
+    assert not {stem: found for stem, found in calls.items() if found}
 
 
 def _perfbench_names() -> set[tuple[str, str]]:

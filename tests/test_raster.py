@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from semsnr.errors import DomainError, PgmParseError, PgmSizeError
 from semsnr.raster import (
     Raster,
+    irfft2,
     load_pgm,
     pgm_bytes,
     quantize,
     quantize_in_place,
     raster_from_array,
     raster_from_pgm_bytes,
+    rfft2,
     save_pgm,
     variance,
 )
@@ -192,6 +194,55 @@ def test_in_place_rounding_matches_the_copysign_rule(bit_depth, rng):
         for data in (q.data, q_in_place.data):
             assert data.tobytes() == expected.tobytes()  # bit for bit, the sign of zero too
         assert clamped == clamped_in_place == expected_clamped
+
+
+def _quantize_every_pass(x, bit_depth):
+    """quantize_in_place with the sign and clamp passes always run: the gate's reference."""
+    negative = np.signbit(x)
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    np.negative(x, out=x, where=negative)
+    maxval = float((1 << bit_depth) - 1)
+    clamped = int(np.count_nonzero(x < 0.0)) + int(np.count_nonzero(x > maxval))
+    np.clip(x, 0.0, maxval, out=x)
+    return x, clamped
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+def test_quantize_skipped_passes_change_no_bit(bit_depth):
+    maxval = (1 << bit_depth) - 1
+    bodies = [
+        [0.3, 7.5, 1.0, 2.5],  # in range and above 0: the sign passes are skipped
+        [0.0, 7.5, 1.0, 2.5],  # one +0.0: the sign passes run
+        [-0.0, 7.5, 1.0, 2.5],  # one -0.0, which stays -0.0 until the clip
+        [-0.4, 7.5, -1.5, 2.5],  # negatives, one rounding to -0.0
+        [0.5, 1.5, 2.5, 3.5],  # ties at k + 0.5 round away from zero
+    ]
+    # the max rounds to maxval, rounds past it, or lies far above it
+    tops = [maxval + 0.49, np.nextafter(maxval + 0.5, 0.0), maxval + 0.5, maxval + 7.0, 1e12]
+    for body in bodies:
+        for top in tops:
+            arr = np.array([body, [top, 4.0, 5.5, 6.0]])
+            got, clamped = quantize_in_place(arr.copy(), bit_depth)
+            ref, ref_clamped = _quantize_every_pass(arr.copy(), bit_depth)
+            assert np.array_equal(got.data, ref), (body, top)
+            assert np.array_equal(np.signbit(got.data), np.signbit(ref)), (body, top)
+            assert clamped == ref_clamped, (body, top)
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (130, 97), (97, 130), (33, 2), (2, 33), (7, 5)])
+def test_fft_pair_equals_numpy_rfft2_and_irfft2(shape, rng):
+    plane = rng.normal(100.0, 30.0, size=shape)
+    before = plane.copy()
+    spectrum = rfft2(plane)
+    assert np.array_equal(spectrum, np.fft.rfft2(plane))
+    assert np.array_equal(plane, before)  # the forward transform reads its plane only
+    expected = np.fft.irfft2(spectrum, s=shape)
+    assert np.array_equal(irfft2(spectrum.copy(), shape[1]), expected)
+    out = np.empty(shape)
+    assert irfft2(spectrum.copy(), shape[1], out=out) is out
+    assert np.array_equal(out, expected)
 
 
 def test_variance_equals_np_var_bit_for_bit(rng):
