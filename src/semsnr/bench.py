@@ -404,10 +404,11 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir) -> list[dict]:
     Each image is one item of :func:`parallel.map_on_cores` on every core the
     process may use (``taskset -c 0`` runs them serially, on the calling
     thread); rows come in truth.csv order and are the same for every core
-    count.  An item reads its noisy plane, filters it, and only then reads its
-    clean plane: one plane, output - clean, gives ``mse_vs_clean``,
-    ``psnr_db`` and ``oracle_snr_after``, the image's ``signal_energy`` over
-    var(output - clean).  ``oracle_snr_before`` is truth.csv's ``true_snr``.
+    count.  An item reads its noisy plane, filters it, keeps only its shape
+    and bit depth, and only then reads its clean plane: one plane, output -
+    clean, gives ``mse_vs_clean``, ``psnr_db`` and ``oracle_snr_after``, the
+    image's ``signal_energy`` over var(output - clean), so scoring holds three
+    planes.  ``oracle_snr_before`` is truth.csv's ``true_snr``.
     This is the one place a filtered plane is scored: the filters only return it.
     The filtered planes are quantized back to the input bit depth and written
     to ``out_dir`` as ``<id>.filtered.pgm``, and the rows as report.csv.
@@ -429,15 +430,17 @@ def run_denoise(corpus_dir, spec: FilterSpec, out_dir) -> list[dict]:
         except DomainError as exc:
             raise ConfigError(f"filter {label} cannot run on corpus image {image_id} "
                               f"({noisy.width}x{noisy.height}): {exc}") from exc
+        shape, bit_depth = noisy.data.shape, noisy.bit_depth
+        del noisy  # freed before the clean plane is read (peak RSS)
         clean = load_plane(root, image_id, "clean")
-        if clean.data.shape != noisy.data.shape:
+        if clean.data.shape != shape:
             raise DataError(f"corpus image {image_id}: its clean and noisy planes differ in size")
         work = report.output.data - clean.data
         del clean
         err = float(np.mean(work**2))  # denoise.mse(output, clean), bit for bit
         noise = variance(work, work)
         del work  # freed before quantize makes its plane (peak RSS)
-        stored, _ = quantize(report.output, noisy.bit_depth)
+        stored, _ = quantize(report.output, bit_depth)
         save_pgm(stored, out / f"{image_id}.filtered.pgm")
         return {
             "image_id": image_id,

@@ -373,23 +373,33 @@ def iter_corpus(spec: CorpusSpec):
         yield corpus_image(spec, index)
 
 
-def _write_image(spec: CorpusSpec, index: int, out: Path) -> dict:
-    """Acquire one image and write its four files; only its truth row outlives the call.
+def _write_recipe(spec: CorpusSpec, index: int, seed: int, target: float,
+                  out: Path) -> NoiseRecipe:
+    """Write image ``index``'s scene PGM and recipe.txt, and return its recipe.
 
-    The scene PGM is written, and the basis dropped, before the noise is
-    simulated, so the image holds at most four planes at once.
+    The scene basis is dropped when this returns, before the noise is simulated.
     """
     image_id = f"img{index:04d}"
-    target, seed = _image_noise(spec, index)
     basis = scene_basis(spec, index)
     scene_name = f"{image_id}.scene.pgm"
     save_pgm(basis, out / scene_name)
     recipe, dose_scale, dose_offset = acquisition_recipe(spec, basis, seed, target)
-    del basis
     with open(out / f"{image_id}.recipe.txt", "w", encoding="ascii") as fh:
         fh.write(recipe_to_text(recipe, dose_pgm=scene_name,
                                 dose_scale=dose_scale, dose_offset=dose_offset))
-    gt = simulate(recipe)
+    return recipe
+
+
+def _write_image(spec: CorpusSpec, index: int, out: Path) -> dict:
+    """Acquire one image and write its four files; only its truth row outlives the call.
+
+    The recipe of :func:`_write_recipe` is handed straight to simulate, and no
+    name here holds it, so simulate frees the dose map before it makes its
+    deviation plane and the image holds at most three planes at once.
+    """
+    image_id = f"img{index:04d}"
+    target, seed = _image_noise(spec, index)
+    gt = simulate(_write_recipe(spec, index, seed, target, out))
     save_pgm(gt.clean, out / f"{image_id}.clean.pgm")
     save_pgm(gt.noisy, out / f"{image_id}.noisy.pgm")
     return _truth_row(spec, index, seed, target, gt)
@@ -483,7 +493,11 @@ def _read_recipe(corpus_dir, image_id: str) -> NoiseRecipe:
 
 
 def regenerate_image(corpus_dir, image_id: str) -> GroundTruth:
-    """Re-run the persisted recipe for one image (reproducibility check)."""
+    """Re-run the persisted recipe for one image (reproducibility check).
+
+    The recipe is handed straight to simulate, which frees its dose map
+    before it makes its deviation plane: three planes at most.
+    """
     return simulate(_read_recipe(corpus_dir, image_id))
 
 
@@ -497,7 +511,12 @@ def second_realization(corpus_dir, image_id: str) -> GroundTruth:
 
     The recipe is identical except for the :func:`second_seed` of its own,
     giving the aligned image pair that two-acquisition estimators need; its
-    clean plane is the stored one bit for bit.
+    clean plane is the stored one bit for bit.  As in :func:`regenerate_image`,
+    no name outlives the call to simulate that holds the recipe or its dose map.
     """
-    recipe = _read_recipe(corpus_dir, image_id)
-    return simulate(replace(recipe, seed=second_seed(recipe.seed)))
+    return simulate(_reseeded(_read_recipe(corpus_dir, image_id)))
+
+
+def _reseeded(recipe: NoiseRecipe) -> NoiseRecipe:
+    """``recipe`` with its :func:`second_seed`; the two share one dose map."""
+    return replace(recipe, seed=second_seed(recipe.seed))

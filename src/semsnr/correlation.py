@@ -73,17 +73,19 @@ class CcfResult:
 def _lag_product(x: np.ndarray, k: int, axis: str) -> float:
     """Mean of f(i,j) * f(i,j+k) (axis "x") or f(i,j) * f(i+k,j) over the valid overlap.
 
-    ``einsum`` sums each row's products without a product plane, and the row
-    sums are added pairwise.  On integer planes of values <= 65535 up to about
-    1448^2 every partial sum is an integer below 2^53, so the mean is exact in
-    any order; on other planes it is within rounding of ``np.mean(a * b)``.
+    ``vecdot`` sums each row's products as one BLAS dot, without a product
+    plane, and the row sums are added pairwise.  On integer planes of values
+    <= 65535 up to about 1448^2 every partial sum is an integer below 2^53, so
+    the mean is exact in any order; on other planes it is within rounding of
+    ``np.mean(a * b)``.  Each lag is its own pass, so its value does not depend
+    on which other lags a table holds.
     """
     h, w = x.shape
     if axis == "x":
         a, b = x[:, : w - k], x[:, k:]
     else:
         a, b = x[: h - k], x[k:]
-    return float(np.einsum("ij,ij->i", a, b).sum()) / a.size
+    return float(np.vecdot(a, b).sum()) / a.size
 
 
 def lag_fits(r: Raster, max_lag: int) -> bool:

@@ -121,10 +121,14 @@ def count_yield(recipe: NoiseRecipe) -> float:
 def simulate(recipe: NoiseRecipe) -> GroundTruth:
     """Realize one acquisition; deterministic under a fixed recipe.
 
-    The clean plane is quantized in the work plane it was built in, and the
-    noisy plane in the float counts plane (integer draws are first mapped
-    into a new float plane and released); one more plane then holds both
-    energies' deviations.  With the dose map that is four planes at most.
+    The noisy plane is quantized in the float counts plane (integer draws are
+    first mapped into a new float plane and released), and then the clean
+    plane in the work plane it was built in.  The call then drops its names
+    for the recipe and its dose map, and one more plane holds both energies'
+    deviations.  A caller that hands its recipe over, keeping no name for it,
+    frees the dose map there, so the call holds three planes at most; one
+    that keeps it holds four.  CPython 3.10 keeps a call's arguments on the
+    caller's stack, so there every call holds four.
     """
     rng = rng_for(recipe.seed)
     dose = recipe.dose_map
@@ -162,19 +166,20 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     else:  # pragma: no cover - guarded by NoiseRecipe
         raise DomainError(f"unknown emission model {model!r}")
 
-    gain, offset = recipe.detector_gain, recipe.dc_offset
-    work = dose * count_yield(recipe)
-    work *= gain
-    work += offset
-    clean, _ = quantize_in_place(work, recipe.bit_depth)
+    gain, offset, depth = recipe.detector_gain, recipe.dc_offset, recipe.bit_depth
     if counts is dose or counts.dtype != np.float64:
         # integer draws, or the frozen dose, into a new float plane
         counts = np.multiply(counts, gain, out=np.empty(dose.shape))
     else:
         counts *= gain  # a float plane of this call's own (additive, inflated poisson-se)
     counts += offset
-    noisy, _ = quantize_in_place(counts, recipe.bit_depth)
+    noisy, _ = quantize_in_place(counts, depth)
     del counts
+    work = dose * count_yield(recipe)
+    del dose, recipe  # the dose map is freed here unless the caller holds the recipe
+    work *= gain
+    work += offset
+    clean, _ = quantize_in_place(work, depth)
 
     work = np.empty_like(clean.data)
     signal_energy = variance(clean.data, work)

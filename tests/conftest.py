@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,24 @@ from semsnr.noise import simulate
 from semsnr.parallel import map_on_cores
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# CPython 3.11 and later hand a call's arguments over to the callee; 3.10
+# keeps them on the caller's stack, so there a recipe handed to simulate
+# outlives its deviation plane and an image holds four planes, not three
+HANDS_OVER_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps a call's arguments alive on the caller's stack")
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes of a second ``fn()``; the first fills lazily built state."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 # the estimator configuration used for every benchmark/regression run: the
 # package default, whose line fit has no additive error term

@@ -2,13 +2,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_FILTER_SPECS
+from conftest import HANDS_OVER_ARGUMENTS, MALFORMED_FILTER_SPECS, traced_peak
 from semsnr.bench import (
     corpus_spec_from_config,
     estimator_config_from_config,
@@ -765,8 +765,6 @@ SWEEP_VALUES = {"dose": [25.0, 100.0, 400.0], "dwell": [1e-7, 1e-6, 4e-6],
 
 def _sweep_point_from_scratch(parameter, value, spec, seed, methods) -> list[dict]:
     """One sweep point rebuilt alone: its own scene, acquisition, flat field and estimates."""
-    from dataclasses import replace
-
     from semsnr.bench import SWEEP_BEAM_CURRENT
     from semsnr.corpus import acquire, scene_basis
     from semsnr.noise import simulate
@@ -1199,6 +1197,22 @@ def test_denoise_memory_follows_cores_not_images(tmp_path, monkeypatch):
     # about two images' worth (2.04 x one), eight on eight cores at 3.5-6.4 x
     one, eight = peak(1, 1), peak(8, 2)
     assert eight <= 2.25 * one, eight / one
+
+
+@HANDS_OVER_ARGUMENTS
+def test_one_core_denoise_item_holds_three_planes(tmp_path, monkeypatch):
+    import semsnr.parallel as parallel
+    from semsnr.bench import run_denoise
+
+    # the noisy plane is dropped once filtered: scoring holds the output, the
+    # clean plane and output - clean
+    monkeypatch.setattr(parallel, "cores", lambda: 1)
+    spec = replace(reference_corpus_spec(seeds_per_level=1), snr_targets=(2.0,))
+    generate_corpus(spec, tmp_path / "corpus", jobs=1)
+    filter_spec = parse_filter_spec("ar_wiener:ar_order=2,window=7")
+    plane = spec.scene.width * spec.scene.height * 8
+    peak = traced_peak(lambda: run_denoise(tmp_path / "corpus", filter_spec, tmp_path / "out"))
+    assert peak <= 3.25 * plane, peak / plane
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import HANDS_OVER_ARGUMENTS, traced_peak
 from semsnr import corpus
 from semsnr.corpus import (
     CorpusSpec,
@@ -16,6 +17,8 @@ from semsnr.corpus import (
     make_scene,
     read_csv,
     reference_corpus_spec,
+    regenerate_image,
+    second_realization,
 )
 from semsnr.errors import ConfigError, DomainError
 from semsnr.noise import rng_for
@@ -297,6 +300,27 @@ def test_one_reference_image_holds_four_planes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4.25 * plane, peak / plane
+
+
+@HANDS_OVER_ARGUMENTS
+def test_one_reference_image_holds_three_planes(tmp_path):
+    # no name in _write_image holds the recipe, so simulate frees the dose map
+    # before it makes its deviation plane: clean, noisy and deviation
+    spec = replace(reference_corpus_spec(seeds_per_level=1), snr_targets=(2.0,))
+    plane = spec.scene.width * spec.scene.height * 8
+    peak = traced_peak(lambda: corpus._write_image(spec, 0, tmp_path))
+    assert peak <= 3.25 * plane, peak / plane
+
+
+@HANDS_OVER_ARGUMENTS
+@pytest.mark.parametrize("reader", [regenerate_image, second_realization])
+def test_a_recipe_read_back_holds_three_planes(tmp_path, reader):
+    # the read recipe goes straight to simulate, which frees its dose map
+    spec = replace(reference_corpus_spec(seeds_per_level=1), snr_targets=(2.0,))
+    generate_corpus(spec, tmp_path, jobs=1)
+    plane = spec.scene.width * spec.scene.height * 8
+    peak = traced_peak(lambda: reader(tmp_path, "img0000"))
+    assert peak <= 3.25 * plane, peak / plane
 
 
 def test_serial_generate_keeps_one_image_alive(tmp_path):

@@ -241,6 +241,17 @@ def test_lag_table_matches_direct_products(rng):
         lag_table(r, 0, 10)  # 10 >= 20 / 2
 
 
+def test_a_lag_does_not_depend_on_the_table_that_holds_it(rng):
+    # each lag is its own pass: on a float plane, where the summation order
+    # shows in the last bits, a fused pass over every lag gave other values
+    r = raster_from_array(rng.uniform(0.0, 50.0, size=(33, 47)))
+    full = lag_table(r, 5, 5)
+    for x_lags, y_lags in ((1, 1), (2, 0)):
+        part = lag_table(r, x_lags, y_lags)
+        assert part.x.values.tolist() == full.x.values[: x_lags + 1].tolist()
+        assert part.y.values.tolist() == full.y.values[: y_lags + 1].tolist()
+
+
 def test_ccf_surface_reads_brute_force_surface(rng):
     arr1 = rng.uniform(0.0, 10.0, size=(24, 32))
     arr2 = np.roll(arr1, (1, 2), axis=(0, 1)) + rng.normal(0.0, 1.0, size=(24, 32))

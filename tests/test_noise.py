@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import HANDS_OVER_ARGUMENTS, traced_peak
 from semsnr.errors import DomainError
 from semsnr.noise import (
     NoiseRecipe,
@@ -112,6 +113,42 @@ def test_simulate_holds_four_planes_with_its_dose_map(model, kw):
         tracemalloc.stop()
     plane = recipe.dose_map.nbytes
     assert peak + plane <= limit * plane, (peak + plane) / plane
+
+
+@HANDS_OVER_ARGUMENTS
+@pytest.mark.parametrize("model, kw", [
+    ("additive-gaussian", {"gaussian_sigma": 40.0}),
+    ("poisson-pe", {}),
+    ("poisson-se", {}),
+    ("binomial-bse", {}),
+    ("none", {}),
+])
+def test_simulate_holds_three_planes_with_a_handed_over_recipe(model, kw):
+    # the noisy plane is made first and the dose map freed before the
+    # deviation plane: dose, draws and float counts, then clean, noisy and
+    # deviation (additive 3.00, counting models 3.03)
+    def recipe():
+        return NoiseRecipe(dose_map=np.random.default_rng(5).uniform(2e3, 4e3, (256, 256)),
+                           emission_model=model, dc_offset=100.0, **kw)
+
+    plane = 256 * 256 * 8
+    peak = traced_peak(lambda: simulate(recipe()))
+    assert peak <= 3.25 * plane, peak / plane
+
+
+@pytest.mark.parametrize("model", ["additive-gaussian", "poisson-pe", "none"])
+def test_simulate_leaves_a_kept_recipe_whole(model):
+    def recipe():
+        return NoiseRecipe(dose_map=np.random.default_rng(8).uniform(2e3, 4e3, (64, 48)),
+                           emission_model=model, gaussian_sigma=30.0, seed=4)
+
+    kept = recipe()
+    dose = kept.dose_map.copy()
+    a, b = simulate(kept), simulate(recipe())
+    assert np.array_equal(kept.dose_map, dose)
+    assert np.array_equal(a.clean.data, b.clean.data)
+    assert np.array_equal(a.noisy.data, b.noisy.data)
+    assert (a.signal_energy, a.noise_energy) == (b.signal_energy, b.noise_energy)
 
 
 def test_oracle_energies_consistent():
