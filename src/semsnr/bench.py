@@ -21,7 +21,7 @@ from . import parallel
 from .corpus import (
     CorpusSpec,
     SceneSpec,
-    acquire,
+    acquisition_recipe,
     load_plane,
     read_truth_csv,
     scene_basis,
@@ -268,6 +268,10 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     reference is the emission law :func:`snr_yield` of the model's channel at
     that dose, not the scene's power oracle that every method row carries.
 
+    A ``methods`` that names a two-image method is a ConfigError raised before
+    any scene is built, unless it is the whole registry (``ALL_METHODS``, as
+    ``--methods all`` gives), whose single-image methods are swept.
+
     Seed ``i``'s scene (stream ``i`` of the base seed) is synthesized once and
     shared by all of its points; a contrast sweep also acquires it once and
     rescales that acquisition per value.  Each seed is one item of
@@ -288,25 +292,40 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
         raise ConfigError(f"sweep --range values must be finite and > 0, got {bad}")
     if any(lo >= hi for lo, hi in zip(values, values[1:])):
         raise ConfigError(f"sweep --range values must be strictly increasing, got {values}")
-    if parameter == "contrast":
+    contrast = parameter == "contrast"
+    if contrast:
         # a stored plane lies in [0, maxval], so this bounds each raw-product sum of a rescaled copy
         maxval = Raster(np.zeros((2, 2)), spec.bit_depth).maxval
         pixels = spec.scene.width * spec.scene.height
         big = [v for v in values if not math.isfinite(pixels * (v * maxval) * (v * maxval))]
         if big:
             raise ConfigError(f"contrast values {big} overflow the sums of a {pixels}-pixel plane")
-    # two-image names drop out quietly, so ALL_METHODS sweeps the single-image ones
     methods = check_methods(methods)
-    single = [m for m in methods if m in SINGLE_IMAGE_METHODS]
-    if not single:
+    two_image = [m for m in methods if m not in SINGLE_IMAGE_METHODS]
+    if two_image and set(methods) != set(ALL_METHODS):
         raise ConfigError(f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
-                          f"got {list(methods)}")
+                          f"got {two_image}")
+    single = [m for m in methods if m in SINGLE_IMAGE_METHODS]
+    doses = ([(0.5 * (spec.dose_min + spec.dose_max), spec)] * len(values) if contrast
+             else _scaled_doses(parameter, values, spec))
 
-    doses = None if parameter == "contrast" else _scaled_doses(parameter, values, spec)
-
-    def seed_rows(seed):
-        return _seed_rows(parameter, values, doses, spec, scene_basis(spec, seed), seed, single,
-                          est_cfg)
+    def seed_rows(seed) -> list[list[dict]]:
+        """Each value's rows for one seed: the moment row (counting models), then one per method."""
+        basis = scene_basis(spec, seed)
+        kept = _acquire_point(spec, basis, seed, doses[0][0]) if contrast else None
+        per_value = []
+        for value, (dose, local) in zip(values, doses):
+            gt, moment = kept or _acquire_point(local, basis, seed, dose)
+            results = estimate_all(gt.noisy.scaled(value) if contrast else gt.noisy, est_cfg,
+                                   methods=single)
+            cells = [] if moment is None else [("moment", *moment)]
+            cells += [(m, results[m].snr_linear if results[m].status == "ok" else None,
+                       gt.true_snr) for m in single]
+            del gt  # a dose or dwell acquisition is freed before the next one is made
+            per_value.append([{"parameter": parameter, "value": value, "seed": seed,
+                               "method": method, "estimate": estimate, "reference": reference}
+                              for method, estimate, reference in cells])
+        return per_value
 
     per_seed = parallel.map_on_cores(seed_rows, range(seeds), None)
     return [row for i in range(len(values)) for by_value in per_seed for row in by_value[i]]
@@ -332,37 +351,23 @@ def _scaled_doses(parameter, values, spec) -> list[tuple[float, CorpusSpec]]:
     return doses
 
 
-def _seed_rows(parameter, values, doses, spec, basis, seed, single, est_cfg) -> list[list[dict]]:
-    """Each value's rows for one seed; every point acquires the seed's scene ``basis``.
-
-    ``dose`` and ``dwell`` acquire it once per value under the spec of its
-    :func:`_scaled_doses` pair; ``contrast`` acquires it once and estimates a
-    rescaled copy per value.
-    """
-    if parameter == "contrast":
-        point = _acquire_point(spec, basis, seed, 0.5 * (spec.dose_min + spec.dose_max))
-        return [_point_rows(parameter, value, seed, point, value, single, est_cfg)
-                for value in values]
-    # no name holds an acquisition, so it is freed before the next one is made
-    return [_point_rows(parameter, value, seed, _acquire_point(local, basis, seed, dose), None,
-                        single, est_cfg)
-            for value, (dose, local) in zip(values, doses)]
-
-
 def _acquire_point(spec, basis, seed, dose):
     """Acquire ``basis`` with noise seed ``seed + 1``: (ground truth, moment pair or None).
 
-    The moment pair (models of ``MOMENT_CHANNELS`` only) is the amplitude SNR
-    of a 64x64 flat field at ``dose`` under the acquisition's recipe and
-    :func:`snr_yield` at ``dose`` for the model's channel; either is None
-    where its formula has no value (a flat field with sd 0 or mean at most
-    dc_offset, a zero backscatter yield).
+    No name keeps the :func:`acquisition_recipe` handed to :func:`simulate`, so
+    the dose map is freed before the deviation plane is made: a point holds
+    three planes.  The moment pair (models of ``MOMENT_CHANNELS`` only) is the
+    amplitude SNR of a 64x64 flat field at ``dose`` under ``spec.recipe`` with
+    the same noise seed (these models have no gaussian_sigma, so it is the
+    acquisition's recipe with that dose map) and :func:`snr_yield` at ``dose``
+    for the model's channel; either is None where its formula has no value (a
+    flat field with sd 0 or mean at most dc_offset, a zero backscatter yield).
     """
-    (recipe, _, _), gt = acquire(spec, basis, seed + 1, spec.snr_targets[0])
+    gt = simulate(acquisition_recipe(spec, basis, seed + 1, spec.snr_targets[0])[0])
     channel = MOMENT_CHANNELS.get(spec.model)
     if channel is None:
         return gt, None
-    flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose))).noisy.data
+    flat = simulate(spec.recipe(np.full((64, 64), dose), seed=seed + 1)).noisy.data
     return gt, (_defined(snr_from_image, float(flat.mean()), spec.dc_offset, float(flat.std())),
                 _defined(snr_yield, dose, channel, spec.se_yield, spec.bse_yield,
                          spec.yield_inflation))
@@ -374,25 +379,6 @@ def _defined(formula, *args):
         return formula(*args)
     except DomainError:
         return None
-
-
-def _point_rows(parameter, value, seed, point, contrast, single, est_cfg) -> list[dict]:
-    """One point's rows: the moment row (counting models), then one per method.
-
-    ``point`` is an :func:`_acquire_point` pair; a ``contrast`` factor rescales
-    its noisy plane before estimation.  Method rows carry the oracle SNR of
-    the acquisition as their reference.
-    """
-    gt, moment = point
-    noisy = gt.noisy if contrast is None else gt.noisy.scaled(contrast)
-    cells = [] if moment is None else [("moment", *moment)]
-    results = estimate_all(noisy, est_cfg, methods=single)
-    for method in single:
-        est = results[method]
-        cells.append((method, est.snr_linear if est.status == "ok" else None, gt.true_snr))
-    return [{"parameter": parameter, "value": value, "seed": seed, "method": method,
-             "estimate": estimate, "reference": reference}
-            for method, estimate, reference in cells]
 
 
 # --- denoising runs -------------------------------------------------------------

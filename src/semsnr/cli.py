@@ -136,10 +136,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     methods = parse_methods(args.methods)
-    two_image = [m for m in methods if m not in SINGLE_IMAGE_METHODS]
-    if two_image and args.methods.strip() != "all":
-        raise ConfigError(f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
-                          f"got {two_image}")
     cfg = load_config(args.config)
     spec = corpus_spec_from_config(cfg)
     est_cfg = estimator_config_from_config(cfg)

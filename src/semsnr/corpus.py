@@ -324,12 +324,6 @@ def acquisition_recipe(spec: CorpusSpec, basis: Raster, seed: int, target: float
     return spec.recipe(dose, sigma, seed), dose_scale, spec.dose_min
 
 
-def acquire(spec: CorpusSpec, basis: Raster, seed: int, target: float | None):
-    """One acquisition of ``basis``: (:func:`acquisition_recipe`'s triple, ground_truth)."""
-    built = acquisition_recipe(spec, basis, seed, target)
-    return built, simulate(built[0])
-
-
 def _image_noise(spec: CorpusSpec, index: int) -> tuple[float, int]:
     """Image ``index``'s (snr target, noise seed); they derive from (base_seed, index) alone."""
     target = spec.snr_targets[index // spec.seeds_per_level]
@@ -339,14 +333,17 @@ def _image_noise(spec: CorpusSpec, index: int) -> tuple[float, int]:
 def corpus_image(spec: CorpusSpec, index: int):
     """Image ``index`` of the corpus: (image_id, basis, built, ground_truth, truth_row).
 
-    ``basis`` is the stored 16-bit scene raster of :func:`scene_basis` and
-    ``built`` the (recipe, dose_scale, dose_offset) triple of :func:`acquire`.
-    The image's randomness derives from (base_seed, index) alone, so any set
-    of images can be acquired in any order, or at once.
+    ``basis`` is the stored 16-bit scene raster of :func:`scene_basis`,
+    ``built`` the (recipe, dose_scale, dose_offset) triple of
+    :func:`acquisition_recipe` and ``ground_truth`` its recipe simulated; the
+    tuple keeps the recipe, so its dose map outlives the call.  The image's
+    randomness derives from (base_seed, index) alone, so any set of images
+    can be acquired in any order, or at once.
     """
     target, seed = _image_noise(spec, index)
     basis = scene_basis(spec, index)
-    built, gt = acquire(spec, basis, seed, target)
+    built = acquisition_recipe(spec, basis, seed, target)
+    gt = simulate(built[0])
     return f"img{index:04d}", basis, built, gt, _truth_row(spec, index, seed, target, gt)
 
 

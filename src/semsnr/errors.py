@@ -30,14 +30,14 @@ class PgmSizeError(DataError):
     """PGM payload shorter or longer than the header promises."""
 
 
-class SingularFitError(SemSnrError):
-    """A least-squares fit has a singular normal matrix."""
-
-
 class EstimatorError(SemSnrError):
     """Base class for typed estimator failure modes."""
 
     status = "error"
+
+
+class SingularFitError(EstimatorError):
+    """A least-squares fit has a singular normal matrix."""
 
 
 class DegenerateError(EstimatorError):

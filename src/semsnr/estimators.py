@@ -488,7 +488,7 @@ def _attempt(name: str, run, *args) -> SnrEstimate:
         return run(*args)
     except EstimatorError as exc:
         return SnrEstimate(method=name, status=exc.status, diagnostics={"detail": str(exc)})
-    except (DomainError, SingularFitError) as exc:
+    except DomainError as exc:
         return SnrEstimate(method=name, status="error", diagnostics={"detail": str(exc)})
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import BENCH_CONFIG, rel_error
 from semsnr.cli import main
-from semsnr.corpus import CorpusSpec, SceneSpec, acquire, scene_basis
+from semsnr.corpus import CorpusSpec, SceneSpec, acquisition_recipe, scene_basis
 from semsnr.correlation import autocorrelation, snr_db, snr_from_peaks
 from semsnr.denoise import mse, wiener_global, wiener_local, wiener_transfer
 from semsnr.denoise import estimate_noise_variance_ar
@@ -108,7 +108,8 @@ def test_criterion_5_two_image_recovery():
     for target in (1.0, 5.0, 20.0):
         rels = []
         for s in range(10):
-            (recipe, _, _), g1 = acquire(spec, scene_basis(spec, s), 300 + s, target)
+            recipe, _, _ = acquisition_recipe(spec, scene_basis(spec, s), 300 + s, target)
+            g1 = simulate(recipe)
             g2 = simulate(replace(recipe, seed=4000 + s))
             est = estimate_frank_alali(g1.noisy, g2.noisy)
             rels.append(rel_error(est.snr_linear, 0.5 * (g1.true_snr + g2.true_snr)))
@@ -186,7 +187,7 @@ def test_criterion_8_wiener_properties(oracle_corpus):
     )
     hits = total = 0
     for s in range(5):
-        _, gt = acquire(spec, scene_basis(spec, s), 70 + s, 2.0)
+        gt = simulate(acquisition_recipe(spec, scene_basis(spec, s), 70 + s, 2.0)[0])
         estimate = estimate_noise_variance_ar(gt.noisy, 2)
         total += 1
         if abs(estimate - gt.noise_energy) <= 0.15 * gt.noise_energy:

@@ -723,13 +723,13 @@ def test_tiny_dose_sweep_keeps_the_configured_dose_ratio(monkeypatch):
     import semsnr.bench as bench
 
     seen = []
-    real_acquire = bench.acquire
+    real_recipe = bench.acquisition_recipe
 
     def recording(local, *args):
         seen.append(local)
-        return real_acquire(local, *args)
+        return real_recipe(local, *args)
 
-    monkeypatch.setattr(bench, "acquire", recording)
+    monkeypatch.setattr(bench, "acquisition_recipe", recording)
     # 1e-6 puts the scaled dose_min under 1e-6 and dose_max over it; 1e-9 puts both under
     values = [1e-9, 1e-6]
     rows = run_sweep("dose", values, SWEEP_SPEC, ("nn",), seeds=1)
@@ -766,7 +766,7 @@ SWEEP_VALUES = {"dose": [25.0, 100.0, 400.0], "dwell": [1e-7, 1e-6, 4e-6],
 def _sweep_point_from_scratch(parameter, value, spec, seed, methods) -> list[dict]:
     """One sweep point rebuilt alone: its own scene, acquisition, flat field and estimates."""
     from semsnr.bench import SWEEP_BEAM_CURRENT
-    from semsnr.corpus import acquire, scene_basis
+    from semsnr.corpus import acquisition_recipe, scene_basis
     from semsnr.noise import simulate
     from semsnr.yield_snr import dose_per_pixel, snr_yield
 
@@ -775,7 +775,8 @@ def _sweep_point_from_scratch(parameter, value, spec, seed, methods) -> list[dic
     dose_mid = dose_mid or dose_per_pixel(SWEEP_BEAM_CURRENT, value)
     scale = dose_mid / mid
     local = replace(spec, dose_min=spec.dose_min * scale, dose_max=spec.dose_max * scale)
-    (recipe, _, _), gt = acquire(local, scene_basis(local, seed), seed + 1, 1.0)
+    recipe, _, _ = acquisition_recipe(local, scene_basis(local, seed), seed + 1, 1.0)
+    gt = simulate(recipe)
     flat = simulate(replace(recipe, dose_map=np.full((64, 64), dose_mid))).noisy.data
     # spec is poisson-pe: the moment row's reference is the PE emission law sqrt(dose)
     cells = [("moment", (float(flat.mean()) - local.dc_offset) / float(flat.std()),
@@ -804,7 +805,7 @@ def test_sweep_builds_each_scene_once_and_a_contrast_acquisition_once(monkeypatc
     import semsnr.bench as bench
 
     # seeds run on worker threads: list.append is atomic, ``+= 1`` on a shared count is not
-    calls = {"scene_basis": [], "acquire": []}
+    calls = {"scene_basis": [], "acquisition_recipe": []}
 
     def counted(name):
         real = getattr(bench, name)
@@ -820,7 +821,7 @@ def test_sweep_builds_each_scene_once_and_a_contrast_acquisition_once(monkeypatc
     run_sweep(parameter, values, SWEEP_SPEC, ("nn",), seeds=seeds)
     per_seed = 1 if parameter == "contrast" else len(values)
     assert {name: len(made) for name, made in calls.items()} == {
-        "scene_basis": seeds, "acquire": per_seed * seeds}
+        "scene_basis": seeds, "acquisition_recipe": per_seed * seeds}
 
 
 @pytest.mark.parametrize("parameter", ["dose", "contrast"])
@@ -850,15 +851,15 @@ def test_an_error_in_one_seed_reaches_the_sweep_caller(tmp_path, capsys, monkeyp
     import semsnr.bench as bench
     import semsnr.parallel as parallel
 
-    real, raised_on = bench.acquire, []
+    real, raised_on = bench.acquisition_recipe, []
 
-    def acquire(spec, basis, seed, target):
+    def acquisition_recipe(spec, basis, seed, target):
         if seed == 2:  # the noise seed of seed index 1
             raised_on.append(threading.current_thread())
             raise DomainError(f"no acquisition for noise seed {seed}")
         return real(spec, basis, seed, target)
 
-    monkeypatch.setattr(bench, "acquire", acquire)
+    monkeypatch.setattr(bench, "acquisition_recipe", acquisition_recipe)
     monkeypatch.setattr(parallel, "cores", lambda: 2)
     with pytest.raises(DomainError, match="no acquisition for noise seed 2"):
         run_sweep("dose", [100.0, 400.0], SWEEP_SPEC, ("nn",), seeds=3)
@@ -899,6 +900,24 @@ def test_sweep_memory_follows_cores_not_seeds(monkeypatch):
     serial, two_cores = peak(1, 8), peak(2, 8)
     assert serial <= 1.25 * one, serial / one
     assert two_cores <= 2.25 * one, two_cores / one
+
+
+@HANDS_OVER_ARGUMENTS
+@pytest.mark.parametrize("model", ["additive-gaussian", "poisson-pe", "poisson-se",
+                                   "binomial-bse", "none"])
+def test_a_sweep_point_holds_three_planes(model):
+    import semsnr.bench as bench
+    from semsnr.corpus import scene_basis
+
+    # no name keeps the point's recipe, so simulate frees its dose map before
+    # it makes its deviation plane: clean, noisy and deviation (additive and
+    # none 3.00; the counting models' 64x64 flat field adds about 0.13)
+    spec = CorpusSpec(scene=SceneSpec(kind="ar_field", width=256, height=256), model=model,
+                      base_seed=3)
+    basis = scene_basis(spec, 0)
+    plane = 256 * 256 * 8
+    peak = traced_peak(lambda: bench._acquire_point(spec, basis, 0, 225.0))
+    assert peak <= 3.25 * plane, peak / plane
 
 
 @pytest.mark.parametrize("values", [[100.0, 100.0], [25.0, 100.0, 100.0], [400.0, 100.0]])
@@ -979,20 +998,25 @@ def test_sweep_refuses_methods_it_cannot_run(tmp_path, capsys, methods, refused)
     assert [r["method"] for r in read_csv(out / "sweep.csv")] == ["moment", *SINGLE_IMAGE_METHODS]
 
 
-def test_sweep_of_two_image_methods_only_is_config_error_in_the_library(small_corpus, monkeypatch):
+@pytest.mark.parametrize("methods,refused", [
+    (("smart", "frank_alali"), "['smart', 'frank_alali']"), (("nn", "smart"), "['smart']")],
+    ids=["smart,frank_alali", "nn,smart"])
+def test_sweep_of_two_image_methods_only_is_config_error_in_the_library(small_corpus, monkeypatch,
+                                                                        methods, refused):
     import semsnr.bench as bench
     from semsnr.bench import run_sweep
 
-    def not_acquired(*args, **kwargs):
-        raise AssertionError("the sweep acquired an image before refusing its methods")
+    def not_made(*args, **kwargs):
+        raise AssertionError("the sweep built a scene or a recipe before refusing its methods")
 
-    monkeypatch.setattr(bench, "acquire", not_acquired)
+    for name in ("scene_basis", "acquisition_recipe"):
+        monkeypatch.setattr(bench, name, not_made)
     config, _ = small_corpus
     spec = corpus_spec_from_config(load_config(config))
     with pytest.raises(ConfigError) as info:
-        run_sweep("dose", [400.0], spec, ("smart", "frank_alali"), seeds=1)
+        run_sweep("dose", [400.0], spec, methods, seeds=1)
     assert str(info.value) == (f"sweep runs single-image methods only {SINGLE_IMAGE_METHODS}; "
-                               "got ['smart', 'frank_alali']")
+                               f"got {refused}")
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -1410,8 +1434,8 @@ def test_estimate_and_sweep_run_only_requested_methods(small_corpus, tmp_path, m
     assert all(line["shared_ms"] >= 0.0 for line in shared)
     assert len(lines) == len(shared) + len(rows)
     spec = corpus_spec_from_config(load_config(config))
-    sweep = run_sweep("contrast", [1.0], spec, ("nn", "smart"), BENCH_CONFIG, seeds=1)
-    assert [r["method"] for r in sweep] == ["nn"]
+    sweep = run_sweep("contrast", [1.0], spec, ALL_METHODS, BENCH_CONFIG, seeds=1)
+    assert [r["method"] for r in sweep] == list(SINGLE_IMAGE_METHODS)
 
 
 def test_report_summary_matches_estimate_summary(small_corpus, tmp_path):

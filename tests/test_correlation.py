@@ -161,7 +161,7 @@ def test_cross_correlate_recovers_known_snr(oracle_corpus):
     # two realizations of one scene at a known oracle SNR close to 4
     from dataclasses import replace
 
-    from semsnr.corpus import CorpusSpec, SceneSpec, acquire, scene_basis
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquisition_recipe, scene_basis
     from semsnr.noise import simulate
 
     spec = CorpusSpec(
@@ -172,7 +172,8 @@ def test_cross_correlate_recovers_known_snr(oracle_corpus):
     )
     rels = []
     for s in range(5):
-        (recipe, _, _), g1 = acquire(spec, scene_basis(spec, s), 100 + s, 4.0)
+        recipe, _, _ = acquisition_recipe(spec, scene_basis(spec, s), 100 + s, 4.0)
+        g1 = simulate(recipe)
         g2 = simulate(replace(recipe, seed=7000 + s))
         res = cross_correlate(g1.noisy, g2.noisy)
         assert res.peak_offset == (0, 0)

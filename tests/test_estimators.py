@@ -325,7 +325,7 @@ def test_frank_alali_independent_noise_error(rng):
 
 
 def test_frank_alali_recovers_oracle():
-    from semsnr.corpus import CorpusSpec, SceneSpec, acquire, scene_basis
+    from semsnr.corpus import CorpusSpec, SceneSpec, acquisition_recipe, scene_basis
     from semsnr.noise import simulate
 
     spec = CorpusSpec(
@@ -336,7 +336,8 @@ def test_frank_alali_recovers_oracle():
     )
     rels = []
     for s in range(6):
-        (recipe, _, _), g1 = acquire(spec, scene_basis(spec, s), 40 + s, 5.0)
+        recipe, _, _ = acquisition_recipe(spec, scene_basis(spec, s), 40 + s, 5.0)
+        g1 = simulate(recipe)
         g2 = simulate(replace(recipe, seed=900 + s))
         est = estimate_frank_alali(g1.noisy, g2.noisy)
         rels.append(rel_error(est.snr_linear, 0.5 * (g1.true_snr + g2.true_snr)))

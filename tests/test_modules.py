@@ -1,13 +1,17 @@
 """The package's module graph: no module imports, directly or through others, itself;
 every 2-D real FFT runs through ``raster``; and every package name the benchmark reads
-exists."""
+or the README names exists."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "semsnr"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+README = Path(__file__).parent.parent / "README.md"
+# backticked spans that read like ``module.name`` but name a file, not a package name
+README_FILE_NAMES = {("bench", "cfg")}
 
 
 def _relative_imports(path: Path) -> set[str]:
@@ -114,3 +118,25 @@ def test_every_semsnr_name_perfbench_reads_exists():
     missing = sorted(f"{module}.{name}" for module, name in names
                      if not hasattr(importlib.import_module(module), name))
     assert not missing, f"perfbench reads names the package lacks: {missing}"
+
+
+def _readme_names() -> set[tuple[str, str]]:
+    """(module, name) pairs of every backticked ``module.name`` or ``semsnr.module.name``
+    in the README whose module is a module of this package."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    found = set()
+    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
+        for match in re.finditer(r"(?<![\w.])(?:semsnr\.)?([a-z_]\w*)\.([A-Za-z_]\w*)", span):
+            if match.group(1) in modules:
+                found.add(match.groups())
+    return found
+
+
+def test_every_semsnr_name_the_readme_names_exists():
+    names = _readme_names()
+    # both spellings are seen, and each file name excluded is still in the README
+    assert {("bench", "SWEEP_BEAM_CURRENT"), ("denoise", "FILTERS")} <= names
+    assert README_FILE_NAMES <= names
+    missing = sorted(f"semsnr.{module}.{name}" for module, name in names - README_FILE_NAMES
+                     if not hasattr(importlib.import_module(f"semsnr.{module}"), name))
+    assert not missing, f"the README names package names that do not exist: {missing}"
