@@ -1,13 +1,13 @@
 """SNR estimation techniques.
 
 Every single-image technique is a rule for predicting the noise-free
-autocorrelation peak r_nf(0) from lags k >= 1; the estimate is then
-(r_nf - mean^2) / (r(0) - r_nf) through the shared back-end in
-:mod:`semsnr.correlation`.  The two-image techniques work from the
-cross-correlation of two acquisitions of the same scene.  Every method is
-an entry of one registry, :data:`METHODS`; the single-image estimators take an
-image or the :class:`~semsnr.correlation.LagTable` that :func:`estimate_all`
-shares among them.
+autocorrelation peak r_nf(0) from lags k >= 1 of a
+:class:`~semsnr.correlation.LagTable`.  Every method is an entry of one
+registry, :data:`METHODS`, whose single-image rules return that peak and
+their diagnostics; :func:`estimate_all` alone turns a peak into the estimate
+(r_nf - mean^2) / (r(0) - r_nf) through :func:`~semsnr.correlation.snr_from_peaks`.
+The two-image techniques work from the cross-correlation of two acquisitions
+of the same scene.
 
 Failure modes raise typed :class:`~semsnr.errors.EstimatorError` subclasses;
 :func:`estimate_all` converts them to per-method statuses so a benchmark run
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -75,15 +76,12 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise DomainError("n_points must be at least 2")
-        if self.lag_start < 1 or self.nllsr_lag_start < 1:
-            raise DomainError("lag_start must be at least 1")
-        if self.acldr_order < 1:
-            raise DomainError("orders must be at least 1")
+            raise DomainError(f"n_points must be at least 2, got {self.n_points}")
+        for key in ("lag_start", "nllsr_lag_start", "acldr_order", "smart_shift"):
+            if getattr(self, key) < 1:
+                raise DomainError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.epsilon_policy not in EPSILON_POLICIES:
             raise DomainError(f"epsilon_policy must be one of {EPSILON_POLICIES}")
-        if self.smart_shift < 1:
-            raise DomainError("smart_shift must be at least 1")
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -274,60 +272,33 @@ def asnn_correct(snr_base: float) -> float:
     return ASNN_SLOPE * snr_base - ASNN_INTERCEPT
 
 
-# --- image-level estimators ---------------------------------------------------
+# --- single-image rules: (lag table, cfg) -> (predicted peak, diagnostics) ----------
 
 
-def _table(src: Raster | LagTable, method: str, cfg: EstimatorConfig) -> LagTable:
-    """The lag table estimate_all shares, or one of the method's own need for an image."""
-    return src if isinstance(src, LagTable) else lag_table(src, *METHODS[method].lags(cfg))
-
-
-def _from_peak(method: str, table: LagTable, peak: float, **diag) -> SnrEstimate:
-    return _ok(method, snr_from_peaks(table.x.value(0), peak, table.mean), peak=peak, **diag)
-
-
-def estimate_nn(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def _nn(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
     """Nearest-offset prediction: r_nf(0) ~ (r(1,0) + r(0,1)) / 2."""
-    t = _table(img, "nn", cfg)
     r_x1, r_y1 = t.x.value(1), t.y.value(1)
-    return _from_peak("nn", t, nn_peak(r_x1, r_y1), r_x1=r_x1, r_y1=r_y1)
+    return nn_peak(r_x1, r_y1), {"r_x1": r_x1, "r_y1": r_y1}
 
 
-def estimate_fol(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def _fol(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
     """First-order extrapolation through lags 1 and 2 of the x profile."""
-    t = _table(img, "fol", cfg)
     r1, r2 = t.x.value(1), t.x.value(2)
-    return _from_peak("fol", t, fol_peak(r1, r2), r1=r1, r2=r2)
+    return fol_peak(r1, r2), {"r1": r1, "r2": r2}
 
 
-def estimate_lsr(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
-    """Least-squares line through the early autocorrelation tail."""
-    t = _table(img, "lsr", cfg)
-    peak, diag = lsr_peak(t.x, cfg)
-    return _from_peak("lsr", t, peak, **diag)
-
-
-def estimate_nllsr(img: Raster | LagTable,
-                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def _nllsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
     """Log-log power-law fit of the covariance tail (squared mean restored).
 
     Fits the average of the two axis profiles; the single-axis tail is noisy
     enough at low SNR to tip the extrapolation above the measured peak.
     """
-    t = _table(img, "nllsr", cfg)
-    curve = t.xy(cfg.nllsr_lag_start + cfg.n_points - 1)
-    peak, diag = nllsr_peak(curve, cfg, offset=t.mean**2)
-    return _from_peak("nllsr", t, peak, **diag)
+    return nllsr_peak(t.xy(cfg.nllsr_lag_start + cfg.n_points - 1), cfg, offset=t.mean**2)
 
 
-def estimate_asnn(img: Raster | LagTable, cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
-    """Affine-corrected nearest-offset estimate."""
-    nn = estimate_nn(_table(img, "asnn", cfg), cfg)
-    snr = asnn_correct(nn.snr_linear)
-    if snr <= 0.0:
-        raise DegenerateError(f"corrected SNR {snr} is not positive")
-    return _ok("asnn", snr, peak=nn.predicted_nf_peak, snr_base=nn.snr_linear,
-               slope=ASNN_SLOPE, intercept=ASNN_INTERCEPT)
+def _asnn(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """nn's peak; the registry's ``correct`` applies the published affine correction."""
+    return _nn(t, cfg)[0], {"slope": ASNN_SLOPE, "intercept": ASNN_INTERCEPT}
 
 
 def acldr_covariance_peak(table: LagTable, order: int) -> tuple[float, dict]:
@@ -337,8 +308,8 @@ def acldr_covariance_peak(table: LagTable, order: int) -> tuple[float, dict]:
     products and pins the first reflection coefficient onto the unit circle)
     of the average of the two axis profiles.  A tail too noisy for ``order``
     steps the order down before giving up; the diagnostics start with the
-    effective ``order``.  ``estimate_acldr`` and the blind noise variance of
-    :mod:`semsnr.denoise` both run this rule.
+    effective ``order``.  acldr's registry rule and the blind noise variance
+    of :mod:`semsnr.denoise` both run this rule.
     """
     tail = table.xy(order + 1).values[1:] - table.mean**2
     if tail[0] <= 0.0:
@@ -352,20 +323,10 @@ def acldr_covariance_peak(table: LagTable, order: int) -> tuple[float, dict]:
                 raise
 
 
-def estimate_acldr(img: Raster | LagTable,
-                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+def _acldr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
     """Autoregressive backward extrapolation of the tail, :func:`acldr_covariance_peak`."""
-    t = _table(img, "acldr", cfg)
     cov_peak, diag = acldr_covariance_peak(t, cfg.acldr_order)
-    return _from_peak("acldr", t, cov_peak + t.mean**2, **diag)
-
-
-def estimate_chillsrsnr(img: Raster | LagTable,
-                        cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
-    """Cubic Hermite spline extrapolation of the x profile, :func:`chillsr_peak`."""
-    t = _table(img, "chillsr", cfg)
-    peak, diag = chillsr_peak(t.x.value(1), t.x.value(2), t.x.value(3))
-    return _from_peak("chillsr", t, peak, **diag)
+    return cov_peak + t.mean**2, diag
 
 
 def snr_from_correlation(rho: float) -> float:
@@ -457,29 +418,54 @@ def estimate_smart(img: Raster, second: Raster | None = None,
 class Method:
     """A registry entry: the largest (x, y) lag a method reads and its rule.
 
-    ``rule`` takes (lag table, cfg); two-image methods (``lags`` None) take
-    (img, second, cfg).
+    A single-image ``rule`` maps (lag table, cfg) to the predicted noise-free
+    peak and its diagnostics; one step, which :func:`estimate_all` runs, turns
+    that peak into an SNR and then applies ``correct`` where one is set.
+    Two-image methods (``lags`` None) take (img, second, cfg) and return
+    their :class:`SnrEstimate`.
     """
 
     name: str
     lags: Callable[[EstimatorConfig], tuple[int, int]] | None
-    rule: Callable[..., SnrEstimate]
+    rule: Callable[..., tuple[float, dict] | SnrEstimate]
+    correct: Callable[[float], float] | None = None
 
 
 METHODS = {m.name: m for m in (
-    Method("nn", lambda c: (1, 1), estimate_nn),
-    Method("fol", lambda c: (2, 0), estimate_fol),
-    Method("lsr", lambda c: (c.lag_start + c.n_points - 1, 0), estimate_lsr),
-    Method("nllsr", lambda c: (c.nllsr_lag_start + c.n_points - 1,) * 2, estimate_nllsr),
-    Method("asnn", lambda c: (1, 1), estimate_asnn),
-    Method("acldr", lambda c: (c.acldr_order + 1,) * 2, estimate_acldr),
-    Method("chillsr", lambda c: (3, 0), estimate_chillsrsnr),
+    Method("nn", lambda c: (1, 1), _nn),
+    Method("fol", lambda c: (2, 0), _fol),
+    Method("lsr", lambda c: (c.lag_start + c.n_points - 1, 0), lambda t, c: lsr_peak(t.x, c)),
+    Method("nllsr", lambda c: (c.nllsr_lag_start + c.n_points - 1,) * 2, _nllsr),
+    Method("asnn", lambda c: (1, 1), _asnn, asnn_correct),
+    Method("acldr", lambda c: (c.acldr_order + 1,) * 2, _acldr),
+    Method("chillsr", lambda c: (3, 0),
+           lambda t, c: chillsr_peak(t.x.value(1), t.x.value(2), t.x.value(3))),
     Method("frank_alali", None, lambda img, second, cfg: estimate_frank_alali(img, second)
            if second is not None else SnrEstimate("frank_alali", "not_applicable")),
     Method("smart", None, estimate_smart),
 )}
 SINGLE_IMAGE_METHODS = tuple(name for name, m in METHODS.items() if m.lags is not None)
 ALL_METHODS = tuple(METHODS)
+
+
+def _estimate(entry: Method, src: Raster | LagTable,
+              cfg: EstimatorConfig = DEFAULT_CONFIG) -> SnrEstimate:
+    """A single-image method's rule, on the shared lag table or an image's own, through
+    :func:`snr_from_peaks` and the method's correction."""
+    t = src if isinstance(src, LagTable) else lag_table(src, *entry.lags(cfg))
+    peak, diag = entry.rule(t, cfg)
+    snr = snr_from_peaks(t.x.value(0), peak, t.mean)
+    if entry.correct is not None:
+        diag = {"snr_base": snr, **diag}
+        snr = entry.correct(snr)
+        if snr <= 0.0:
+            raise DegenerateError(f"corrected SNR {snr} is not positive")
+    return _ok(entry.name, snr, peak, **diag)
+
+
+# each single-image method on its own, taking an image or a lag table
+(estimate_nn, estimate_fol, estimate_lsr, estimate_nllsr, estimate_asnn, estimate_acldr,
+ estimate_chillsrsnr) = (partial(_estimate, METHODS[m]) for m in SINGLE_IMAGE_METHODS)
 
 
 def _attempt(name: str, run, *args) -> SnrEstimate:
@@ -509,7 +495,8 @@ def estimate_all(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
     """Run the selected techniques, in registry order; failures become statuses.
 
     The single-image methods read one lag table, sized to the largest lag
-    among the selected methods whose own need fits the image.
+    among the selected methods whose own need fits the image; each rule's peak
+    becomes an SNR in the one step that applies :func:`snr_from_peaks`.
     """
     methods = check_methods(methods)
     entries = [m for name, m in METHODS.items() if name in methods]
@@ -520,9 +507,9 @@ def estimate_all(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
     for entry in entries:
         t0 = time.perf_counter()
         # a method whose need does not fit reads the image and fails as it does alone
-        src = table if entry in fits else img
-        args = (img, second) if entry.lags is None else (src,)
-        est = _attempt(entry.name, entry.rule, *args, cfg)
+        args = ((entry.rule, img, second) if entry.lags is None
+                else (_estimate, entry, table if entry in fits else img))
+        est = _attempt(entry.name, *args, cfg)
         results[entry.name] = replace(est, runtime_ms=(time.perf_counter() - t0) * 1e3)
     return results
 

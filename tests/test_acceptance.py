@@ -204,9 +204,9 @@ def test_criterion_9_invariance_suite(oracle_corpus, rng):
         scaled = img.scaled(lam)
         for fn in (estimate_nn, estimate_fol, estimate_lsr, estimate_nllsr,
                    estimate_acldr, estimate_chillsrsnr):
-            base = fn(img, BENCH_CONFIG).snr_linear
+            base = fn(img, BENCH_CONFIG)
             after = fn(scaled, BENCH_CONFIG).snr_linear
-            assert after == pytest.approx(base, rel=1e-6), (fn.__name__, lam)
+            assert after == pytest.approx(base.snr_linear, rel=1e-6), (base.method, lam)
 
     for _ in range(5):
         arr = rng.uniform(0.0, 400.0, size=(48, 40))

@@ -1404,7 +1404,9 @@ def test_config_that_is_not_utf8_is_config_error(small_corpus, tmp_path, capsys,
 
 @pytest.mark.parametrize("line", ["epsilon_polcy = zero", "n_points = many",
                                   "epsilon_policy = sometimes", "asnn_slope = 1.0",
-                                  "chillsr_correction = 0,1,0", "chillsr_points = 4"])
+                                  "chillsr_correction = 0,1,0", "chillsr_points = 4",
+                                  "n_points = 1", "lag_start = 0", "nllsr_lag_start = 0",
+                                  "acldr_order = 0", "smart_shift = 0"])
 def test_bad_estimate_config_exit_code(small_corpus, tmp_path, capsys, line):
     _, corpus_dir = small_corpus
     config = tmp_path / "bad.cfg"

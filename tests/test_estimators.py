@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_CONFIG, rel_error
+from semsnr.corpus import corpus_image, reference_corpus_spec
 from semsnr.correlation import AcfCurve, LagTable, autocorrelation, lag_table, snr_from_peaks
 from semsnr.errors import (
     DegenerateError,
@@ -194,17 +195,59 @@ def test_chillsr_branches_by_hand(lags, tangents, peak):
     assert diag["tangents"] == pytest.approx(tangents, rel=1e-12)
 
 
-def test_chillsr_reads_only_lags_1_to_3():
-    assert METHODS["chillsr"].lags(EstimatorConfig()) == (3, 0)
-    x = [120.0, 110.0, 104.0, 101.0, 99.0, 98.0, 97.5]
-    table = LagTable(curve_from(x, mean=9.0), curve_from(x[:2], mean=9.0))
-    base = estimate_chillsrsnr(table)
-    assert base.status == "ok"
-    for lag in range(4, len(x)):
-        changed = list(x)
-        changed[lag] = -1e6
-        moved = LagTable(curve_from(changed, mean=9.0), table.y)
-        assert estimate_chillsrsnr(moved) == base, lag
+SHORT_CONFIG = EstimatorConfig(n_points=3, lag_start=2, nllsr_lag_start=3, acldr_order=3)
+
+
+@pytest.mark.parametrize("cfg", [BENCH_CONFIG, SHORT_CONFIG], ids=["default", "short"])
+@pytest.mark.parametrize("method", SINGLE_IMAGE_METHODS)
+def test_every_rule_reads_only_its_declared_lags(oracle_corpus, method, cfg):
+    # a lag beyond the declared need is absent from the small table, and reading it raises
+    img = oracle_corpus[20]["gt"].noisy
+    entry = METHODS[method]
+    peak, diag = entry.rule(lag_table(img, *entry.lags(cfg)), cfg)
+    assert math.isfinite(peak)
+    assert (peak, diag) == entry.rule(lag_table(img, 8, 8), cfg)
+
+
+def test_every_rule_returns_its_peak_where_the_snr_step_refuses():
+    # the clean planes of a nugget-free scene: nllsr's peak reaches r(0) on every one
+    spec = reference_corpus_spec()
+    spec = replace(spec, scene=replace(spec.scene, width=128, height=128, spectral_nugget=0.0),
+                   snr_targets=(1.0, 5.0, 20.0), seeds_per_level=3)
+    refused = []
+    for index in range(spec.image_count()):
+        clean = corpus_image(spec, index)[3].clean
+        table = lag_table(clean, 5, 5)
+        results = estimate_all(clean, BENCH_CONFIG, methods=SINGLE_IMAGE_METHODS)
+        for method, est in results.items():
+            peak, _ = METHODS[method].rule(table, BENCH_CONFIG)
+            assert math.isfinite(peak), (index, method)
+            if est.status == "ok":
+                assert est.predicted_nf_peak == peak, (index, method)
+            else:
+                assert est.status == "degenerate", (index, method, est.status)
+                refused.append(method)
+    assert refused.count("nllsr") == spec.image_count() == 9
+
+
+def test_ok_estimates_carry_their_rules_peak(oracle_corpus, corpus_estimates):
+    for image, entry in zip(oracle_corpus, corpus_estimates):
+        table = lag_table(image["gt"].noisy, 5, 5)
+        for method in SINGLE_IMAGE_METHODS:
+            est = entry["results"][method]
+            if est.status == "ok":
+                peak, _ = METHODS[method].rule(table, BENCH_CONFIG)
+                assert est.predicted_nf_peak == peak, (entry["image_id"], method)
+
+
+def test_asnn_correction_below_zero_is_degenerate():
+    # r(1) / (r0 - r(1)) = 4.975 / 995.025 ~ 0.005, under asnn's zero crossing at ~0.00647
+    curve = curve_from([1000.0, 4.975])
+    table = LagTable(curve, curve)
+    assert estimate_nn(table).snr_linear == pytest.approx(0.005, rel=1e-4)
+    with pytest.raises(DegenerateError, match="^corrected SNR ") as exc:
+        estimate_asnn(table)
+    assert exc.value.status == "degenerate"
 
 
 def test_asnn_affine_constants():
@@ -271,6 +314,8 @@ def test_asnn_is_affine_of_nn(oracle_corpus):
         assert asnn.snr_linear == pytest.approx(
             ASNN_SLOPE * nn.snr_linear - ASNN_INTERCEPT, rel=1e-12
         )
+        assert list(asnn.diagnostics) == ["snr_base", "slope", "intercept"]
+        assert asnn.diagnostics["snr_base"] == nn.snr_linear
         values.append((nn.snr_linear, asnn.snr_linear))
     order_nn = np.argsort([v[0] for v in values])
     order_asnn = np.argsort([v[1] for v in values])
@@ -287,7 +332,7 @@ def test_scale_equivariance(oracle_corpus, lam):
                estimate_acldr, estimate_chillsrsnr):
         base = fn(img, cfg)
         after = fn(scaled, cfg)
-        assert after.snr_linear == pytest.approx(base.snr_linear, rel=1e-6), fn.__name__
+        assert after.snr_linear == pytest.approx(base.snr_linear, rel=1e-6), base.method
 
 
 def test_acf_scales_quadratically(oracle_corpus):
