@@ -187,12 +187,13 @@ def _estimate_one(root, truth_row, methods, est_cfg, pairs) -> tuple[list[dict],
 
 
 def summarize_results(rows) -> list[dict]:
+    """One row per method: ``n_ok`` counts its ok rows, the median pools those with a rel_error."""
     summary = []
     for method in sorted({row["method"] for row in rows}):
         mine = [row for row in rows if row["method"] == method]
-        errs = [abs(float(row["rel_error"])) for row in mine
-                if row["status"] == "ok" and row["rel_error"] not in (None, "")]
-        summary.append({"method": method, "n_ok": len(errs), "n_total": len(mine),
+        ok = [row for row in mine if row["status"] == "ok"]
+        errs = [abs(float(row["rel_error"])) for row in ok if row["rel_error"] not in (None, "")]
+        summary.append({"method": method, "n_ok": len(ok), "n_total": len(mine),
                         "median_abs_rel_error": float(np.median(errs)) if errs else None})
     return summary
 

@@ -55,6 +55,8 @@ class LagTable:
 
     def xy(self, max_lag: int) -> AcfCurve:
         """Average of the x and y profiles over lags 0..max_lag (halves tail variance)."""
+        if not 0 <= max_lag < min(self.x.values.size, self.y.values.size):
+            raise DomainError(f"lag {max_lag} not present in both profiles")
         n = max_lag + 1
         return AcfCurve(0.5 * (self.x.values[:n] + self.y.values[:n]), self.x.mean)
 

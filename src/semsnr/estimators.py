@@ -1,10 +1,10 @@
 """SNR estimation techniques.
 
-Every single-image technique is a rule for predicting the noise-free
-autocorrelation peak r_nf(0) from lags k >= 1 of a
-:class:`~semsnr.correlation.LagTable`.  Every method is an entry of one
-registry, :data:`METHODS`, whose single-image rules return that peak and
-their diagnostics; :func:`estimate_all` alone turns a peak into the estimate
+Every method is an entry of one registry, :data:`METHODS`.  Each
+single-image technique is one rule function there: it predicts the
+noise-free autocorrelation peak r_nf(0) from lags k >= 1 of a
+:class:`~semsnr.correlation.LagTable` and returns that peak with its
+diagnostics; :func:`estimate_all` alone turns a peak into the estimate
 (r_nf - mean^2) / (r(0) - r_nf) through :func:`~semsnr.correlation.snr_from_peaks`.
 The two-image techniques work from the cross-correlation of two acquisitions
 of the same scene.
@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .correlation import (
-    AcfCurve,
     LagTable,
     ccf_surface,
     lag_fits,
@@ -109,17 +108,19 @@ def _ok(method: str, snr: float, peak: float | None = None, **diag) -> SnrEstima
                        diagnostics=diag)
 
 
-# --- curve-level peak predictors ---------------------------------------------
+# --- single-image rules: (lag table, cfg) -> (predicted peak, diagnostics) ----------
 
 
-def nn_peak(r_x1: float, r_y1: float) -> float:
-    """Average of the two unit-offset autocorrelation values."""
-    return 0.5 * (r_x1 + r_y1)
+def _nn(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """Nearest-offset prediction: r_nf(0) ~ (r(1,0) + r(0,1)) / 2."""
+    r_x1, r_y1 = t.x.value(1), t.y.value(1)
+    return 0.5 * (r_x1 + r_y1), {"r_x1": r_x1, "r_y1": r_y1}
 
 
-def fol_peak(r1: float, r2: float) -> float:
-    """Linear extrapolation through lags 1 and 2 evaluated at lag 0."""
-    return 2.0 * r1 - r2
+def _fol(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """First-order extrapolation: the line through lags 1 and 2 of the x profile at lag 0."""
+    r1, r2 = t.x.value(1), t.x.value(2)
+    return 2.0 * r1 - r2, {"r1": r1, "r2": r2}
 
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -132,30 +133,31 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(alpha), float(beta)
 
 
-def lsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG) -> tuple[float, dict]:
-    """Line fit over ``n_points`` lags, evaluated at lag 0 plus the error term."""
+def _lsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """Line fit over ``n_points`` lags of the x profile, evaluated at lag 0 plus the error term."""
     lags = np.arange(cfg.lag_start, cfg.lag_start + cfg.n_points)
-    ys = np.array([curve.value(int(k)) for k in lags])
+    ys = np.array([t.x.value(int(k)) for k in lags])
     alpha, beta = _line_fit(lags.astype(np.float64), ys)
     if cfg.epsilon_policy == "half_gap":
-        eps = 0.5 * (curve.value(0) - curve.value(1))
+        eps = 0.5 * (t.x.value(0) - t.x.value(1))
     else:
         eps = 0.0
     return alpha + eps, {"alpha": alpha, "beta": beta, "epsilon": eps}
 
 
-def nllsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG,
-               offset: float = 0.0) -> tuple[float, dict]:
-    """Log-log power-law fit evaluated at lag 1 with a multiplicative error term.
+def _nllsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """Log-log power-law fit of the covariance tail at lag 1, times a multiplicative error term.
 
-    The model value at lag 0 is identically zero, so the fit is evaluated at
-    the nearest lag where the power-law form is finite.  The multiplicative
-    error term is the half-gap computed in the log domain, sqrt(r(0)/r(1)).
-    ``offset`` is subtracted from every curve value before the fit and added
-    back to the prediction; image-level callers pass the squared mean so the
-    power law fits the covariance structure rather than the flat offset that
-    dominates raw products.
+    The squared mean is subtracted from every value before the fit and added
+    back to the prediction, so the power law fits the covariance structure
+    rather than the flat offset that dominates raw products.  It fits the
+    average of the two axis profiles; the single-axis tail is noisy enough at
+    low SNR to tip the extrapolation above the measured peak.  The model value
+    at lag 0 is identically zero, so the fit is evaluated at the nearest lag
+    where the power-law form is finite.  The multiplicative error term is the
+    half-gap computed in the log domain, sqrt(r(0)/r(1)).
     """
+    curve, offset = t.xy(cfg.nllsr_lag_start + cfg.n_points - 1), t.mean**2
     lags = np.arange(cfg.nllsr_lag_start, cfg.nllsr_lag_start + cfg.n_points)
     ys = np.array([curve.value(int(k)) for k in lags]) - offset
     if np.any(ys <= 0.0):
@@ -170,6 +172,16 @@ def nllsr_peak(curve: AcfCurve, cfg: EstimatorConfig = DEFAULT_CONFIG,
     else:
         eps = 1.0
     return alpha * eps + offset, {"alpha": alpha, "beta": beta, "epsilon": eps}
+
+
+def asnn_correct(snr_base: float) -> float:
+    """Published affine correction of the unit-offset estimate."""
+    return ASNN_SLOPE * snr_base - ASNN_INTERCEPT
+
+
+def _asnn(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """nn's peak; the registry's ``correct`` applies the published affine correction."""
+    return _nn(t, cfg)[0], {"slope": ASNN_SLOPE, "intercept": ASNN_INTERCEPT}
 
 
 @dataclass(frozen=True)
@@ -218,35 +230,53 @@ def levinson_durbin(acf_values, order: int) -> LevinsonResult:
     return LevinsonResult(ar_coeffs=a, reflection=reflection, errors=errors)
 
 
-def acldr_peak(tail_values, order: int) -> tuple[float, dict]:
-    """Backward extrapolation of the autocorrelation tail to lag 0.
+def acldr_covariance_peak(table: LagTable, order: int) -> tuple[float, dict]:
+    """acldr's rule: the covariance peak extrapolated back from the lag table's tail.
 
-    The tail r(1..K) is fed to the order recursion as a lagged sequence; the
-    fitted autoregression is then inverted at its first Yule-Walker equation,
-    where the unknown lag-0 sample appears, to predict the noise-free peak.
-    The default order 2 predicts r(1)²/r(2), order 1's peak: its phi_1 and
-    1 - phi_2 share the factor r(1) - r(3), which cancels.
+    The recursion runs on mean-removed samples (the squared mean dominates raw
+    products and pins the first reflection coefficient onto the unit circle)
+    of the average of the two axis profiles.  The tail r(1..K) is fed to the
+    order recursion as a lagged sequence; a tail too noisy for ``order`` steps
+    the order down before giving up, and the diagnostics start with the
+    effective ``order``.  The fitted autoregression is then inverted at its
+    first Yule-Walker equation, where the unknown lag-0 sample appears, to
+    predict the noise-free peak.  The default order 2 predicts r(1)²/r(2),
+    order 1's peak: its phi_1 and 1 - phi_2 share the factor r(1) - r(3),
+    which cancels.  acldr's registry rule and the blind noise variance of
+    :mod:`semsnr.denoise` both run this rule.
     """
-    tail = np.asarray(tail_values, dtype=np.float64)
-    if tail.size < order + 1:
-        raise DomainError(f"need at least {order + 1} tail values for order {order}")
-    ld = levinson_durbin(tail, order)
+    tail = table.xy(order + 1).values[1:] - table.mean**2
+    if tail[0] <= 0.0:
+        raise DegenerateError("no covariance structure above the squared mean")
+    for effective in range(order, 0, -1):
+        try:
+            ld = levinson_durbin(tail[: effective + 1], effective)
+            break
+        except NonStationaryError:
+            if effective == 1:
+                raise
     phi = -ld.ar_coeffs
     if abs(phi[0]) < 1e-12:
         raise DegenerateError("backward extrapolation is ill-conditioned (phi_1 ~ 0)")
     # tail[k-2] holds r(k-1): the first Yule-Walker equation reads
     # r(1) = phi_1 r(0) + sum_{k>=2} phi_k r(k-1)
-    acc = tail[0] - float(np.dot(phi[1:], tail[: order - 1]))
-    peak = float(acc / phi[0])
-    return peak, {
+    acc = tail[0] - float(np.dot(phi[1:], tail[: effective - 1]))
+    return float(acc / phi[0]), {
+        "order": effective,
         "ar_coeffs": ld.ar_coeffs.tolist(),
         "reflection": ld.reflection.tolist(),
         "error_power": ld.errors.tolist(),
     }
 
 
-def chillsr_peak(r1: float, r2: float, r3: float) -> tuple[float, dict]:
-    """Shape-preserving cubic Hermite spline through lags 1..3 evaluated at lag 0.
+def _acldr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """Autoregressive backward extrapolation of the tail, :func:`acldr_covariance_peak`."""
+    cov_peak, diag = acldr_covariance_peak(t, cfg.acldr_order)
+    return cov_peak + t.mean**2, diag
+
+
+def _chillsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
+    """Shape-preserving cubic Hermite spline through lags 1..3 of the x profile at lag 0.
 
     Only the spline's first segment [1, 2] is extrapolated, across the mirror
     point at lag 1 down to lag 0, and its two tangents read r(1..3) alone.
@@ -255,6 +285,7 @@ def chillsr_peak(r1: float, r2: float, r3: float) -> tuple[float, dict]:
     keep the segment's shape, and ``mid`` at lag 2 the harmonic mean of the
     two secants, zero where they change sign.
     """
+    r1, r2, r3 = t.x.value(1), t.x.value(2), t.x.value(3)
     a, b = r2 - r1, r3 - r2
     mid = 0.0 if a * b <= 0.0 else (3.0 + 3.0) / (3.0 / a + 3.0 / b)
     end = (3.0 * a - b) / 2.0
@@ -265,68 +296,6 @@ def chillsr_peak(r1: float, r2: float, r3: float) -> tuple[float, dict]:
     # the cubic Hermite basis of the unit segment [1, 2] at lag 0 (t = -1) is (-4, -4, 5, -2)
     peak = -4.0 * r1 - 4.0 * end + 5.0 * r2 - 2.0 * mid
     return peak, {"tangents": [end, mid]}
-
-
-def asnn_correct(snr_base: float) -> float:
-    """Published affine correction of the unit-offset estimate."""
-    return ASNN_SLOPE * snr_base - ASNN_INTERCEPT
-
-
-# --- single-image rules: (lag table, cfg) -> (predicted peak, diagnostics) ----------
-
-
-def _nn(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
-    """Nearest-offset prediction: r_nf(0) ~ (r(1,0) + r(0,1)) / 2."""
-    r_x1, r_y1 = t.x.value(1), t.y.value(1)
-    return nn_peak(r_x1, r_y1), {"r_x1": r_x1, "r_y1": r_y1}
-
-
-def _fol(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
-    """First-order extrapolation through lags 1 and 2 of the x profile."""
-    r1, r2 = t.x.value(1), t.x.value(2)
-    return fol_peak(r1, r2), {"r1": r1, "r2": r2}
-
-
-def _nllsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
-    """Log-log power-law fit of the covariance tail (squared mean restored).
-
-    Fits the average of the two axis profiles; the single-axis tail is noisy
-    enough at low SNR to tip the extrapolation above the measured peak.
-    """
-    return nllsr_peak(t.xy(cfg.nllsr_lag_start + cfg.n_points - 1), cfg, offset=t.mean**2)
-
-
-def _asnn(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
-    """nn's peak; the registry's ``correct`` applies the published affine correction."""
-    return _nn(t, cfg)[0], {"slope": ASNN_SLOPE, "intercept": ASNN_INTERCEPT}
-
-
-def acldr_covariance_peak(table: LagTable, order: int) -> tuple[float, dict]:
-    """acldr's rule: the covariance peak extrapolated back from the lag table's tail.
-
-    The recursion runs on mean-removed samples (the squared mean dominates raw
-    products and pins the first reflection coefficient onto the unit circle)
-    of the average of the two axis profiles.  A tail too noisy for ``order``
-    steps the order down before giving up; the diagnostics start with the
-    effective ``order``.  acldr's registry rule and the blind noise variance
-    of :mod:`semsnr.denoise` both run this rule.
-    """
-    tail = table.xy(order + 1).values[1:] - table.mean**2
-    if tail[0] <= 0.0:
-        raise DegenerateError("no covariance structure above the squared mean")
-    for effective in range(order, 0, -1):
-        try:
-            cov_peak, diag = acldr_peak(tail[: effective + 1], effective)
-            return cov_peak, {"order": effective, **diag}
-        except NonStationaryError:
-            if effective == 1:
-                raise
-
-
-def _acldr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
-    """Autoregressive backward extrapolation of the tail, :func:`acldr_covariance_peak`."""
-    cov_peak, diag = acldr_covariance_peak(t, cfg.acldr_order)
-    return cov_peak + t.mean**2, diag
 
 
 def snr_from_correlation(rho: float) -> float:
@@ -434,12 +403,11 @@ class Method:
 METHODS = {m.name: m for m in (
     Method("nn", lambda c: (1, 1), _nn),
     Method("fol", lambda c: (2, 0), _fol),
-    Method("lsr", lambda c: (c.lag_start + c.n_points - 1, 0), lambda t, c: lsr_peak(t.x, c)),
+    Method("lsr", lambda c: (c.lag_start + c.n_points - 1, 0), _lsr),
     Method("nllsr", lambda c: (c.nllsr_lag_start + c.n_points - 1,) * 2, _nllsr),
     Method("asnn", lambda c: (1, 1), _asnn, asnn_correct),
     Method("acldr", lambda c: (c.acldr_order + 1,) * 2, _acldr),
-    Method("chillsr", lambda c: (3, 0),
-           lambda t, c: chillsr_peak(t.x.value(1), t.x.value(2), t.x.value(3))),
+    Method("chillsr", lambda c: (3, 0), _chillsr),
     Method("frank_alali", None, lambda img, second, cfg: estimate_frank_alali(img, second)
            if second is not None else SnrEstimate("frank_alali", "not_applicable")),
     Method("smart", None, estimate_smart),

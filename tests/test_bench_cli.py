@@ -1075,6 +1075,22 @@ def test_readme_denoise_example_raises_the_oracle_snr(tmp_path):
         assert float(row["oracle_snr_after"]) > float(row["oracle_snr_before"]), row
 
 
+def test_summary_counts_ok_rows_that_no_finite_oracle_scores(tmp_path, capsys):
+    # a noiseless corpus: every oracle is inf, so nn's ok rows carry no rel_error
+    config = tmp_path / "none.cfg"
+    config.write_text(POISSON_CONFIG.replace("model = poisson-pe", "model = none"))
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "est"
+    assert main(["generate", "--config", str(config), "--out", str(corpus_dir)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--methods", "nn"]) == 0
+    assert "nn: 2/2 ok, median |rel err| = n/a" in capsys.readouterr().out
+    rows = read_csv(out / "results.csv")
+    assert [(r["status"], r["oracle_snr"], r["rel_error"]) for r in rows] == [("ok", "inf", "")] * 2
+    assert read_csv(out / "summary.csv") == [
+        {"method": "nn", "n_ok": "2", "n_total": "2", "median_abs_rel_error": ""}]
+
+
 def test_estimation_reads_no_clean_plane(small_corpus, tmp_path, capsys):
     _, corpus_dir = small_corpus
     for path in corpus_dir.glob("*.clean.pgm"):

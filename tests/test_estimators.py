@@ -24,9 +24,8 @@ from semsnr.estimators import (
     SINGLE_IMAGE_METHODS,
     EstimatorConfig,
     SnrEstimate,
-    acldr_peak,
+    acldr_covariance_peak,
     asnn_correct,
-    chillsr_peak,
     estimate_acldr,
     estimate_all,
     estimate_asnn,
@@ -37,11 +36,7 @@ from semsnr.estimators import (
     estimate_nllsr,
     estimate_nn,
     estimate_smart,
-    fol_peak,
     levinson_durbin,
-    lsr_peak,
-    nllsr_peak,
-    nn_peak,
     snr_from_correlation,
 )
 from semsnr.raster import raster_from_array
@@ -109,19 +104,29 @@ def test_levinson_toeplitz_property(seed, order):
     assert np.all(np.abs(res.reflection) < 1.0)
 
 
-# --- curve-level peak predictors ------------------------------------------------
+# --- single-image rules on hand-built lag tables --------------------------------
+
+
+def table_of(x, y=None, mean=0.0):
+    """A lag table of profiles ``x`` and ``y`` (``x`` when omitted)."""
+    return LagTable(curve_from(x, mean), curve_from(x if y is None else y, mean))
+
+
+def rule(method, x, y=None, mean=0.0, cfg=EstimatorConfig()):
+    """``METHODS[method].rule`` on :func:`table_of`'s table."""
+    return METHODS[method].rule(table_of(x, y, mean), cfg)
 
 
 def test_nn_and_fol_rules():
-    assert nn_peak(10.0, 12.0) == 11.0
-    assert fol_peak(10.0, 8.0) == 12.0
-    assert fol_peak(9.0, 9.0) == 9.0  # flat tail reduces to the nearest offset
+    assert rule("nn", [20.0, 10.0], [20.0, 12.0])[0] == 11.0
+    assert rule("fol", [20.0, 10.0, 8.0])[0] == 12.0
+    assert rule("fol", [20.0, 9.0, 9.0])[0] == 9.0  # flat tail reduces to the nearest offset
 
 
 def test_lsr_hand_example():
     # exactly linear tail with a noisy peak: alpha=100, beta=-1, eps=(102-99)/2
-    curve = curve_from([102.0, 99.0, 98.0, 97.0, 96.0], mean=5.0)
-    peak, diag = lsr_peak(curve, EstimatorConfig(epsilon_policy="half_gap"))
+    peak, diag = rule("lsr", [102.0, 99.0, 98.0, 97.0, 96.0], mean=5.0,
+                      cfg=EstimatorConfig(epsilon_policy="half_gap"))
     assert peak == pytest.approx(101.5, abs=1e-9)
     assert diag["alpha"] == pytest.approx(100.0)
     assert diag["beta"] == pytest.approx(-1.0)
@@ -130,8 +135,8 @@ def test_lsr_hand_example():
 
 
 def test_lsr_zero_epsilon_noise_free_line_degenerates():
-    curve = curve_from([100.0, 99.0, 98.0, 97.0, 96.0], mean=2.0)
-    peak, _ = lsr_peak(curve, EstimatorConfig(epsilon_policy="zero"))
+    peak, _ = rule("lsr", [100.0, 99.0, 98.0, 97.0, 96.0], mean=2.0,
+                   cfg=EstimatorConfig(epsilon_policy="zero"))
     assert peak == pytest.approx(100.0)
     with pytest.raises(DegenerateError):
         snr_from_peaks(100.0, peak, 2.0)
@@ -139,8 +144,7 @@ def test_lsr_zero_epsilon_noise_free_line_degenerates():
 
 def test_nllsr_recovers_exact_power_law():
     values = [100.0] + [100.0 * k**-0.1 for k in range(1, 6)]
-    curve = curve_from(values)
-    peak, diag = nllsr_peak(curve, EstimatorConfig(epsilon_policy="zero"))
+    peak, diag = rule("nllsr", values, cfg=EstimatorConfig(epsilon_policy="zero"))
     assert diag["alpha"] == pytest.approx(100.0, rel=1e-6)
     assert diag["beta"] == pytest.approx(-0.1, abs=1e-6)
     assert peak == pytest.approx(100.0, rel=1e-6)
@@ -148,8 +152,7 @@ def test_nllsr_recovers_exact_power_law():
 
 def test_nllsr_flat_tail_reduces_toward_nearest_offset():
     values = [110.0, 100.0, 100.0, 100.0, 100.0, 100.0]
-    curve = curve_from(values)
-    peak, diag = nllsr_peak(curve, EstimatorConfig(epsilon_policy="half_gap"))
+    peak, diag = rule("nllsr", values, cfg=EstimatorConfig(epsilon_policy="half_gap"))
     assert diag["beta"] == pytest.approx(0.0, abs=1e-12)
     # multiplicative half-gap: sqrt(r0 / r1)
     assert diag["epsilon"] == pytest.approx(math.sqrt(1.1))
@@ -157,27 +160,36 @@ def test_nllsr_flat_tail_reduces_toward_nearest_offset():
 
 
 def test_nllsr_log_domain_guard():
-    curve = curve_from([10.0, 5.0, 0.0, -1.0, 2.0, 2.0])
     with pytest.raises(LogDomainError):
-        nllsr_peak(curve, EstimatorConfig())
+        rule("nllsr", [10.0, 5.0, 0.0, -1.0, 2.0, 2.0])
 
 
 def test_acldr_exact_geometric_tail():
-    tail = [100.0 * 0.9**k for k in range(1, 4)]
+    values = [100.0 * 0.9**k for k in range(4)]
     for order in (1, 2):
-        peak, diag = acldr_peak(tail[: order + 1], order)
+        peak, diag = acldr_covariance_peak(table_of(values[: order + 2]), order)
         assert peak == pytest.approx(100.0, rel=1e-12)
     assert "reflection" in diag
 
 
 def test_acldr_flat_tail_reduces_to_nearest_offset():
-    peak, _ = acldr_peak([5.0, 5.0], 1)
+    peak, _ = acldr_covariance_peak(table_of([10.0, 5.0, 5.0]), 1)
     assert peak == pytest.approx(5.0)
 
 
+def test_acldr_steps_its_order_down_until_the_recursion_is_stationary():
+    peak, diag = acldr_covariance_peak(table_of([10.0, 8.0, 6.0, 1.0, 9.0]), 3)
+    assert list(diag) == ["order", "ar_coeffs", "reflection", "error_power"]
+    assert diag["order"] == 2
+    assert peak == pytest.approx(32.0 / 3.0, rel=1e-12)
+    assert acldr_covariance_peak(table_of([10.0, 8.0, 6.0, 9.0, 1.0]), 3)[1]["order"] == 1
+    with pytest.raises(NonStationaryError):
+        acldr_covariance_peak(table_of([10.0, 8.0, 9.0, 1.0, 1.0]), 3)
+
+
 def test_chillsr_quadratic_oracle():
-    # analytic curve r(k) = 100 - k^2 sampled at lags 1..3
-    peak, _ = chillsr_peak(*(100.0 - k * k for k in range(1, 4)))
+    # analytic curve r(k) = 100 - k^2 sampled at lags 0..3
+    peak, _ = rule("chillsr", [100.0 - k * k for k in range(4)])
     assert abs(peak - 100.0) <= 1.0
 
 
@@ -190,9 +202,18 @@ def test_chillsr_quadratic_oracle():
     ((10.0, 8.0, 11.0), [-4.5, 0.0], 18.0),  # a sign change with |t| under 3|a| keeps t
 ], ids=["monotone", "mid_zero", "flat", "end_zero", "end_3a", "end_under_3a"])
 def test_chillsr_branches_by_hand(lags, tangents, peak):
-    got, diag = chillsr_peak(*lags)
+    got, diag = rule("chillsr", [0.0, *lags])  # the spline reads no r(0)
     assert got == pytest.approx(peak, rel=1e-12)
     assert diag["tangents"] == pytest.approx(tangents, rel=1e-12)
+
+
+def test_lag_table_xy_refuses_a_lag_either_profile_lacks(rng):
+    table = lag_table(raster_from_array(rng.uniform(0.0, 100.0, size=(32, 32))), 5, 1)
+    assert table.xy(1).values.size == 2
+    with pytest.raises(DomainError, match="^lag 2 "):
+        table.xy(2)
+    with pytest.raises(DomainError, match="^lag 5 "):
+        estimate_nllsr(table)
 
 
 SHORT_CONFIG = EstimatorConfig(n_points=3, lag_start=2, nllsr_lag_start=3, acldr_order=3)
@@ -293,16 +314,10 @@ def test_image_level_matches_curve_level(oracle_corpus):
     cfg = BENCH_CONFIG
     img = oracle_corpus[20]["gt"].noisy
     curve = autocorrelation(img, max_lag=5)
-    lsr_est = estimate_lsr(img, cfg)
-    peak, _ = lsr_peak(curve, cfg)
-    assert lsr_est.snr_linear == snr_from_peaks(curve.value(0), peak, curve.mean)
-    fol_est = estimate_fol(img, cfg)
-    fpeak = fol_peak(curve.value(1), curve.value(2))
-    assert fol_est.snr_linear == snr_from_peaks(curve.value(0), fpeak, curve.mean)
-    nn_est = estimate_nn(img, cfg)
     curve_y = autocorrelation(img, max_lag=1, axis="y")
-    npeak = nn_peak(curve.value(1), curve_y.value(1))
-    assert nn_est.snr_linear == snr_from_peaks(curve.value(0), npeak, curve.mean)
+    for method, estimate in (("lsr", estimate_lsr), ("fol", estimate_fol), ("nn", estimate_nn)):
+        peak, _ = rule(method, curve.values, curve_y.values, curve.mean, cfg)
+        assert estimate(img, cfg).snr_linear == snr_from_peaks(curve.value(0), peak, curve.mean)
 
 
 def test_asnn_is_affine_of_nn(oracle_corpus):
