@@ -157,26 +157,19 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _profile_fwhm(profile: np.ndarray, peak_idx: int, peak: float, background: float) -> float:
-    """Full width at half maximum of a line profile, linear interpolation at crossings."""
+    """Full width at half maximum of a line profile: each side, read outward from the peak,
+    crosses at its first sample below half maximum, interpolated linearly against the
+    sample before it, or else runs half a sample off the profile's edge."""
     half = background + 0.5 * (peak - background)
-    n = profile.size
-
-    def crossing(direction: int) -> float:
-        prev = peak
-        for step in range(1, n):
-            idx = peak_idx + direction * step
-            if idx < 0 or idx >= n:
-                return float(step - 1) + 0.5  # ran off the profile edge
-            cur = profile[idx]
-            if cur < half:
-                # linear interpolation between the previous (>= half) sample and this one
-                frac = (prev - half) / (prev - cur)
-                return float(step - 1) + frac
-            prev = cur
-        return float(n - 1)
-
-    width = crossing(+1) + crossing(-1)
-    return max(width, 1.0)
+    width = 0.0
+    for side in (profile[peak_idx:], profile[peak_idx::-1]):
+        below = np.flatnonzero(side[1:] < half)
+        if below.size:  # side[j] >= half > side[j + 1]
+            j = below[0]
+            width += j + (side[j] - half) / (side[j] - side[j + 1])
+        else:
+            width += side.size - 0.5
+    return max(float(width), 1.0)
 
 
 def ccf_surface(a: np.ndarray, b: np.ndarray) -> CcfResult:
@@ -187,13 +180,11 @@ def ccf_surface(a: np.ndarray, b: np.ndarray) -> CcfResult:
     spectrum work.  The background is the median of the surface outside the
     5x5 block around the peak, and the FWHM is read along the peak row.
     """
-    xa = a - a.mean()
-    xb = b - b.mean()
-    spectrum = rfft2(xa)
+    spectrum = rfft2(a - a.mean())
     np.conj(spectrum, out=spectrum)
-    spectrum *= rfft2(xb)
-    surface = irfft2(spectrum, xa.shape[1])
-    surface /= xa.size
+    spectrum *= rfft2(b - b.mean())
+    surface = irfft2(spectrum, a.shape[1])
+    surface /= a.size
 
     h, w = surface.shape
     my, mx = np.unravel_index(int(np.argmax(surface)), surface.shape)
@@ -203,12 +194,7 @@ def ccf_surface(a: np.ndarray, b: np.ndarray) -> CcfResult:
 
     mask = np.ones_like(surface, dtype=bool)
     mask[np.ix_(np.arange(my - 2, my + 3) % h, np.arange(mx - 2, mx + 3) % w)] = False
-    # np.median's arithmetic from one in-place selection of the masked copy
-    values = surface[mask]
-    k = values.size // 2
-    odd = values.size % 2
-    values.partition(k if odd else (k - 1, k))
-    background = float(values[k] if odd else (values[k - 1] + values[k]) / 2)
+    background = float(np.median(surface[mask], overwrite_input=True))
 
     profile = np.roll(surface[my, :], w // 2 - mx)
     return CcfResult(

@@ -44,7 +44,8 @@ def _check_param(name: str, value) -> None:
         typed = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     else:
         try:
-            typed = isinstance(value, numbers.Real) and math.isfinite(value)
+            typed = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                     and math.isfinite(value))
         except OverflowError:  # an int too large for a float
             typed = False
     if not (typed and holds(value)):

@@ -103,11 +103,6 @@ class SnrEstimate:
         return snr_db(self.snr_linear)
 
 
-def _ok(method: str, snr: float, peak: float | None = None, **diag) -> SnrEstimate:
-    return SnrEstimate(method=method, status="ok", snr_linear=snr, predicted_nf_peak=peak,
-                       diagnostics=diag)
-
-
 # --- single-image rules: (lag table, cfg) -> (predicted peak, diagnostics) ----------
 
 
@@ -299,7 +294,8 @@ def _chillsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
 
 
 def snr_from_correlation(rho: float) -> float:
-    """Two-image SNR from the cross-correlation coefficient, rho / (1 - rho)."""
+    """Two-image SNR from the cross-correlation coefficient: rho / (1 - rho), infinite at
+    rho >= 1."""
     if rho <= 0.0:
         raise NonpositiveCorrelationError(f"correlation {rho} is not positive")
     if rho >= 1.0:
@@ -308,10 +304,10 @@ def snr_from_correlation(rho: float) -> float:
 
 
 def _from_rho(method: str, rho: float, **diag) -> SnrEstimate:
-    """The two-image tail: infinite at rho >= 1, else rho / (1 - rho)."""
-    if rho >= 1.0:
-        return SnrEstimate(method, "infinite", math.inf, diagnostics={"rho": rho, **diag})
-    return _ok(method, snr_from_correlation(rho), rho=rho, **diag)
+    """The two-image tail: :func:`snr_from_correlation`'s SNR, ``infinite`` where it is inf."""
+    snr = snr_from_correlation(rho)
+    return SnrEstimate(method, "infinite" if snr == math.inf else "ok", snr,
+                       diagnostics={"rho": rho, **diag})
 
 
 def estimate_frank_alali(a: Raster, b: Raster) -> SnrEstimate:
@@ -325,11 +321,11 @@ def estimate_frank_alali(a: Raster, b: Raster) -> SnrEstimate:
     return _from_rho("frank_alali", pearson(a.data, b.data))
 
 
-def _centered_roi(data: np.ndarray, size: int, x_shift: int = 0) -> np.ndarray:
+def _centered_roi(data: np.ndarray, size: int, x_shift: int = 0, y_shift: int = 0) -> np.ndarray:
+    """The ``size`` square at the center of ``data`` moved by the shifts, kept inside it."""
     h, w = data.shape
-    y0 = (h - size) // 2
-    x0 = (w - size) // 2 + x_shift
-    x0 = min(max(x0, 0), w - size)
+    y0 = min(max((h - size) // 2 + y_shift, 0), h - size)
+    x0 = min(max((w - size) // 2 + x_shift, 0), w - size)
     return data[y0 : y0 + size, x0 : x0 + size]
 
 
@@ -350,7 +346,7 @@ def estimate_smart(img: Raster, second: Raster | None = None,
     cut from ``second``, shifted by ``cfg.smart_shift`` pixels along x.  The
     cross-correlation surface, built once, locates the region displacement and
     measures resolution as the peak's full width at half maximum.  The region
-    is then re-extracted at the recovered alignment and the correlation
+    is then re-extracted at the recovered alignment, on both axes, and the correlation
     coefficient feeds rho / (1 - rho), like the two-acquisition method but
     tolerant of a known region offset.  Without a second acquisition the
     method is not applicable, as ``frank_alali`` is not.
@@ -375,7 +371,7 @@ def estimate_smart(img: Raster, second: Raster | None = None,
     if ccf.peak_value <= ccf.background + 1e-12 * max(roi_power, 1.0):
         raise NoPeakError("no cross-correlation peak above background")
 
-    aligned = _centered_roi(second.data, size, x_shift=shift - offset[0])
+    aligned = _centered_roi(second.data, size, shift - offset[0], -offset[1])
     return _from_rho("smart", pearson(roi1, aligned), peak_offset=offset, fwhm=ccf.fwhm,
                      roi_size=size, shift=shift)
 
@@ -428,7 +424,7 @@ def _estimate(entry: Method, src: Raster | LagTable,
         snr = entry.correct(snr)
         if snr <= 0.0:
             raise DegenerateError(f"corrected SNR {snr} is not positive")
-    return _ok(entry.name, snr, peak, **diag)
+    return SnrEstimate(entry.name, "ok", snr, peak, diag)
 
 
 # each single-image method on its own, taking an image or a lag table

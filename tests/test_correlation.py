@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from semsnr import correlation, raster
 from semsnr.correlation import (
     AcfCurve,
@@ -298,3 +299,96 @@ def test_ccf_surface_equals_the_numpy_rfft2_form(shape, rng, monkeypatch):
     res = ccf_surface(a, b)
     assert len(surfaces) == 1 and np.array_equal(surfaces[0], expected)
     assert res.peak_value == float(expected.max())
+
+
+def _reference_median(values):
+    """np.median's arithmetic from one in-place selection, as a hand-written reference."""
+    k = values.size // 2
+    odd = values.size % 2
+    values.partition(k if odd else (k - 1, k))
+    return float(values[k] if odd else (values[k - 1] + values[k]) / 2)
+
+
+def _reference_fwhm(profile, peak_idx, peak, background):
+    """The FWHM walked one sample at a time outward from the peak on each side."""
+    half = background + 0.5 * (peak - background)
+    n = profile.size
+
+    def crossing(direction):
+        prev = peak
+        for step in range(1, n):
+            idx = peak_idx + direction * step
+            if idx < 0 or idx >= n:
+                return float(step - 1) + 0.5  # ran off the profile edge
+            cur = profile[idx]
+            if cur < half:
+                return float(step - 1) + (prev - half) / (prev - cur)
+            prev = cur
+        return float(n - 1)
+
+    return max(crossing(+1) + crossing(-1), 1.0)
+
+
+def _reference_readings(a, b):
+    """(background, fwhm) read off NumPy's surface by the reference median and walk."""
+    xa, xb = a - a.mean(), b - b.mean()
+    surface = np.fft.irfft2(np.conj(np.fft.rfft2(xa)) * np.fft.rfft2(xb), s=a.shape) / a.size
+    h, w = surface.shape
+    my, mx = np.unravel_index(int(np.argmax(surface)), surface.shape)
+    mask = np.ones_like(surface, dtype=bool)
+    mask[np.ix_(np.arange(my - 2, my + 3) % h, np.arange(mx - 2, mx + 3) % w)] = False
+    background = _reference_median(surface[mask])
+    profile = np.roll(surface[my, :], w // 2 - mx)
+    return background, _reference_fwhm(profile, w // 2, float(surface[my, mx]), background)
+
+
+def _ccf_pair(pair, shape, gen):
+    from semsnr.corpus import SceneSpec, make_scene
+
+    h, w = shape
+    a = gen.normal(100.0, 5.0, size=shape)
+    noise = gen.normal(0.0, 2.0, size=shape)
+    if pair == "shifted":
+        return a, np.roll(a, (h // 3, -(w // 4)), axis=(0, 1)) + noise
+    if pair == "wrap":  # the peak sits in the last row and column: its block wraps
+        return a, np.roll(a, (-1, -1), axis=(0, 1)) + noise
+    if pair == "independent":
+        return a, noise
+    # correlated: two noisy acquisitions of one smooth scene, a broad peak
+    scene = 1000.0 * make_scene(SceneSpec(kind="spectral", width=w, height=h,
+                                          corr_length=6.0), gen)
+    return scene + 30.0 * noise, scene + gen.normal(0.0, 60.0, size=shape)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16, 17), (17, 17), (33, 48), (45, 23), (64, 64)])
+@pytest.mark.parametrize("pair", ["shifted", "wrap", "correlated", "independent"])
+def test_ccf_background_and_fwhm_equal_the_reference_readings(shape, pair):
+    # odd and even widths, and masked counts (h * w - 25) of both parities
+    gen = np.random.default_rng([shape[0], shape[1], len(pair)])
+    a, b = _ccf_pair(pair, shape, gen)
+    res = ccf_surface(a, b)
+    assert (res.background, res.fwhm) == _reference_readings(a, b)
+    assert type(res.fwhm) is float
+    if pair == "wrap":
+        assert res.peak_offset == (-1, -1)
+
+
+def test_ccf_fwhm_side_without_a_crossing_runs_half_a_sample_off_the_edge():
+    # a profile that stays above half maximum up to its edges on both sides
+    profile = np.array([5.0, 6.0, 8.0, 10.0, 9.0, 7.0])
+    for fwhm in (correlation._profile_fwhm, _reference_fwhm):
+        assert fwhm(profile, 3, 10.0, 0.0) == 3.5 + 2.5
+    # and one that crosses on both sides: 1 + 1/3 samples right, 5/6 of one left
+    profile = np.array([0.0, 0.0, 4.0, 10.0, 6.0, 3.0, 0.0])
+    width = correlation._profile_fwhm(profile, 3, 10.0, 0.0)
+    assert width == _reference_fwhm(profile, 3, 10.0, 0.0)
+    assert width == pytest.approx(1.0 + 1.0 / 3.0 + 5.0 / 6.0, rel=1e-15)
+
+
+def test_ccf_surface_keeps_no_mean_removed_copy():
+    # the surface, its masked copy and the spectrum: under 3.5 planes, where
+    # keeping both mean-removed planes past their transforms needed over 5
+    gen = np.random.default_rng(256)
+    a = gen.normal(100.0, 5.0, size=(256, 256))
+    b = np.roll(a, (3, -2), axis=(0, 1)) + gen.normal(0.0, 2.0, size=a.shape)
+    assert traced_peak(lambda: ccf_surface(a, b)) < 3.5 * a.nbytes

@@ -60,6 +60,15 @@ def test_huge_int_float_parameter_is_domain_error():
         FilterSpec("gaussian", {"sigma": 10**400})
 
 
+@pytest.mark.parametrize("kind,params", [("gaussian", {"sigma": True}),
+                                         ("wiener_local", {"window": 3, "noise_var": True}),
+                                         ("bilateral", {"sigma_s": True, "sigma_r": 2.0})])
+def test_bool_real_parameter_is_domain_error(kind, params):
+    # a bool is a numbers.Real, but its label (sigma=True) does not parse back
+    with pytest.raises(DomainError, match="must be"):
+        FilterSpec(kind, params)
+
+
 @pytest.mark.parametrize("text,label", [
     # the benchmark's denoise specs, the README example and an explicit-variance local Wiener
     ("ar_wiener:ar_order=2,window=7", "ar_wiener:ar_order=2,window=7"),

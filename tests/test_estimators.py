@@ -417,6 +417,28 @@ def test_smart_duplicated_second_image(rng):
     assert est.diagnostics["fwhm"] >= 1.0
 
 
+@pytest.mark.parametrize("roll,ccf_offset,smart_offset", [
+    ((3, -5), (-5, 3), (9, -3)), ((-2, 7), (7, -2), (-3, 2)), ((5, 0), (0, 5), (4, -5))])
+def test_smart_realigns_a_rolled_copy_on_both_axes(roll, ccf_offset, smart_offset):
+    # a noise-free copy rolled by (dy, dx) is the same scene: once smart cuts its
+    # second region at the recovered offset on both axes, the regions are equal
+    from semsnr.corpus import SceneSpec, make_scene
+    from semsnr.correlation import cross_correlate
+    from semsnr.noise import rng_for
+
+    scene = make_scene(SceneSpec(kind="spectral", width=256, height=256,
+                                 corr_length=20.0, spectral_nugget=0.004), rng_for(5, 0))
+    img = raster_from_array(20000.0 * scene + 1000.0, 16)
+    second = raster_from_array(np.roll(img.data, roll, axis=(0, 1)), 16)
+    # cross_correlate reads the content shift (dx, dy); smart reads its region
+    # offset (smart_shift - dx, -dy), since its second region starts smart_shift along x
+    dx, dy = cross_correlate(img, second).peak_offset
+    assert (dx, dy) == ccf_offset
+    est = estimate_smart(img, second, BENCH_CONFIG)
+    assert est.diagnostics["peak_offset"] == smart_offset == (BENCH_CONFIG.smart_shift - dx, -dy)
+    assert est.status == "infinite" and est.diagnostics["rho"] == 1.0
+
+
 @pytest.mark.parametrize("stream", range(6))
 def test_exact_duplicate_reads_infinite_whatever_the_rounding(stream):
     # a rho divided by the product of two std() values lands an ulp or two

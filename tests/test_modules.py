@@ -1,6 +1,6 @@
 """The package's module graph: no module imports, directly or through others, itself;
-every 2-D real FFT runs through ``raster``; and every package name the benchmark reads
-or the README names exists."""
+every 2-D real FFT runs through ``raster``; every package name the benchmark reads
+or the README names exists; and every public package name has a caller outside the tests."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "semsnr"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 README = Path(__file__).parent.parent / "README.md"
 # backticked spans that read like ``module.name`` but name a file, not a package name
 README_FILE_NAMES = {("bench", "cfg")}
@@ -140,3 +141,55 @@ def test_every_semsnr_name_the_readme_names_exists():
     missing = sorted(f"semsnr.{module}.{name}" for module, name in names - README_FILE_NAMES
                      if not hasattr(importlib.import_module(f"semsnr.{module}"), name))
     assert not missing, f"the README names package names that do not exist: {missing}"
+
+
+# public names that only the tests call, each kept because an acceptance test pins it
+TEST_ONLY_NAMES = {
+    ("yield_snr", "snr_detected"): "acceptance criterion 2; ROADMAP item 15 gives it a caller",
+    ("denoise", "wiener_transfer"): "acceptance criterion 8",
+}
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """Public names a module binds at its top level: functions, classes, assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names ``tree`` refers to: names read, attributes, imported names, string constants."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # each kind of definition and of reference is seen
+    assert _public_definitions(ast.parse(
+        "def f(): pass\nclass C: pass\n(a, b) = X[0] = 1, 2\nn: int = 0\n_p = 1")) == {
+        "f", "C", "a", "b", "n"}
+    assert _references(ast.parse("from m import f\nimport p.q\nx.attr\ny = z\nt = ('s',)")) == {
+        "f", "q", "x", "attr", "z", "s"}
+    references = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8")))
+                               for root in (PACKAGE, PERFBENCH, SCRIPTS)
+                               for p in sorted(root.rglob("*.py"))))
+    uncalled = {(p.stem, name) for p in sorted(PACKAGE.glob("*.py"))
+                for name in _public_definitions(ast.parse(p.read_text(encoding="utf-8")))
+                if name not in references}
+    # a listed name that gains a caller fails too, so the list cannot go stale
+    assert uncalled == TEST_ONLY_NAMES.keys(), sorted(uncalled ^ TEST_ONLY_NAMES.keys())
