@@ -35,9 +35,12 @@ from .estimators import (
     DEFAULT_CONFIG,
     SINGLE_IMAGE_METHODS,
     EstimatorConfig,
+    PlaneWork,
     SnrEstimate,
     check_methods,
     estimate_all,
+    read_planes,
+    run_rules,
     smart_region_oracle,
 )
 from .noise import field_types, oracle_snr, simulate
@@ -135,34 +138,47 @@ def parse_methods(text: str) -> tuple[str, ...]:
 # --- estimation runs ----------------------------------------------------------
 
 
-def _estimate_one(root, truth_row, methods, est_cfg, pairs) -> tuple[list[dict], list[str]]:
-    """One image's result rows and diagnostics.jsonl lines: its timing line, then one per method.
+def _read_image(root, truth_row, methods, est_cfg, pairs) -> tuple[PlaneWork, dict, float | None]:
+    """One image's worker stage: its :class:`PlaneWork`, its timing line, paired smart's oracle.
 
-    Without ``pairs`` it reads its noisy plane only.  ``shared_ms`` is
-    estimate_all's time outside every method's own runtime_ms (the lag table
-    and bookkeeping); ``second_ms``, under ``pairs``, is the time spent
-    regenerating the second acquisition.
+    It reads the noisy plane and, under ``pairs``, regenerates the second
+    acquisition, then runs :func:`read_planes`; no plane outlives the call.
+    The timing line's ``shared_ms`` is the lag table's time and ``second_ms``,
+    under ``pairs``, the time spent regenerating the second acquisition.  The
+    oracle is :func:`smart_region_oracle` on smart's region (None without
+    ``pairs``, without smart, or when smart returned no region).
     """
     image_id = truth_row["image_id"]
     noisy = load_plane(root, image_id, "noisy")
     t0 = time.perf_counter()
     second = second_realization(root, image_id) if pairs else None
     second_ms = (time.perf_counter() - t0) * 1000.0
-    t0 = time.perf_counter()
-    results = estimate_all(noisy, est_cfg, second=second.noisy if pairs else None, methods=methods)
-    total_ms = (time.perf_counter() - t0) * 1000.0
-    timing = {"image_id": image_id,
-              "shared_ms": total_ms - sum(est.runtime_ms for est in results.values())}
+    work = read_planes(noisy, est_cfg, second.noisy if pairs else None, methods)
+    timing, region_oracle = {"image_id": image_id, "shared_ms": work.table_ms}, None
     if pairs:
         timing["second_ms"] = second_ms
+        size = work.estimates["smart"].diagnostics.get("roi_size") if "smart" in methods else None
+        if size is not None:  # second.clean is the stored clean plane
+            region_oracle = smart_region_oracle(noisy, second.clean, size)
+    return work, timing, region_oracle
+
+
+def _image_rows(truth_row, work, timing, region_oracle, methods, est_cfg,
+                pairs) -> tuple[list[dict], list[str]]:
+    """One image's result rows and diagnostics.jsonl lines: its timing line, then one per method.
+
+    It runs :func:`run_rules` on the image's :class:`PlaneWork`, so each
+    single-image ``runtime_ms`` is timed here, on the caller.
+    """
+    image_id = truth_row["image_id"]
+    results = run_rules(work, est_cfg)
     rows, lines = [], [json.dumps(timing)]
     for method in methods:
         est: SnrEstimate = results[method]
         oracle, scoring = truth_row["true_snr"], {}
-        if method == "smart" and pairs:  # its region's oracle; second.clean is the stored plane
-            size = est.diagnostics.get("roi_size")
-            oracle = None if size is None else smart_region_oracle(noisy, second.clean, size)
-            scoring = {"oracle": "region", "roi_size": size}
+        if method == "smart" and pairs:  # its region's oracle
+            oracle = region_oracle
+            scoring = {"oracle": "region", "roi_size": est.diagnostics.get("roi_size")}
         rel = (
             (est.snr_linear - oracle) / oracle
             if est.status == "ok" and oracle is not None and 0 < oracle < math.inf
@@ -214,17 +230,21 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
 
     Returns (result rows, summary rows) and, when ``out_dir`` is given, writes
     results.csv, summary.csv, and a diagnostics.jsonl sidecar holding, per
-    image, one timing line (:func:`_estimate_one`) followed by one line per
-    method.  Each image is one item of :func:`parallel.map_on_cores` on
-    ``jobs`` threads (None: every core the process may use); the thread that
-    estimates an image reads its noisy plane, so memory follows ``jobs``,
-    not the corpus size.  An unknown method is a DomainError, as in
-    ``estimate_all``.
+    image, one timing line (:func:`_read_image`) followed by one line per
+    method.  The pass has two stages.  Each image is one item of
+    :func:`parallel.map_on_cores` on ``jobs`` threads (None: every core the
+    process may use): the thread reads its noisy plane and builds its lag
+    table (:func:`_read_image`), and returns no plane, so memory follows
+    ``jobs``, not the corpus size.  Once every item is done, the caller runs
+    the single-image rules on each table and builds the rows in truth.csv
+    order (:func:`_image_rows`): that Python no longer holds the interpreter
+    lock while the items' NumPy passes wait for it.  An unknown method is a
+    DomainError, as in ``estimate_all``.
 
     ``pairs`` regenerates each image's second acquisition from its recipe
-    (nothing is written) and runs the two-image methods on the pair, paired
-    smart scored against its region's oracle; it is a ConfigError when
-    ``methods`` names none of them.
+    (nothing is written) and runs the two-image methods on the pair in the
+    item, paired smart scored against its region's oracle; it is a
+    ConfigError when ``methods`` names none of them.
     """
     methods = check_methods(methods)
     if pairs and set(methods) <= set(SINGLE_IMAGE_METHODS):
@@ -232,8 +252,11 @@ def run_estimation(corpus_dir, methods, est_cfg: EstimatorConfig = DEFAULT_CONFI
         raise ConfigError(f"pairs need a two-image method {two_image}; got {list(methods)}")
     jobs = parallel.job_count(jobs)  # a bad jobs is refused before the corpus is read
     root = Path(corpus_dir)
-    per_image = parallel.map_on_cores(lambda row: _estimate_one(root, row, methods, est_cfg, pairs),
-                                      read_truth_csv(root / "truth.csv"), jobs)
+    truth = read_truth_csv(root / "truth.csv")
+    read = parallel.map_on_cores(lambda row: _read_image(root, row, methods, est_cfg, pairs),
+                                 truth, jobs)
+    per_image = [_image_rows(row, *item, methods, est_cfg, pairs)
+                 for row, item in zip(truth, read)]
     rows = [row for group, _ in per_image for row in group]
     summary = summarize_results(rows)
     if out_dir is not None:

@@ -4,8 +4,11 @@ Every method is an entry of one registry, :data:`METHODS`.  Each
 single-image technique is one rule function there: it predicts the
 noise-free autocorrelation peak r_nf(0) from lags k >= 1 of a
 :class:`~semsnr.correlation.LagTable` and returns that peak with its
-diagnostics; :func:`estimate_all` alone turns a peak into the estimate
+diagnostics; one step of :func:`run_rules` turns a peak into the estimate
 (r_nf - mean^2) / (r(0) - r_nf) through :func:`~semsnr.correlation.snr_from_peaks`.
+:func:`estimate_all` is two stages: :func:`read_planes` builds the lag table
+and runs what needs the image's planes, and :func:`run_rules` runs the rules
+on the table alone.
 The two-image techniques work from the cross-correlation of two acquisitions
 of the same scene.
 
@@ -384,7 +387,7 @@ class Method:
     """A registry entry: the largest (x, y) lag a method reads and its rule.
 
     A single-image ``rule`` maps (lag table, cfg) to the predicted noise-free
-    peak and its diagnostics; one step, which :func:`estimate_all` runs, turns
+    peak and its diagnostics; one step, which :func:`run_rules` runs, turns
     that peak into an SNR and then applies ``correct`` where one is set.
     Two-image methods (``lags`` None) take (img, second, cfg) and return
     their :class:`SnrEstimate`.
@@ -433,13 +436,15 @@ def _estimate(entry: Method, src: Raster | LagTable,
 
 
 def _attempt(name: str, run, *args) -> SnrEstimate:
-    """Run one method; a typed failure becomes its status."""
+    """Run one method and time it; a typed failure becomes its status."""
+    t0 = time.perf_counter()
     try:
-        return run(*args)
+        est = run(*args)
     except EstimatorError as exc:
-        return SnrEstimate(method=name, status=exc.status, diagnostics={"detail": str(exc)})
+        est = SnrEstimate(method=name, status=exc.status, diagnostics={"detail": str(exc)})
     except DomainError as exc:
-        return SnrEstimate(method=name, status="error", diagnostics={"detail": str(exc)})
+        est = SnrEstimate(method=name, status="error", diagnostics={"detail": str(exc)})
+    return replace(est, runtime_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def check_methods(methods) -> tuple[str, ...]:
@@ -453,27 +458,68 @@ def check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
+@dataclass(frozen=True)
+class PlaneWork:
+    """What :func:`read_planes` keeps of an image: no plane, only what the rules read.
+
+    ``methods`` are the selected names in registry order, ``table`` the shared
+    lag table (None when no selected single-image method fits the image),
+    ``estimates`` the finished estimates of the methods that read planes, and
+    ``table_ms`` the time spent sizing and building the table.
+    """
+
+    methods: tuple[str, ...]
+    table: LagTable | None
+    estimates: dict[str, SnrEstimate]
+    table_ms: float
+
+
+def read_planes(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
+                second: Raster | None = None, methods=ALL_METHODS) -> PlaneWork:
+    """:func:`estimate_all`'s first stage, the only one that reads ``img`` and ``second``.
+
+    It builds the one lag table, sized to the largest lag among the selected
+    single-image methods whose own need fits the image, and runs the methods
+    that need planes: the two-image methods, and a single-image method whose
+    need does not fit, which reads the image and fails as it does alone.
+    Nearly all of its time is NumPy passes that release the interpreter lock.
+    """
+    methods = check_methods(methods)
+    entries = [m for name, m in METHODS.items() if name in methods]
+    t0 = time.perf_counter()
+    fits = [e for e in entries if e.lags is not None and lag_fits(img, max(e.lags(cfg)))]
+    table = lag_table(img, *map(max, zip(*(e.lags(cfg) for e in fits)))) if fits else None
+    table_ms = (time.perf_counter() - t0) * 1e3
+    estimates = {}
+    for e in entries:
+        if e.lags is None:
+            estimates[e.name] = _attempt(e.name, e.rule, img, second, cfg)
+        elif e not in fits:  # it reads the image and fails as it does alone
+            estimates[e.name] = _attempt(e.name, _estimate, e, img, cfg)
+    return PlaneWork(tuple(e.name for e in entries), table, estimates, table_ms)
+
+
+def run_rules(work: PlaneWork, cfg: EstimatorConfig = DEFAULT_CONFIG) -> dict[str, SnrEstimate]:
+    """:func:`estimate_all`'s second stage: each selected method's estimate, in registry order.
+
+    Every single-image method that :func:`read_planes` left to the table runs
+    its rule on it, through the one step that applies :func:`snr_from_peaks`;
+    the others are the estimates ``work`` holds.  It reads no plane, so its
+    Python need not share the interpreter lock with threads reading planes.
+    """
+    return {name: work.estimates[name] if name in work.estimates
+            else _attempt(name, _estimate, METHODS[name], work.table, cfg)
+            for name in work.methods}
+
+
 def estimate_all(img: Raster, cfg: EstimatorConfig = DEFAULT_CONFIG,
                  second: Raster | None = None,
                  methods=ALL_METHODS) -> dict[str, SnrEstimate]:
     """Run the selected techniques, in registry order; failures become statuses.
 
-    The single-image methods read one lag table, sized to the largest lag
-    among the selected methods whose own need fits the image; each rule's peak
+    It is :func:`run_rules` of :func:`read_planes`: one lag table serves every
+    single-image method whose need fits the image, and each rule's peak
     becomes an SNR in the one step that applies :func:`snr_from_peaks`.
+    ``runtime_ms`` is each method's own time, without the shared lag table.
     """
-    methods = check_methods(methods)
-    entries = [m for name, m in METHODS.items() if name in methods]
-    fits = [e for e in entries if e.lags is not None and lag_fits(img, max(e.lags(cfg)))]
-    table = lag_table(img, *map(max, zip(*(e.lags(cfg) for e in fits)))) if fits else None
-
-    results: dict[str, SnrEstimate] = {}
-    for entry in entries:
-        t0 = time.perf_counter()
-        # a method whose need does not fit reads the image and fails as it does alone
-        args = ((entry.rule, img, second) if entry.lags is None
-                else (_estimate, entry, table if entry in fits else img))
-        est = _attempt(entry.name, *args, cfg)
-        results[entry.name] = replace(est, runtime_ms=(time.perf_counter() - t0) * 1e3)
-    return results
-
+    return run_rules(read_planes(img, cfg, second, methods), cfg)

@@ -34,6 +34,8 @@ from .errors import DomainError
 from .raster import Raster, quantize_in_place, variance
 
 EMISSION_MODELS = ("none", "poisson-pe", "poisson-se", "binomial-bse", "additive-gaussian")
+# samples per block of the inflated poisson-se draw: its temporaries stay a small share of a plane
+_DRAW_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -145,19 +147,20 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
             counts = rng.poisson(mean_se)
             del mean_se
         else:
-            # negative binomial with mean m and variance k*m (only where m > 0);
-            # each plane is dropped once the next is made from it
-            hot = mean_se > 0.0
-            m = mean_se[hot]
+            # negative binomial with mean m and variance k*m where m > 0, drawn
+            # over blocks of rows into the mean plane, whose other entries are
+            # already 0.0; the blocks in C order draw the whole plane's stream
+            rows = max(1, _DRAW_BLOCK // dose.shape[1])
+            for top in range(0, dose.shape[0], rows):
+                block = mean_se[top : top + rows]
+                hot = block > 0.0
+                m = block[hot]
+                r = m / (k - 1.0)
+                p = np.add(r, m, out=m)
+                block[hot] = rng.negative_binomial(r, np.divide(r, p, out=p))
+            del block, hot, m, r, p
+            counts = mean_se
             del mean_se
-            r = m / (k - 1.0)
-            p = np.add(r, m)
-            del m
-            draws = rng.negative_binomial(r, np.divide(r, p, out=p))
-            del r, p
-            counts = np.zeros(dose.shape)
-            counts[hot] = draws
-            del hot, draws
     elif model == "binomial-bse":
         counts = rng.binomial(rng.poisson(dose), recipe.bse_yield)
     elif model == "additive-gaussian":

@@ -191,14 +191,14 @@ def raster_from_pgm_bytes(blob: bytes) -> Raster:
         bit_depth, dtype = 16, np.dtype(">u2")
     else:
         raise PgmParseError(f"unsupported maxval token {maxval!r}: expected 255 or 65535")
-    payload = buf.read()
+    offset = buf.tell()  # the samples are read in place: the only plane made is the float one
     expected = width * height * dtype.itemsize
-    if len(payload) != expected:
+    if len(blob) - offset != expected:
         raise PgmSizeError(
-            f"payload is {len(payload)} bytes, header promises {expected} "
+            f"payload is {len(blob) - offset} bytes, header promises {expected} "
             f"({width}x{height} at {dtype.itemsize} byte(s)/sample)"
         )
-    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    samples = np.frombuffer(blob, dtype=dtype, offset=offset).astype(np.float64)
     return Raster(samples.reshape(height, width), bit_depth)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import HANDS_OVER_ARGUMENTS, MALFORMED_FILTER_SPECS, traced_peak
+from conftest import BENCH_CONFIG, HANDS_OVER_ARGUMENTS, MALFORMED_FILTER_SPECS, traced_peak
 from semsnr.bench import (
     corpus_spec_from_config,
     estimator_config_from_config,
@@ -346,17 +346,6 @@ def test_estimate_single_method_row_count(small_corpus, tmp_path):
     assert all(r["method"] == "nn" for r in rows)
 
 
-def test_estimate_jobs_deterministic(small_corpus):
-    config, corpus_dir = small_corpus
-    from conftest import BENCH_CONFIG
-
-    rows1, _ = run_estimation(corpus_dir, ("nn", "lsr"), BENCH_CONFIG, jobs=1)
-    rows2, _ = run_estimation(corpus_dir, ("nn", "lsr"), BENCH_CONFIG, jobs=3)
-    for a, b in zip(rows1, rows2):
-        assert a["image_id"] == b["image_id"] and a["method"] == b["method"]
-        assert a["snr_linear"] == b["snr_linear"]
-
-
 def test_estimate_missing_corpus_exit_code(tmp_path):
     assert main(["estimate", "--corpus", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "o"), "--methods", "nn"]) == 3
@@ -518,6 +507,74 @@ def test_pairs_leave_single_image_rows_as_they_are(pairs_corpus, tmp_path):
         tuple(method_keys)}
     assert [list(line) for line in smart_lines.values()] == [
         ["image_id", "method", "status", "oracle", "roi_size", "diagnostics"]] * 4
+
+
+def _outputs_without_timings(out) -> tuple[list[dict], str, list[dict]]:
+    """results.csv without runtime_ms, summary.csv, diagnostics.jsonl without shared_ms/second_ms."""
+    results = [{k: v for k, v in row.items() if k != "runtime_ms"}
+               for row in read_csv(out / "results.csv")]
+    lines = [{k: v for k, v in line.items() if k not in ("shared_ms", "second_ms")}
+             for line in _diagnostics(out)]
+    return results, (out / "summary.csv").read_text(), lines
+
+
+def test_estimate_jobs_deterministic(pairs_corpus, tmp_path):
+    # every output but the wall-clock fields is the same at every job count,
+    # and each image's estimates are estimate_all's on that image alone
+    truth = read_truth_csv(pairs_corpus / "truth.csv")
+    for pairs in (False, True):
+        runs = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"pairs{pairs:d}-jobs{jobs}"
+            rows, _ = run_estimation(pairs_corpus, ALL_METHODS, BENCH_CONFIG, out, jobs=jobs,
+                                     pairs=pairs)
+            runs.append(_outputs_without_timings(out))
+        assert runs[1] == runs[0] and runs[2] == runs[0], pairs
+        lines = [line for line in runs[0][2] if "method" in line]
+        for i, row in enumerate(truth):
+            noisy = load_plane(pairs_corpus, row["image_id"], "noisy")
+            second = second_realization(pairs_corpus, row["image_id"]).noisy if pairs else None
+            alone = estimate_all(noisy, BENCH_CONFIG, second)
+            for j, method in enumerate(ALL_METHODS):
+                k = i * len(ALL_METHODS) + j
+                est, got, line = alone[method], rows[k], lines[k]
+                assert (got["image_id"], got["method"]) == (row["image_id"], method)
+                assert (got["status"], got["predicted_nf_peak"]) == (est.status,
+                                                                     est.predicted_nf_peak)
+                if est.status in ("ok", "infinite"):
+                    assert got["snr_linear"] == est.snr_linear
+                assert line["diagnostics"] == json.loads(json.dumps(est.diagnostics))
+
+
+def test_estimate_reads_planes_on_workers_and_runs_rules_on_the_caller(pairs_corpus,
+                                                                       monkeypatch):
+    import threading
+
+    import semsnr.bench as bench
+    import semsnr.corpus as corpus
+    from semsnr import estimators
+
+    rule_threads, load_threads = [], []
+    for name in SINGLE_IMAGE_METHODS:
+        entry = estimators.METHODS[name]
+
+        def rule(table, cfg, real=entry.rule):
+            rule_threads.append(threading.current_thread())
+            return real(table, cfg)
+
+        monkeypatch.setitem(estimators.METHODS, name, replace(entry, rule=rule))
+
+    def load_plane(*args, real=corpus.load_plane):
+        load_threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(bench, "load_plane", load_plane)
+    monkeypatch.setattr(corpus, "load_plane", load_plane)  # second_realization's scene plane
+    run_estimation(pairs_corpus, ALL_METHODS, BENCH_CONFIG, jobs=2, pairs=True)
+    assert len(rule_threads) == 4 * len(SINGLE_IMAGE_METHODS)
+    assert set(rule_threads) == {threading.main_thread()}
+    assert len(load_threads) == 4 * 2  # each image's noisy and scene planes
+    assert threading.main_thread() not in load_threads
 
 
 def test_pairs_need_a_two_image_method(small_corpus, tmp_path, capsys):
@@ -1236,6 +1293,31 @@ def test_denoise_memory_follows_cores_not_images(tmp_path, monkeypatch):
     # each thread holds one image's planes: eight images on two cores peak at
     # about two images' worth (2.04 x one), eight on eight cores at 3.5-6.4 x
     one, eight = peak(1, 1), peak(8, 2)
+    assert eight <= 2.25 * one, eight / one
+
+
+def test_estimate_memory_follows_jobs_not_images(tmp_path):
+    import tracemalloc
+
+    def peak(images, jobs):
+        corpus_dir = tmp_path / f"corpus{images}"
+        if not corpus_dir.exists():
+            generate_corpus(CorpusSpec(scene=SceneSpec(width=256, height=256),
+                                       snr_targets=(2.0,), seeds_per_level=images), corpus_dir)
+        tracemalloc.start()
+        try:
+            run_estimation(corpus_dir, ALL_METHODS, BENCH_CONFIG, jobs=jobs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1, 1)  # fills lazily built state
+    # each worker holds one image's plane and hands back only its lag table and
+    # estimates, so the rows alone grow with the images: 32 images on two jobs
+    # peak at 1.04 x eight (1.10 when the items ran the rules), and eight at
+    # 2.04 x one image on one job
+    one, eight, thirty_two = peak(1, 1), peak(8, 2), peak(32, 2)
+    assert thirty_two <= 1.15 * eight, thirty_two / eight
     assert eight <= 2.25 * one, eight / one
 
 

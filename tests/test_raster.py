@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+
 from semsnr.errors import DomainError, PgmParseError, PgmSizeError
 from semsnr.raster import (
     Raster,
@@ -62,11 +64,23 @@ def test_header_whitespace_and_comments_tolerated():
         (b"P5\n2 2\n300\n" + bytes(4), PgmParseError, "300"),
         (b"P5\n2 2\n255\n" + bytes(3), PgmSizeError, "3 bytes"),
         (b"P5\n2 2\n255\n" + bytes(5), PgmSizeError, "5 bytes"),
+        (b"P5\n2 2\n255", PgmSizeError, "payload is 0 bytes, header promises 4"),
+        (b"P5\n2 2\n65535\n" + bytes(7), PgmSizeError, "7 bytes, header promises 8"),
     ],
 )
 def test_malformed_pgm_names_offender(blob, err, token):
     with pytest.raises(err, match=token):
         raster_from_pgm_bytes(blob)
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+def test_pgm_read_makes_only_the_float_plane(depth):
+    # the samples are read where they lie in the file's bytes; a copy of the
+    # payload first made 1.125 (8-bit) or 1.25 (16-bit) planes
+    blob = pgm_bytes(raster_from_array(np.full((256, 256), 200.0), bit_depth=depth))
+    plane = 256 * 256 * 8
+    peak = traced_peak(lambda: raster_from_pgm_bytes(blob))
+    assert peak <= 1.05 * plane, peak / plane
 
 
 @settings(max_examples=40, deadline=None)
