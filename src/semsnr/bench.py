@@ -38,7 +38,6 @@ from .estimators import (
     PlaneWork,
     SnrEstimate,
     check_methods,
-    estimate_all,
     read_planes,
     run_rules,
     smart_region_oracle,
@@ -298,11 +297,13 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
 
     Seed ``i``'s scene (stream ``i`` of the base seed) is synthesized once and
     shared by all of its points; a contrast sweep also acquires it once and
-    rescales that acquisition per value.  Each seed is one item of
-    :func:`parallel.map_on_cores` on every core the process may use
-    (``taskset -c 0`` runs the sweep serially, on the calling thread), so
-    memory holds ``min(cores, seeds)`` seeds' planes.  Rows come in
-    value-major order and are the same for every core count.
+    rescales that acquisition per value.  It runs :func:`run_estimation`'s two
+    stages.  Each seed is one item of :func:`parallel.map_on_cores` on every
+    core the process may use (``taskset -c 0`` runs it serially, on the calling
+    thread) and returns, per value, its point's :func:`read_planes` work,
+    moment pair and scene oracle, never a plane, so memory holds
+    ``min(cores, seeds)`` seeds' planes.  The caller then runs :func:`run_rules`
+    on each point; rows come in value-major order, the same for every core count.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
@@ -333,26 +334,28 @@ def run_sweep(parameter: str, values, spec: CorpusSpec, methods,
     doses = ([(0.5 * (spec.dose_min + spec.dose_max), spec)] * len(values) if contrast
              else _scaled_doses(parameter, values, spec))
 
-    def seed_rows(seed) -> list[list[dict]]:
-        """Each value's rows for one seed: the moment row (counting models), then one per method."""
+    def read_seed(seed) -> list[tuple[PlaneWork, tuple | None, float]]:
+        """Each value's worker stage for one seed: its PlaneWork, moment pair and scene oracle."""
         basis = scene_basis(spec, seed)
         kept = _acquire_point(spec, basis, seed, doses[0][0]) if contrast else None
-        per_value = []
+        points = []
         for value, (dose, local) in zip(values, doses):
             gt, moment = kept or _acquire_point(local, basis, seed, dose)
-            results = estimate_all(gt.noisy.scaled(value) if contrast else gt.noisy, est_cfg,
-                                   methods=single)
-            cells = [] if moment is None else [("moment", *moment)]
-            cells += [(m, results[m].snr_linear if results[m].status == "ok" else None,
-                       gt.true_snr) for m in single]
+            points.append((read_planes(gt.noisy.scaled(value) if contrast else gt.noisy, est_cfg,
+                                       methods=single), moment, gt.true_snr))
             del gt  # a dose or dwell acquisition is freed before the next one is made
-            per_value.append([{"parameter": parameter, "value": value, "seed": seed,
-                               "method": method, "estimate": estimate, "reference": reference}
-                              for method, estimate, reference in cells])
-        return per_value
+        return points
 
-    per_seed = parallel.map_on_cores(seed_rows, range(seeds), None)
-    return [row for i in range(len(values)) for by_value in per_seed for row in by_value[i]]
+    per_seed = parallel.map_on_cores(read_seed, range(seeds), None)
+    rows = []
+    for i, value in enumerate(values):
+        for seed, (work, moment, oracle) in enumerate(points[i] for points in per_seed):
+            results = run_rules(work, est_cfg)
+            cells = [] if moment is None else [("moment", *moment)]
+            cells += [(m, results[m].snr_linear if results[m].status == "ok" else None, oracle)
+                      for m in single]
+            rows += [dict(zip(SWEEP_FIELDS, (parameter, value, seed, *cell))) for cell in cells]
+    return rows
 
 
 def _scaled_doses(parameter, values, spec) -> list[tuple[float, CorpusSpec]]:

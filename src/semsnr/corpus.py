@@ -202,7 +202,8 @@ class CorpusSpec:
     [dose_min, dose_max] electrons per pixel.  A spec that would build no
     image, or no valid acquisition, is a ConfigError, and so is one whose
     clean intensity ``dose_max * count_yield * detector_gain + dc_offset``
-    would clamp at the bit depth's maximum (no plane is drawn to tell).
+    would clamp at the bit depth's maximum (no plane is drawn to tell), or
+    whose ``yield_inflation`` is not 1 under a model other than poisson-se.
     """
 
     scene: SceneSpec = field(default_factory=SceneSpec)
@@ -236,6 +237,9 @@ class CorpusSpec:
         if clamped:
             raise ConfigError(f"the clean intensity at dose_max is {top!r}, which would clamp at "
                               f"the {self.bit_depth}-bit maximum {stored.maxval}")
+        if self.yield_inflation != 1.0 and self.model != "poisson-se":
+            raise ConfigError(f"yield_inflation {self.yield_inflation!r} is a poisson-se key; "
+                              f"model {self.model!r} ignores it")
 
     def image_count(self) -> int:
         return len(self.snr_targets) * self.seeds_per_level

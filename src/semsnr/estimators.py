@@ -46,8 +46,8 @@ from .errors import (
     NonStationaryError,
     SingularFitError,
 )
-from .noise import oracle_snr
-from .raster import Raster, variance
+from .noise import oracle_energies, oracle_snr
+from .raster import Raster
 
 EPSILON_POLICIES = ("half_gap", "zero")
 
@@ -335,10 +335,8 @@ def _centered_roi(data: np.ndarray, size: int, x_shift: int = 0, y_shift: int = 
 def smart_region_oracle(noisy: Raster, clean: Raster, roi_size: int) -> float:
     """Paired smart's oracle: var(clean ROI) / var(noisy ROI - clean ROI) on the centered
     ``roi_size`` region :func:`estimate_smart` cuts from its first image."""
-    clean_roi = _centered_roi(clean.data, roi_size)
-    work = _centered_roi(noisy.data, roi_size) - clean_roi
-    noise = variance(work, work)
-    return oracle_snr(variance(clean_roi, work), noise)
+    return oracle_snr(*oracle_energies(_centered_roi(noisy.data, roi_size),
+                                       _centered_roi(clean.data, roi_size)))
 
 
 def estimate_smart(img: Raster, second: Raster | None = None,

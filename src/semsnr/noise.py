@@ -92,6 +92,14 @@ def oracle_snr(signal_energy: float, noise_energy: float) -> float:
     return math.inf if noise_energy == 0.0 else signal_energy / noise_energy
 
 
+def oracle_energies(noisy: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
+    """A realized pair's energies, var(clean) and var(noisy - clean), formed in one work plane."""
+    work = np.empty_like(clean)
+    signal_energy = variance(clean, work)
+    np.subtract(noisy, clean, out=work)
+    return signal_energy, variance(work, work)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """A realized (clean, noisy) pair, its two energies and their :func:`oracle_snr`."""
@@ -184,10 +192,7 @@ def simulate(recipe: NoiseRecipe) -> GroundTruth:
     work += offset
     clean, _ = quantize_in_place(work, depth)
 
-    work = np.empty_like(clean.data)
-    signal_energy = variance(clean.data, work)
-    np.subtract(noisy.data, clean.data, out=work)
-    noise_energy = variance(work, work)
+    signal_energy, noise_energy = oracle_energies(noisy.data, clean.data)
     return GroundTruth(clean=clean, noisy=noisy, signal_energy=signal_energy,
                        noise_energy=noise_energy)
 

@@ -199,6 +199,26 @@ def test_bad_corpus_value_is_config_error(tmp_path, capsys, command, line):
     assert not (tmp_path / "out.partial").exists()
 
 
+# only poisson-se draws its secondaries with the inflation k; elsewhere k would do nothing
+@pytest.mark.parametrize("model", ["poisson-pe", "binomial-bse", "additive-gaussian", "none"])
+def test_yield_inflation_of_a_model_that_ignores_it_is_config_error(tmp_path, capsys, model):
+    text = SMALL_CONFIG.replace("model = additive-gaussian", f"model = {model}")
+    config = tmp_path / "corpus.cfg"
+    config.write_text(text)
+    spec = corpus_spec_from_config(load_config(config))  # k = 1 is accepted
+    message = f"yield_inflation 1.5 is a poisson-se key; model '{model}' ignores it"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(spec, yield_inflation=1.5)
+    assert replace(spec, model="poisson-se", yield_inflation=1.5).yield_inflation == 1.5
+    config.write_text(text.replace("[corpus]", "[corpus]\nyield_inflation = 1.5"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    assert not (tmp_path / "out.partial").exists()
+
+
 def test_default_doses_in_8_bits_are_config_error(tmp_path, capsys):
     # 400 e-/px at gain 1 plus the default dc_offset of 200 is 600, past 255
     config = tmp_path / "8bit.cfg"
@@ -957,6 +977,37 @@ def test_sweep_memory_follows_cores_not_seeds(monkeypatch):
     serial, two_cores = peak(1, 8), peak(2, 8)
     assert serial <= 1.25 * one, serial / one
     assert two_cores <= 2.25 * one, two_cores / one
+
+
+def test_sweep_acquires_points_on_workers_and_runs_rules_on_the_caller(monkeypatch):
+    import threading
+
+    import semsnr.bench as bench
+    import semsnr.parallel as parallel
+    from semsnr import estimators
+
+    rule_threads, acquire_threads = [], []
+    for name in SINGLE_IMAGE_METHODS:
+        entry = estimators.METHODS[name]
+
+        def rule(table, cfg, real=entry.rule):
+            rule_threads.append(threading.current_thread())
+            return real(table, cfg)
+
+        monkeypatch.setitem(estimators.METHODS, name, replace(entry, rule=rule))
+
+    def acquire_point(*args, real=bench._acquire_point):
+        acquire_threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(bench, "_acquire_point", acquire_point)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
+    values, seeds = SWEEP_VALUES["dose"], 4
+    run_sweep("dose", values, SWEEP_SPEC, ALL_METHODS, seeds=seeds)
+    assert len(rule_threads) == len(values) * seeds * len(SINGLE_IMAGE_METHODS)
+    assert set(rule_threads) == {threading.main_thread()}
+    assert len(acquire_threads) == len(values) * seeds
+    assert threading.main_thread() not in acquire_threads
 
 
 @HANDS_OVER_ARGUMENTS
