@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS
+from conftest import BENCH_CONFIG, MALFORMED_FILTER_SPECS, traced_peak
 from semsnr import bench, denoise, parallel
 from semsnr.bench import run_denoise
 from semsnr.corpus import CorpusSpec, SceneSpec, generate_corpus
@@ -320,33 +320,71 @@ def test_tiny_sigma_r_does_not_warn_on_worker_threads(tmp_path, monkeypatch):
 @pytest.mark.parametrize("h", [1, 31, 32, 33, 130])
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_on_cores_covers_the_rows_once_in_whole_tiles(h, cores, monkeypatch):
-    # run_denoise filters each image on a core of its own; there each tile
-    # filter makes one pass over whole 32-row tiles, covering every row once
+    # run_denoise filters each image on a core of its own; there each of the
+    # four windowed filters makes one _bands walk that covers every row once in
+    # whole bands, each band read from its mirror-padded source, and the median
+    # partitions each band in whole strips.  12-row bands and 8-row strips
+    # leave a remainder of each on most heights.
     monkeypatch.setattr(parallel, "cores", lambda: cores)
-    for name in ("_MEDIAN_STRIP", "_BILATERAL_ROWS", "_TILE_ROWS"):
-        monkeypatch.setattr(denoise, name, 32)
-    calls, tiles = [], denoise._tiles
+    monkeypatch.setattr(denoise, "_TILE_ROWS", 12)
+    monkeypatch.setattr(denoise, "_MEDIAN_STRIP", 8)
+    current = threading.local()  # the filter running on this thread
+    walks, tile_calls = {}, {}
+    bands, tiles = denoise._bands, denoise._tiles
 
-    def record(step, n):
-        calls.append((step, n, tiles(step, n)))
-        return calls[-1][2]
+    def record_bands(x, radius, band):
+        seen = []
 
-    monkeypatch.setattr(denoise, "_tiles", record)
+        def record_band(source, out):
+            seen.append((out.ctypes.data, out.shape[0], source.shape))
+            band(source, out)
+
+        plane = bands(x, radius, record_band)
+        walks.setdefault(current.kind, []).append(
+            [((at - plane.ctypes.data) // plane.strides[0], rows, shape, radius)
+             for at, rows, shape in seen])
+        return plane
+
+    def record_tiles(step, n):
+        tile_calls.setdefault(current.kind, []).append((step, n, tiles(step, n)))
+        return tile_calls[current.kind][-1][2]
+
+    monkeypatch.setattr(denoise, "_bands", record_bands)
+    monkeypatch.setattr(denoise, "_tiles", record_tiles)
     arr = np.random.default_rng(h).uniform(0.0, 1000.0, size=(h, 7))
     runs = {"median": (lambda: denoise._median(arr, 3), lambda: _median_window_view(arr, 3)),
             "bilateral": (lambda: denoise._bilateral(arr, 1.5, 300.0, 1),
                           lambda: _bilateral_whole_plane(arr, 1.5, 300.0, 1)),
             "gaussian": (lambda: gaussian_blur(arr, 0.3),
                          lambda: _convolve_separable_whole_plane(arr, _gaussian_kernel(0.3, 1)))}
-    outs = parallel.map_on_cores(lambda run: run[0](), list(runs.values()), None)
-    for kind, out, (_, whole_plane) in zip(runs, outs, runs.values()):
-        assert np.array_equal(out, whole_plane()), kind
-    assert len(calls) == len(runs)
-    for step, n, blocks in calls:
-        assert (step, n) == (32, h)
-        assert [top for top, _ in blocks] == list(range(0, h, 32))
-        assert all(rows == 32 for _, rows in blocks[:-1]) and 0 < blocks[-1][1] <= 32
-        assert sum(rows for _, rows in blocks) == h
+    if h >= 3:  # a window of 3 rows
+        runs["wiener_local"] = (
+            lambda: wiener_local(raster_from_array(arr), 3, 150.0).output.data,
+            lambda: _wiener_local_whole_plane(arr, 3, 150.0))
+
+    def run(kind):
+        current.kind = kind
+        return runs[kind][0]()
+
+    outs = parallel.map_on_cores(run, list(runs), None)
+    for kind, out in zip(runs, outs):
+        assert np.array_equal(out, runs[kind][1]()), kind
+    assert {kind: len(made) for kind, made in walks.items()} == dict.fromkeys(runs, 1)
+    for kind, (walk,) in walks.items():
+        assert [top for top, *_ in walk] == list(range(0, h, 12)), kind
+        assert all(rows == 12 for _, rows, *_ in walk[:-1]) and 0 < walk[-1][1] <= 12
+        assert sum(rows for _, rows, *_ in walk) == h
+        assert all(shape == (rows + 2 * r, 7 + 2 * r) for _, rows, shape, r in walk), kind
+        bands_made, *strips = tile_calls[kind]
+        assert bands_made[:2] == (12, h)
+        if kind != "median":
+            assert not strips, kind
+            continue
+        assert [n for _, n, _ in strips] == [rows for _, rows, *_ in walk]
+        for step, n, blocks in strips:
+            assert step == 8 and [top for top, _ in blocks] == list(range(0, n, 8))
+            assert all(rows == 8 for _, rows in blocks[:-1]) and 0 < blocks[-1][1] <= 8
+            assert sum(rows for _, rows in blocks) == n
 
 
 @pytest.mark.parametrize("cores", [2, 3])
@@ -475,6 +513,20 @@ def test_tile_filters_keep_one_tile_buffer(kind, limit, rng):
     finally:
         tracemalloc.stop()
     assert peak < limit * arr.nbytes, peak / arr.nbytes
+
+
+@pytest.mark.parametrize("text, limit", [("median:window=5", 1.75),
+                                         ("bilateral:sigma_s=2,sigma_r=2000", 1.9)])
+def test_median_and_bilateral_hold_one_band_source(text, limit, rng):
+    # one call on 512 x 512 holds the output plane, the filter's work buffers
+    # (the median's 8-row stack of 25 neighbours, 0.39 planes; the bilateral's
+    # four 64-row planes, 0.5) and one band's mirror-padded source and its
+    # rows (0.27): 1.66 planes measured for the median and 1.79 for the
+    # bilateral, where a whole-plane padded copy peaked at 2.41 and 2.56
+    img = raster_from_array(rng.uniform(0.0, 60000.0, size=(512, 512)), 16)
+    spec = parse_filter_spec(text)
+    peak = traced_peak(lambda: spatial_filter(img, spec))
+    assert peak < limit * img.data.nbytes, peak / img.data.nbytes
 
 
 def _wiener_global_full_spectrum(x, noise_var):

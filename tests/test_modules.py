@@ -1,6 +1,7 @@
 """The package's module graph: no module imports, directly or through others, itself;
-every 2-D real FFT runs through ``raster``; every package name the benchmark reads
-or the README names exists; and every public package name has a caller outside the tests."""
+every 2-D real FFT runs through ``raster``; in ``denoise`` only ``_bands`` mirror-pads;
+every package name the benchmark reads or the README names exists; and every public
+package name has a caller outside the tests."""
 
 import ast
 import importlib
@@ -85,6 +86,31 @@ def test_only_raster_calls_numpy_fft2():
              for p in sorted(PACKAGE.glob("*.py")) if p.stem != "raster"}
     assert calls.keys() >= {"corpus", "correlation", "denoise"}
     assert not {stem: found for stem, found in calls.items() if found}
+
+
+def _numpy_pad_readers(tree: ast.Module) -> list[str]:
+    """The top-level function (or ``<module>``) around each ``np.pad``/``numpy.pad``
+    read and ``from numpy import pad`` in ``tree``, in order."""
+    found = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr == "pad"
+                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                        and any(a.name == "pad" for a in node.names))):
+                found.append(name)
+    return found
+
+
+def test_only_bands_mirror_pads_in_denoise():
+    # one band walk: no filter makes a whole-plane padded copy of its own
+    assert _numpy_pad_readers(ast.parse(
+        "def f(x):\n    def g(y):\n        return np.pad(y, 1)\n    return g(x)\n"
+        "p = numpy.pad\nfrom numpy import pad")) == ["f", "<module>", "<module>"]
+    tree = ast.parse((PACKAGE / "denoise.py").read_text(encoding="utf-8"))
+    readers = _numpy_pad_readers(tree)
+    assert readers and set(readers) == {"_bands"}, readers
 
 
 def _perfbench_names() -> set[tuple[str, str]]:
