@@ -77,14 +77,18 @@ DENOISE_FIELDS = (
 
 
 def load_config(path) -> configparser.ConfigParser:
+    """A config's ``[corpus]`` and ``[estimate]``; an unreadable file or other section is a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except (configparser.Error, UnicodeDecodeError, OSError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
+    unknown = sorted(set(parser.sections()) - {"corpus", "estimate"})
+    if parser.defaults():
+        unknown.append(parser.default_section)
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown sections {unknown}")
     return parser
 
 

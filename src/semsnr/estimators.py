@@ -49,7 +49,7 @@ from .errors import (
 from .noise import oracle_energies, oracle_snr
 from .raster import Raster
 
-EPSILON_POLICIES = ("half_gap", "zero")
+EPSILON_POLICIES = ("zero",)
 
 # asnn's published affine correction of the unit-offset estimate
 ASNN_SLOPE = 0.99744
@@ -63,10 +63,7 @@ class EstimatorConfig:
     ``n_points`` is the number of autocorrelation lags used by fitting
     methods, ``lag_start`` the first lag they use (the log-log fit starts at
     lag 2 by default since its model diverges from a finite peak at lag 0).
-    ``epsilon_policy`` selects the residual-error term of the line fit:
-    "zero" (the default) omits it, "half_gap" adds half the drop from the
-    noisy peak to the first lag, which absorbs half the noise energy and
-    degenerates at high SNR.
+    ``epsilon_policy`` takes only "zero" (no residual term), the value the benchmark names.
     """
 
     n_points: int = 4
@@ -132,19 +129,15 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
 
 
 def _lsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
-    """Line fit over ``n_points`` lags of the x profile, evaluated at lag 0 plus the error term."""
+    """Line fit over ``n_points`` lags of the x profile, evaluated at lag 0."""
     lags = np.arange(cfg.lag_start, cfg.lag_start + cfg.n_points)
     ys = np.array([t.x.value(int(k)) for k in lags])
     alpha, beta = _line_fit(lags.astype(np.float64), ys)
-    if cfg.epsilon_policy == "half_gap":
-        eps = 0.5 * (t.x.value(0) - t.x.value(1))
-    else:
-        eps = 0.0
-    return alpha + eps, {"alpha": alpha, "beta": beta, "epsilon": eps}
+    return alpha, {"alpha": alpha, "beta": beta}
 
 
 def _nllsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
-    """Log-log power-law fit of the covariance tail at lag 1, times a multiplicative error term.
+    """Log-log power-law fit of the covariance tail, evaluated at lag 1.
 
     The squared mean is subtracted from every value before the fit and added
     back to the prediction, so the power law fits the covariance structure
@@ -152,8 +145,7 @@ def _nllsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
     average of the two axis profiles; the single-axis tail is noisy enough at
     low SNR to tip the extrapolation above the measured peak.  The model value
     at lag 0 is identically zero, so the fit is evaluated at the nearest lag
-    where the power-law form is finite.  The multiplicative error term is the
-    half-gap computed in the log domain, sqrt(r(0)/r(1)).
+    where the power-law form is finite.
     """
     curve, offset = t.xy(cfg.nllsr_lag_start + cfg.n_points - 1), t.mean**2
     lags = np.arange(cfg.nllsr_lag_start, cfg.nllsr_lag_start + cfg.n_points)
@@ -162,14 +154,7 @@ def _nllsr(t: LagTable, cfg: EstimatorConfig) -> tuple[float, dict]:
         raise LogDomainError("autocorrelation values must be positive for the log-log fit")
     ln_alpha, beta = _line_fit(np.log(lags.astype(np.float64)), np.log(ys))
     alpha = math.exp(ln_alpha)
-    if cfg.epsilon_policy == "half_gap":
-        r0, r1 = curve.value(0) - offset, curve.value(1) - offset
-        if r0 <= 0.0 or r1 <= 0.0:
-            raise LogDomainError("peak values must be positive for the log-domain error term")
-        eps = math.sqrt(r0 / r1)
-    else:
-        eps = 1.0
-    return alpha * eps + offset, {"alpha": alpha, "beta": beta, "epsilon": eps}
+    return alpha + offset, {"alpha": alpha, "beta": beta}
 
 
 def asnn_correct(snr_base: float) -> float:

@@ -290,9 +290,10 @@ def test_generate_config_reproduces_reference_corpus(tmp_path, capsys):
 
 
 def test_estimate_keys_are_the_estimator_config_fields(tmp_path):
+    # epsilon_policy takes one value, "zero", so it has no other value to change to
     changed = {"n_points": 5, "lag_start": 2, "nllsr_lag_start": 3, "acldr_order": 3,
-               "epsilon_policy": "half_gap", "smart_shift": 6}
-    assert set(changed) == {f.name for f in fields(EstimatorConfig)}
+               "smart_shift": 6}
+    assert set(changed) | {"epsilon_policy"} == {f.name for f in fields(EstimatorConfig)}
     assert all(getattr(DEFAULT_CONFIG, key) != value for key, value in changed.items())
     config = tmp_path / "est.cfg"
     config.write_text("[estimate]\n" + "".join(f"{k} = {v}\n" for k, v in changed.items()))
@@ -1551,8 +1552,34 @@ def test_config_that_is_not_utf8_is_config_error(small_corpus, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["directory", "misspelled_section", "default_section"])
+@pytest.mark.parametrize("command", ["generate", "sweep", "estimate"])
+def test_config_that_cannot_be_read_whole_is_config_error(small_corpus, tmp_path, capsys, command,
+                                                          case):
+    # a path that cannot be opened, or a section no command reads, must not leave defaults
+    config, corpus_dir = small_corpus
+    bad = tmp_path / "bad.cfg"
+    if case == "directory":
+        bad.mkdir()
+    else:
+        section = {"misspelled_section": "[estimte]", "default_section": "[DEFAULT]"}[case]
+        bad.write_text(config.read_text().replace("[estimate]", f"{section}\nn_points = 3"))
+    args = {
+        "generate": [],
+        "sweep": ["--parameter", "dose", "--range", "100", "--methods", "nn"],
+        "estimate": ["--corpus", str(corpus_dir), "--methods", "nn"],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["epsilon_polcy = zero", "n_points = many",
-                                  "epsilon_policy = sometimes", "asnn_slope = 1.0",
+                                  "epsilon_policy = sometimes", "epsilon_policy = half_gap",
+                                  "asnn_slope = 1.0",
                                   "chillsr_correction = 0,1,0", "chillsr_points = 4",
                                   "n_points = 1", "lag_start = 0", "nllsr_lag_start = 0",
                                   "acldr_order = 0", "smart_shift = 0"])

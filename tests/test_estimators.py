@@ -124,19 +124,17 @@ def test_nn_and_fol_rules():
 
 
 def test_lsr_hand_example():
-    # exactly linear tail with a noisy peak: alpha=100, beta=-1, eps=(102-99)/2
-    peak, diag = rule("lsr", [102.0, 99.0, 98.0, 97.0, 96.0], mean=5.0,
-                      cfg=EstimatorConfig(epsilon_policy="half_gap"))
-    assert peak == pytest.approx(101.5, abs=1e-9)
+    # exactly linear tail with a noisy peak: alpha=100, beta=-1, noise energy 102-100
+    peak, diag = rule("lsr", [102.0, 99.0, 98.0, 97.0, 96.0], mean=5.0)
+    assert peak == pytest.approx(100.0, abs=1e-9)
     assert diag["alpha"] == pytest.approx(100.0)
     assert diag["beta"] == pytest.approx(-1.0)
     snr = snr_from_peaks(102.0, peak, 5.0)
-    assert snr == pytest.approx((101.5 - 25.0) / 0.5)
+    assert snr == pytest.approx((100.0 - 25.0) / 2.0)
 
 
 def test_lsr_zero_epsilon_noise_free_line_degenerates():
-    peak, _ = rule("lsr", [100.0, 99.0, 98.0, 97.0, 96.0], mean=2.0,
-                   cfg=EstimatorConfig(epsilon_policy="zero"))
+    peak, _ = rule("lsr", [100.0, 99.0, 98.0, 97.0, 96.0], mean=2.0)
     assert peak == pytest.approx(100.0)
     with pytest.raises(DegenerateError):
         snr_from_peaks(100.0, peak, 2.0)
@@ -144,7 +142,7 @@ def test_lsr_zero_epsilon_noise_free_line_degenerates():
 
 def test_nllsr_recovers_exact_power_law():
     values = [100.0] + [100.0 * k**-0.1 for k in range(1, 6)]
-    peak, diag = rule("nllsr", values, cfg=EstimatorConfig(epsilon_policy="zero"))
+    peak, diag = rule("nllsr", values)
     assert diag["alpha"] == pytest.approx(100.0, rel=1e-6)
     assert diag["beta"] == pytest.approx(-0.1, abs=1e-6)
     assert peak == pytest.approx(100.0, rel=1e-6)
@@ -152,11 +150,9 @@ def test_nllsr_recovers_exact_power_law():
 
 def test_nllsr_flat_tail_reduces_toward_nearest_offset():
     values = [110.0, 100.0, 100.0, 100.0, 100.0, 100.0]
-    peak, diag = rule("nllsr", values, cfg=EstimatorConfig(epsilon_policy="half_gap"))
+    peak, diag = rule("nllsr", values)
     assert diag["beta"] == pytest.approx(0.0, abs=1e-12)
-    # multiplicative half-gap: sqrt(r0 / r1)
-    assert diag["epsilon"] == pytest.approx(math.sqrt(1.1))
-    assert peak == pytest.approx(100.0 * math.sqrt(1.1))
+    assert peak == pytest.approx(100.0)
 
 
 def test_nllsr_log_domain_guard():
@@ -339,14 +335,13 @@ def test_asnn_is_affine_of_nn(oracle_corpus):
 
 @pytest.mark.parametrize("lam", [0.5, 3.0])
 def test_scale_equivariance(oracle_corpus, lam):
-    entry = oracle_corpus[5]  # a low-SNR image keeps the half-gap policy finite
+    entry = oracle_corpus[5]
     img = entry["gt"].noisy
     scaled = img.scaled(lam)
-    cfg = EstimatorConfig(epsilon_policy="half_gap")  # additive / multiplicative half-gap terms
     for fn in (estimate_nn, estimate_fol, estimate_lsr, estimate_nllsr,
                estimate_acldr, estimate_chillsrsnr):
-        base = fn(img, cfg)
-        after = fn(scaled, cfg)
+        base = fn(img, BENCH_CONFIG)
+        after = fn(scaled, BENCH_CONFIG)
         assert after.snr_linear == pytest.approx(base.snr_linear, rel=1e-6), base.method
 
 
@@ -561,16 +556,14 @@ def test_subset_run_matches_full_run(oracle_corpus, corpus_estimates):
             assert est == entry["results"][method], (entry["image_id"], method)
 
 
-@pytest.mark.parametrize("cfg", [BENCH_CONFIG, EstimatorConfig(epsilon_policy="half_gap")],
-                         ids=["zero", "half_gap"])
-def test_small_image_keeps_per_method_statuses(cfg):
+def test_small_image_keeps_per_method_statuses():
     # 9x9 fits lags up to 4: nllsr needs lag 5
     from semsnr.noise import rng_for
 
     yy, xx = np.mgrid[0:9, 0:9]
     base = 500.0 + 300.0 * np.sin(xx / 2.0) * np.cos(yy / 2.5)
     img = raster_from_array(np.clip(base + rng_for(7, 0).normal(0.0, 60.0, (9, 9)), 0.0, None), 16)
-    results = estimate_all(img, cfg)
+    results = estimate_all(img, BENCH_CONFIG)
     assert {m: e.status for m, e in results.items()} == {
         "nn": "ok", "fol": "degenerate", "lsr": "degenerate", "nllsr": "error",
         "asnn": "ok", "acldr": "degenerate", "chillsr": "degenerate", "smart": "not_applicable",
@@ -579,11 +572,11 @@ def test_small_image_keeps_per_method_statuses(cfg):
     assert results["nllsr"].diagnostics["detail"].startswith("max_lag 5 ")
     for est in results.values():
         json.dumps(est.diagnostics, allow_nan=False)
-    assert results["nn"] == estimate_nn(img, cfg)
-    assert results["asnn"] == estimate_asnn(img, cfg)
-    assert estimate_all(img, cfg, methods=("nllsr",))["nllsr"].status == "error"
+    assert results["nn"] == estimate_nn(img, BENCH_CONFIG)
+    assert results["asnn"] == estimate_asnn(img, BENCH_CONFIG)
+    assert estimate_all(img, BENCH_CONFIG, methods=("nllsr",))["nllsr"].status == "error"
     with pytest.raises(DomainError):
-        estimate_nllsr(img, cfg)
+        estimate_nllsr(img, BENCH_CONFIG)
 
 
 def test_ok_estimates_are_plain_floats(oracle_corpus, corpus_estimates):

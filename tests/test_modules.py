@@ -1,12 +1,15 @@
 """The package's module graph: no module imports, directly or through others, itself;
 every 2-D real FFT runs through ``raster``; in ``denoise`` only ``_bands`` mirror-pads;
-every package name the benchmark reads or the README names exists; and every public
-package name has a caller outside the tests."""
+every package name the benchmark reads or the README names exists; every public
+package name has a caller outside the tests; and every ``[estimate]`` key is read."""
 
 import ast
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from semsnr.estimators import EstimatorConfig
 
 PACKAGE = Path(__file__).parent.parent / "src" / "semsnr"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -219,3 +222,38 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 if name not in references}
     # a listed name that gains a caller fails too, so the list cannot go stale
     assert uncalled == TEST_ONLY_NAMES.keys(), sorted(uncalled ^ TEST_ONLY_NAMES.keys())
+
+
+# EstimatorConfig fields no package code reads, each kept because something outside it names it
+UNREAD_ESTIMATE_KEYS = {
+    "epsilon_policy": "perfbench/workloads.py builds EstimatorConfig(epsilon_policy='zero') and "
+                      "writes it into every run manifest; ROADMAP items 9 and 20 delete it",
+}
+
+
+def _attributes_read(tree: ast.AST, skip: str) -> set[str]:
+    """Attribute names ``tree`` loads, outside the bodies of functions named ``skip``."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_every_estimate_key_is_read_outside_its_check():
+    assert _attributes_read(ast.parse(
+        "def __post_init__(s): s.a\nx.b\nx.c = 1\ndef f(cfg): return cfg.d"),
+        "__post_init__") == {"b", "d"}
+    read = set().union(*(_attributes_read(ast.parse(p.read_text(encoding="utf-8")),
+                                          "__post_init__")
+                         for p in sorted(PACKAGE.glob("*.py"))))
+    unread = {f.name for f in fields(EstimatorConfig)} - read
+    # a listed key that gains a reader fails too, so the list cannot go stale
+    assert unread == UNREAD_ESTIMATE_KEYS.keys(), sorted(unread ^ UNREAD_ESTIMATE_KEYS.keys())
